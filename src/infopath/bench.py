@@ -9,6 +9,7 @@ directory.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import time
@@ -79,8 +80,18 @@ class ExperimentConfig:
             raise ConfigError("grid size must be >= 2")
         if not 0.0 <= self.p_good <= 1.0:
             raise ConfigError("p must lie in [0, 1]")
+        if self.environment == "isrs":
+            n, cells = self.grid_size, self.grid_size * self.grid_size
+            if self.rocks < 0 or self.beacons < 0:
+                raise ConfigError("rocks and beacons must be non-negative")
+            if self.rocks + 2 > cells:  # rocks avoid the origin, which is start and goal
+                raise ConfigError(f"{self.rocks} rocks do not fit on a {n}x{n} grid")
+            if self.beacons > cells:
+                raise ConfigError(f"{self.beacons} beacons do not fit on a {n}x{n} grid")
         if self.beta < 2:
             raise ConfigError("beta must be >= 2")
+        if self.spectrometer_sigma < 0:
+            raise ConfigError("spectrometer_sigma must be non-negative")
         if self.budget is not None and self.budget < 0:
             raise ConfigError("budget must be non-negative")
 
@@ -501,7 +512,7 @@ def write_sweep_csv(rows, cell_keys, solvers, out_dir, snapshot) -> Path:
     header = list(cell_keys)
     for solver in solvers:
         header += [f"{solver}_mean", f"{solver}_std", f"{solver}_failures"]
-    lines = [_config_header(snapshot), ",".join(header) + "\n"]
+    table = [header]
     for row in rows:
         fields = [_fmt(row["cell"].get(k, "")) for k in cell_keys]
         for solver in solvers:
@@ -515,6 +526,8 @@ def write_sweep_csv(rows, cell_keys, solvers, out_dir, snapshot) -> Path:
                            str(res.failures)]
             else:
                 fields += [res, "", ""]
-        lines.append(",".join(fields) + "\n")
-    path.write_text("".join(lines))
+        table.append(fields)
+    with path.open("w", newline="") as f:
+        f.write(_config_header(snapshot))
+        csv.writer(f, lineterminator="\n").writerows(table)  # quotes error text with commas
     return path

@@ -12,6 +12,10 @@ incrementally. When a new measurement lands on a query point (the common
 case: all environment locations are query points), extending the Cholesky
 factor of the measurement system reuses the cached whitened cross-covariance,
 so an update costs O(m q) instead of the O(m^3 + m^2 q) of a refactorization.
+
+A chain of updates that never branches (a tree-search rollout) does not need
+snapshots: ``workspace()`` hands out a mutable copy of a belief's caches that
+takes the same updates in place, into preallocated rows.
 """
 
 from __future__ import annotations
@@ -27,6 +31,12 @@ from scipy.spatial.distance import cdist
 # factorization failure up to JITTER_MAX_REL, then the solve errors out.
 JITTER_REL = 1e-8
 JITTER_MAX_REL = 1e-4
+# An incremental pivot at or below this multiple of the signal variance has
+# collapsed; the update falls back to a batch rebuild that re-escalates jitter.
+PIVOT_MIN_REL = 1e-14
+# Spare rows a workspace allocates beyond its conditioning set; it doubles
+# its buffer when they run out.
+WORKSPACE_ROOM = 16
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -248,6 +258,31 @@ class GaussianProcessBelief:
                                            lower=True, check_finite=False)
             self._chol = chol
 
+    def _extend(self, w, m, mean_q, var_q, sites) -> bool:
+        """Append measurements at query points to this belief's factor, in place.
+
+        ``sites`` lists (query index, value, noise variance). Measurement i
+        becomes row m+i of the whitened cross-covariance ``w`` (rows below m
+        extend this belief's own), and the query mean and variance take its
+        rank-1 update. Returns False when a pivot collapses; the buffers are
+        then partly written and the caller rebuilds in batch.
+        """
+        kqq = self._kqq
+        jitter = self._jitter
+        floor = PIVOT_MIN_REL * self.kernel.signal_variance
+        for i, (j, val, nu) in enumerate(sites):
+            mc = m + i
+            d2 = var_q[j] + nu + jitter
+            if d2 <= floor:
+                return False
+            d = math.sqrt(d2)
+            row = (kqq[j] - w[:mc].T @ w[:mc, j]) / d
+            a_new = (val - mean_q[j]) / d
+            w[mc] = row
+            mean_q += a_new * row
+            var_q -= row * row
+        return True
+
     # ------------------------------------------------------------------
     # read-only views of the conditioning set
 
@@ -325,29 +360,15 @@ class GaussianProcessBelief:
             y[m + i] = val
             nu_all[m + i] = nu
 
-        idx = [self._qindex.get((float(loc[0]), float(loc[1]))) for loc, _, _ in triples]
-        if any(j is None for j in idx):
-            return GaussianProcessBelief(self.prior_mean, self.kernel, self.query_set,
-                                         x, y, nu_all)
-
-        qn = len(self.query_set)
-        w = np.empty((m + k, qn))
+        sites = [(self.query_index(loc), val, nu) for loc, val, nu in triples]
+        w = np.empty((m + k, len(self.query_set)))
         w[:m] = self._w
         mean_q = self._mean_q.copy()
         var_q = self._var_q.copy()
-        s2 = self.kernel.signal_variance
-        for i, (j, (_, val, nu)) in enumerate(zip(idx, triples)):
-            mc = m + i
-            d2 = var_q[j] + nu + self._jitter
-            if d2 <= 1e-14 * s2:  # pivot collapsed; let the batch path re-escalate jitter
-                return GaussianProcessBelief(self.prior_mean, self.kernel, self.query_set,
-                                             x, y, nu_all)
-            d = math.sqrt(d2)
-            row = (self._kqq[j] - w[:mc].T @ w[:mc, j]) / d
-            a_new = (val - mean_q[j]) / d
-            w[mc] = row
-            mean_q += a_new * row
-            var_q -= row * row
+        if any(j is None for j, _, _ in sites) or \
+                not self._extend(w, m, mean_q, var_q, sites):
+            return GaussianProcessBelief(self.prior_mean, self.kernel, self.query_set,
+                                         x, y, nu_all)
 
         new = object.__new__(GaussianProcessBelief)
         new.prior_mean = self.prior_mean
@@ -364,6 +385,10 @@ class GaussianProcessBelief:
         new._chol = None  # rebuilt on demand by posterior()
         new._alpha = None
         return new
+
+    def workspace(self) -> "BeliefWorkspace":
+        """A mutable copy of this belief for a chain of in-place updates."""
+        return BeliefWorkspace(self)
 
     # ------------------------------------------------------------------
     # posterior queries
@@ -389,3 +414,77 @@ class GaussianProcessBelief:
             cov = ktt - v.T @ v
         cov = 0.5 * (cov + cov.T)
         return PosteriorSummary(mean=mean, covariance=cov, dimension=t.shape[0])
+
+
+class BeliefWorkspace:
+    """Query-set caches of a belief, updated in place by a chain of measurements.
+
+    ``add_measurements_at`` takes measurements at query points, named by
+    their index in the query set. It gives the same mean, variance and trace
+    as the belief's own ``add_measurements`` chain would, through the same
+    rank-1 routine and the same batch-rebuild fallback, but it writes into
+    preallocated rows instead of building a snapshot per call. The source
+    belief is never written: the caches are copied on the first update, so a
+    workspace that is only read costs nothing. ``query_mean`` and
+    ``query_variance`` are the live buffers.
+    """
+
+    __slots__ = ("_base", "_added", "_w", "_m", "query_mean", "query_variance", "_trace")
+
+    def __init__(self, belief: GaussianProcessBelief):
+        # _base: the belief whose factor the rows extend and whose jitter
+        # applies; _added: the sites appended since
+        self._base = belief
+        self._added = []
+        self._w = None
+        self._m = len(belief._y)
+        self.query_mean = belief.query_mean  # read-only until the first update
+        self.query_variance = belief.query_variance
+        self._trace = belief._trace
+
+    def trace_of_variance(self) -> float:
+        """Total posterior variance over the query set."""
+        return self._trace
+
+    def _load(self, belief: GaussianProcessBelief, room: int):
+        """Copy the caches of ``belief`` into fresh buffers with ``room`` spare rows."""
+        m = len(belief._y)
+        self._w = np.empty((m + room, len(belief.query_set)))
+        self._w[:m] = belief._w
+        self._m = m
+        self.query_mean = belief._mean_q.copy()
+        self.query_variance = belief._var_q.copy()
+        self._trace = belief._trace
+
+    def add_measurements_at(self, sites):
+        """Append measurements in place, as (query index, value, noise variance)."""
+        if not sites:
+            return
+        for _, _, nu in sites:
+            if nu <= 0:
+                raise ValueError("noise variances must be positive")
+        m, k = self._m, len(sites)
+        self._added.extend(sites)
+        if self._w is None:
+            self._load(self._base, max(k, WORKSPACE_ROOM))
+        elif m + k > len(self._w):
+            w = np.empty((max(2 * len(self._w), m + k), self._w.shape[1]))
+            w[:m] = self._w[:m]
+            self._w = w
+        if self._base._extend(self._w, m, self.query_mean, self.query_variance, sites):
+            self._m = m + k
+            self._trace = float(self.query_variance.sum())
+        else:
+            self._rebuild()
+
+    def _rebuild(self):
+        """Batch-build the whole conditioning set, as ``add_measurements`` does
+        when a pivot collapses."""
+        base, added = self._base, self._added
+        x = np.concatenate([base._x, base.query_set[[j for j, _, _ in added]]])
+        y = np.concatenate([base._y, [val for _, val, _ in added]])
+        nu = np.concatenate([base._nu, [nu for _, _, nu in added]])
+        fresh = GaussianProcessBelief(base.prior_mean, base.kernel, base.query_set, x, y, nu)
+        self._base = fresh
+        self._added = []
+        self._load(fresh, WORKSPACE_ROOM)

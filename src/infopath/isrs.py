@@ -26,7 +26,6 @@ from .mdp import (
     Measurement,
     Move,
     RewardConfig,
-    Sense,
     SensingModality,
 )
 
@@ -174,10 +173,10 @@ class IsrsMdp(BeliefMdp):
         if reward_config is None:
             reward_config = RewardConfig(information_weight=1.0, interaction_reward=ROCK_REWARD)
         super().__init__(inst.graph(), inst.modalities, reward_config,
-                         budget=inst.budget, prior_mean=prior_mean, kernel=kernel)
+                         budget=inst.budget, prior_mean=prior_mean, kernel=kernel,
+                         sensing_nodes=inst.beacons)
         self.instance = inst
         self._rock_set = frozenset(inst.rock_nodes)
-        self._senses = tuple(Sense(m.name) for m in inst.modalities)
         # per-(beacon, modality) measurement plans: ((rock, noise variance), ...)
         self._beacon_sites: dict[int, dict[str, tuple[tuple[int, float], ...]]] = {}
         coords = self.graph.coords
@@ -195,9 +194,6 @@ class IsrsMdp(BeliefMdp):
             self._beacon_sites[beacon] = plans
 
     # planning side ----------------------------------------------------
-
-    def sense_actions(self, belief):
-        return self._senses if belief.location in self.instance.beacons else ()
 
     def measurement_sites(self, belief, action):
         if isinstance(action, Move):

@@ -7,7 +7,8 @@ action node are capped at k*N^alpha, so the search stays deep even though
 every Gaussian-process successor belief is unique. New actions are drawn
 uniformly from the feasibility-pruned action set, so the tree never contains
 an action that could strand the agent. Leaf values come from uniform-random
-feasible rollouts through the generative model.
+feasible rollouts through the generative model; a rollout never branches, so
+an MDP may offer a state that it steps in place (see ``rollout``).
 
 The planner owns nothing between calls: every plan builds a fresh tree from
 the root belief and a seeded generator, so results are reproducible.
@@ -125,19 +126,44 @@ def action_prog_widen(node: BeliefNode, mdp, config: SolverConfig, rng) -> Actio
     return best
 
 
+class _SnapshotRollout:
+    """Rollout state over the 3-method MDP protocol: a new belief per step."""
+
+    __slots__ = ("mdp", "belief")
+
+    def __init__(self, mdp, belief):
+        self.mdp = mdp
+        self.belief = belief
+
+    def feasible_actions(self):
+        if self.mdp.is_terminal(self.belief):
+            return []
+        return self.mdp.feasible_actions(self.belief)
+
+    def advance(self, action, rng) -> float:
+        self.belief, reward = self.mdp.generative_sample(self.belief, action, rng)
+        return reward
+
+
 def rollout(belief, depth, mdp, config: SolverConfig, rng) -> float:
-    """Discounted return of a uniform-random feasible rollout of ``depth`` steps."""
+    """Discounted return of a uniform-random feasible rollout of ``depth`` steps.
+
+    An MDP with a ``rollout_state(belief)`` hook is stepped in place through
+    the state it returns, which offers ``feasible_actions()`` (empty when
+    terminal) and ``advance(action, rng) -> reward``; any other MDP through
+    ``is_terminal``/``feasible_actions``/``generative_sample``. Both ways draw
+    from ``rng`` in the same order and return the same value.
+    """
+    hook = getattr(mdp, "rollout_state", None)
+    state = hook(belief) if hook is not None else _SnapshotRollout(mdp, belief)
     total = 0.0
     discount = 1.0
     for _ in range(depth):
-        if mdp.is_terminal(belief):
-            break
-        actions = mdp.feasible_actions(belief)
+        actions = state.feasible_actions()
         if not actions:
             break
         action = actions[rng.integers(len(actions))]
-        belief, reward = mdp.generative_sample(belief, action, rng)
-        total += discount * reward
+        total += discount * state.advance(action, rng)
         discount *= config.discount
     return total
 

@@ -10,14 +10,19 @@ large negative sentinel replaces it when a transition strands the agent off
 the goal with no affordable action left.
 
 ``BeliefMdp`` carries the machinery shared by every environment; subclasses
-supply what differs: which sensing actions exist where, what each action
-measures, the expected interaction reward, and how the memory evolves.
+supply what differs: where sensing is possible, what each action measures,
+the expected interaction reward, and how the memory evolves.
+
+Tree search steps through immutable ``BeliefState`` snapshots. A rollout is a
+chain that never branches, so ``rollout_state`` hands out a ``RolloutState``
+that takes the same steps in place, with the same draws and rewards.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .gp import JITTER_REL, GaussianProcessBelief, SquaredExponential
 from .graph import LocationGraph
@@ -70,9 +75,12 @@ def action_label(action: Action) -> str:
     return f"sense:{action.modality}"
 
 
-@dataclass(frozen=True)
-class Measurement:
-    """One scalar observation at a graph node, with its noise variance."""
+class Measurement(NamedTuple):
+    """One scalar observation at a graph node, with its noise variance.
+
+    Graph nodes are the GP's query points in order, so a measurement is also
+    the (query index, value, noise variance) site a ``BeliefWorkspace`` takes.
+    """
 
     node: int
     value: float
@@ -91,6 +99,15 @@ class BeliefState:
     gp: GaussianProcessBelief
     memory: frozenset = frozenset()
     step: int = 0
+
+
+class LocationActions(NamedTuple):
+    """The actions at one location, with what feasibility checks need."""
+
+    moves: tuple[tuple[Move, float, float], ...]  # (move, cost, goal cost from its target)
+    senses: tuple[tuple[Sense, float], ...]  # (sense, cost)
+    min_cost: float  # cheapest action: with less budget the location is terminal
+    goal_cost: float  # goal cost from the location itself
 
 
 @dataclass(frozen=True)
@@ -113,14 +130,15 @@ class RewardConfig:
 class BeliefMdp:
     """Shared belief-MDP mechanics over a location graph.
 
-    Subclasses override the four environment hooks (``sense_actions``,
-    ``measurement_sites``, ``expected_state_reward``, ``updated_memory``) for
-    planning, and the two ground-truth hooks (``true_reward``,
-    ``true_observation``) for episode execution.
+    Every modality can sense at ``sensing_nodes`` (all nodes when None).
+    Subclasses override the three environment hooks (``measurement_sites``,
+    ``expected_state_reward``, ``updated_memory``) for planning, and the two
+    ground-truth hooks (``true_reward``, ``true_observation``) for episode
+    execution.
     """
 
     def __init__(self, graph: LocationGraph, modalities, reward_config=None, *,
-                 budget, prior_mean=0.5, kernel=None):
+                 budget, prior_mean=0.5, kernel=None, sensing_nodes=None):
         self.graph = graph
         self.kernel = kernel if kernel is not None else SquaredExponential()
         self.reward_config = reward_config if reward_config is not None else RewardConfig()
@@ -141,19 +159,27 @@ class BeliefMdp:
                 raise ValueError("modality costs must not decrease as accuracy increases")
 
         self.goal_costs = graph.costs_from(graph.goal)
-        self._move_actions = tuple(
-            tuple((Move(w), cost) for w, cost in graph.neighbors(v))
-            for v in range(graph.n_nodes)
-        )
-        self._move_cost = tuple(dict(graph.neighbors(v)) for v in range(graph.n_nodes))
+        self._tables = self._action_tables(sensing_nodes)
         self._empty_gp = GaussianProcessBelief(prior_mean, self.kernel, graph.coords)
+
+    def _action_tables(self, sensing_nodes) -> tuple[LocationActions, ...]:
+        """The action table of every location, indexed by node id."""
+        graph = self.graph
+        gc = self.goal_costs.tolist()
+        move_to = [Move(w) for w in range(graph.n_nodes)]
+        senses = tuple((Sense(name), mod.cost) for name, mod in self.modalities.items())
+        sensing = None if sensing_nodes is None else frozenset(sensing_nodes)
+        tables = []
+        for v in range(graph.n_nodes):
+            neighbors = graph.neighbors(v)
+            moves = tuple([(move_to[w], cost, gc[w]) for w, cost in neighbors])
+            here = senses if sensing is None or v in sensing else ()
+            costs = [cost for _, cost in neighbors] + [cost for _, cost in here]
+            tables.append(LocationActions(moves, here, min(costs, default=math.inf), gc[v]))
+        return tuple(tables)
 
     # ------------------------------------------------------------------
     # environment hooks (planning side)
-
-    def sense_actions(self, belief: BeliefState) -> tuple[Sense, ...]:
-        """Sensing actions available at the belief's location."""
-        return ()
 
     def measurement_sites(self, belief: BeliefState, action: Action):
         """(node, noise_variance) pairs the action will measure."""
@@ -188,32 +214,28 @@ class BeliefMdp:
 
     def actions(self, belief: BeliefState) -> list[Action]:
         """Full action space at the belief: neighbor moves plus sensing."""
-        out = [a for a, _ in self._move_actions[belief.location]]
-        out.extend(self.sense_actions(belief))
-        return out
+        table = self._tables[belief.location]
+        return [a for a, _, _ in table.moves] + [s for s, _ in table.senses]
 
     def action_cost(self, belief: BeliefState, action: Action) -> float:
         """Budget cost of an applicable action; raises on inapplicable ones."""
+        table = self._tables[belief.location]
         if isinstance(action, Move):
-            cost = self._move_cost[belief.location].get(action.target)
-            if cost is None:
-                raise ValueError(f"node {action.target} is not adjacent to {belief.location}")
-            return cost
-        if action not in self.sense_actions(belief):
-            raise ValueError(f"{action_label(action)} is not available at node {belief.location}")
-        return self.modalities[action.modality].cost
+            for move, cost, _ in table.moves:
+                if move.target == action.target:
+                    return cost
+            raise ValueError(f"node {action.target} is not adjacent to {belief.location}")
+        for sense, cost in table.senses:
+            if sense == action:
+                return cost
+        raise ValueError(f"{action_label(action)} is not available at node {belief.location}")
 
     def action_target(self, belief: BeliefState, action: Action) -> int:
         return action.target if isinstance(action, Move) else belief.location
 
-    def min_action_cost(self, belief: BeliefState) -> float:
-        costs = [cost for _, cost in self._move_actions[belief.location]]
-        costs.extend(self.modalities[s.modality].cost for s in self.sense_actions(belief))
-        return min(costs)
-
     def is_terminal(self, belief: BeliefState) -> bool:
         """True iff the remaining budget cannot pay for any action."""
-        return belief.remaining_budget < self.min_action_cost(belief)
+        return belief.remaining_budget < self._tables[belief.location].min_cost
 
     def feasible_actions(self, belief: BeliefState) -> list[Action]:
         """Actions after which the goal stays reachable within the budget.
@@ -222,15 +244,12 @@ class BeliefMdp:
         boundary states (at the goal with just enough budget to act but not to
         leave and return); callers treat that as the end of the episode.
         """
-        if self.is_terminal(belief):
-            raise ValueError("feasible_actions called on a terminal belief")
+        moves, senses, min_cost, here = self._tables[belief.location]
         budget = belief.remaining_budget
-        gc = self.goal_costs
-        out = [a for a, cost in self._move_actions[belief.location]
-               if budget - cost >= gc[a.target]]
-        here = gc[belief.location]
-        out.extend(s for s in self.sense_actions(belief)
-                   if budget - self.modalities[s.modality].cost >= here)
+        if budget < min_cost:
+            raise ValueError("feasible_actions called on a terminal belief")
+        out = [a for a, cost, back in moves if budget - cost >= back]
+        out.extend(s for s, cost in senses if budget - cost >= here)
         return out
 
     def transition(self, belief: BeliefState, action: Action,
@@ -266,21 +285,75 @@ class BeliefMdp:
         return (self.expected_state_reward(belief, action)
                 + self.reward_config.information_weight * info)
 
-    def generative_sample(self, belief: BeliefState, action: Action, rng):
-        """Sample (next belief, reward) for the tree search.
+    def sample_observation(self, belief: BeliefState, action: Action, rng) -> Observation:
+        """Draw what the action would observe from the *current* belief.
 
-        Observation values are drawn from the *current* belief (planning never
-        touches ground truth): y ~ Normal(posterior mean, posterior variance +
-        measurement noise variance), independently per measured site.
+        Planning never touches ground truth: y ~ Normal(posterior mean,
+        posterior variance + measurement noise variance), independently per
+        measured site, drawn in site order.
         """
         sites = self.measurement_sites(belief, action)
-        if sites:
-            mean_q = belief.gp.query_mean
-            var_q = belief.gp.query_variance
-            observation = tuple(
-                Measurement(node, rng.normal(mean_q[node], math.sqrt(max(var_q[node], 0.0) + nu)), nu)
-                for node, nu in sites)
-        else:
-            observation = ()
+        if not sites:
+            return ()
+        mean_q = belief.gp.query_mean
+        var_q = belief.gp.query_variance
+        return tuple(
+            Measurement(node, rng.normal(mean_q[node], math.sqrt(max(var_q[node], 0.0) + nu)), nu)
+            for node, nu in sites)
+
+    def generative_sample(self, belief: BeliefState, action: Action, rng):
+        """Sample (next belief, reward) for the tree search."""
+        observation = self.sample_observation(belief, action, rng)
         next_belief = self.transition(belief, action, observation)
         return next_belief, self.belief_reward(belief, action, next_belief)
+
+    def rollout_state(self, belief: BeliefState) -> "RolloutState":
+        """A mutable copy of ``belief`` for an in-place rollout."""
+        return RolloutState(self, belief)
+
+
+class RolloutState:
+    """A belief state that a rollout steps in place.
+
+    It reads like a ``BeliefState`` (location, remaining budget, GP, memory,
+    step), so the environment hooks take it unchanged; its GP is a
+    ``BeliefWorkspace``. ``advance`` draws from the generator in the order
+    ``generative_sample`` does and returns the same reward, but builds no
+    belief or GP snapshot. The source belief is never touched.
+    """
+
+    __slots__ = ("mdp", "location", "remaining_budget", "gp", "memory", "step")
+
+    def __init__(self, mdp: BeliefMdp, belief: BeliefState):
+        self.mdp = mdp
+        self.location = belief.location
+        self.remaining_budget = belief.remaining_budget
+        self.gp = belief.gp.workspace()
+        self.memory = belief.memory
+        self.step = belief.step
+
+    def feasible_actions(self) -> list[Action]:
+        """Feasible actions here; empty when the state is terminal."""
+        mdp = self.mdp
+        return [] if mdp.is_terminal(self) else mdp.feasible_actions(self)
+
+    def advance(self, action: Action, rng) -> float:
+        """Take ``action`` in place and return its ``belief_reward``."""
+        mdp = self.mdp
+        observation = mdp.sample_observation(self, action, rng)
+        # everything the reward and the memory read of the current state,
+        # read before the update overwrites it
+        state_reward = mdp.expected_state_reward(self, action)
+        trace = self.gp.trace_of_variance()
+        memory = mdp.updated_memory(self, action, observation)
+        cost = mdp.action_cost(self, action)
+        if observation:  # the graph's nodes are the GP's query points, in order
+            self.gp.add_measurements_at(observation)
+        self.location = mdp.action_target(self, action)
+        self.remaining_budget -= cost
+        self.memory = memory
+        self.step += 1
+        if self.location != mdp.graph.goal and mdp.is_terminal(self):
+            return MISSION_FAILURE_REWARD
+        info = trace - self.gp.trace_of_variance()
+        return state_reward + mdp.reward_config.information_weight * info

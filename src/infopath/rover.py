@@ -210,16 +210,12 @@ class RoverMdp(BeliefMdp):
         super().__init__(inst.graph(), (drill,), reward_config,
                          budget=inst.budget, prior_mean=prior_mean, kernel=kernel)
         self.instance = inst
-        self._senses = (Sense(DRILL),)
         self._spect_nu = max(inst.spectrometer_sigma ** 2, self.jitter_floor)
         # matching tolerance: half the spacing between adjacent type values
         self._delta = 0.5 / (inst.beta - 1)
         self._types = inst.type_values
 
     # planning side ----------------------------------------------------
-
-    def sense_actions(self, belief):
-        return self._senses
 
     def measurement_sites(self, belief, action):
         if isinstance(action, Move):

@@ -1,3 +1,4 @@
+import csv
 import json
 import numpy as np
 import pytest
@@ -41,6 +42,16 @@ def test_config_validation():
         small_cfg(runs=0).validate()
     with pytest.raises(ConfigError):
         small_cfg(environment="isrs", solver="raster").validate()
+    with pytest.raises(ConfigError, match="24 rocks do not fit on a 5x5 grid"):
+        small_cfg(rocks=24).validate()  # the origin stays free
+    with pytest.raises(ConfigError, match="beacons do not fit"):
+        small_cfg(beacons=26).validate()
+    with pytest.raises(ConfigError):
+        small_cfg(rocks=-1).validate()
+    small_cfg(rocks=23, beacons=25).validate()
+    small_cfg(environment="rover", rocks=1000).validate()  # the rover has no rocks
+    with pytest.raises(ConfigError):
+        small_cfg(environment="rover", spectrometer_sigma=-0.1).validate()
     small_cfg().validate()
 
 
@@ -180,6 +191,20 @@ def test_sweep_csv_layout(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[1] == "p_good,rocks,random_mean,random_std,random_failures"
     assert len(lines) == 4  # header comment + header + one row per cell
+
+
+def test_sweep_csv_rows_parse_to_header_width(tmp_path):
+    # the error text of a failing cell holds a comma: "p must lie in [0, 1]"
+    cfg = small_cfg(runs=1)
+    rows, cell_keys, solvers = run_sweep(cfg, cells=[{"p_good": 1.5}, {"p_good": 0.5}],
+                                         solvers=("mcts-dpw", "random"))
+    path = write_sweep_csv(rows, cell_keys, solvers, tmp_path, cfg.to_dict())
+    with path.open(newline="") as f:
+        records = list(csv.reader(line for line in f if not line.startswith("#")))
+    assert len(records) == 3
+    assert all(len(r) == len(records[0]) == 7 for r in records)
+    assert records[1][1] == records[1][4] == "error: p must lie in [0, 1]"
+    assert records[2][3] == records[2][6] == "0"
 
 
 def test_all_failure_batch_aggregates_cleanly(tmp_path):

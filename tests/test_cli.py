@@ -77,6 +77,11 @@ def test_config_error_exit_code(tmp_path):
     assert code == 2
 
 
+def test_overfull_grid_is_a_config_error(tmp_path):
+    assert run_cli("run", "--env", "isrs", "--k", "200", "--runs", "1",
+                   "--out", str(tmp_path)) == 2
+
+
 def test_bad_flag_exit_code(tmp_path):
     assert run_cli("run", "--env", "pluto", "--out", str(tmp_path)) == 2
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infopath.gp import (
     JITTER_REL,
@@ -301,3 +303,65 @@ def test_trace_strictly_decreases_on_query_measurement():
     gp, coords = random_belief(rng, n_meas=3)
     gp2 = gp.add_measurement(coords[7], 0.4, 0.3)
     assert gp2.trace_of_variance() < gp.trace_of_variance()
+
+
+# ----------------------------------------------------------------------
+# in-place workspace
+
+def assert_same_caches(ws, gp):
+    assert np.array_equal(ws.query_mean, gp.query_mean)
+    assert np.array_equal(ws.query_variance, gp.query_variance)
+    assert ws.trace_of_variance() == gp.trace_of_variance()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), s2=st.floats(0.2, 5.0), ell=st.floats(0.5, 3.0),
+       batches=st.lists(st.integers(1, 4), min_size=1, max_size=30))
+def test_workspace_chain_equals_snapshot_chain(seed, s2, ell, batches):
+    # same rank-1 routine, same order: the in-place chain is bit-identical,
+    # across buffer growth and with repeated cells and near-exact readings
+    rng = np.random.default_rng(seed)
+    coords = grid_coords(4)
+    gp = GaussianProcessBelief(0.5, SquaredExponential(s2, ell), coords)
+    source, prior_variance = gp, gp.query_variance.copy()
+    ws = gp.workspace()
+    for k in batches:
+        sites = [(int(rng.integers(len(coords))), float(rng.normal(0.5, 1.0)),
+                  float(10 ** rng.uniform(-8, 0))) for _ in range(k)]
+        gp = gp.add_measurements([(coords[j], val, nu) for j, val, nu in sites])
+        ws.add_measurements_at(sites)
+        assert_same_caches(ws, gp)
+    assert len(source.measurements) == 0
+    assert np.array_equal(source.query_variance, prior_variance)
+
+
+def test_workspace_pivot_collapse_rebuilds_like_add_measurements():
+    coords = grid_coords(3)
+    kernel = SquaredExponential()
+    gp = GaussianProcessBelief(0.5, kernel, coords).add_measurement(coords[4], 0.7, 0.01)
+    ws = gp.workspace()
+    ws.add_measurements_at([(1, 0.3, 0.05)])
+    chain = gp.add_measurement(coords[1], 0.3, 0.05)
+    # a cached variance below -(noise + jitter) collapses the next pivot there
+    ws.query_variance[4] = -1.0
+    chain._var_q[4] = -1.0
+    ws.add_measurements_at([(4, 0.9, 0.02)])
+    chain = chain.add_measurement(coords[4], 0.9, 0.02)
+    batch = GaussianProcessBelief(0.5, kernel, coords, [coords[4], coords[1], coords[4]],
+                                  [0.7, 0.3, 0.9], [0.01, 0.05, 0.02])
+    assert_same_caches(ws, batch)
+    assert_same_caches(ws, chain)
+    # the chain goes on incrementally from the rebuilt factor
+    ws.add_measurements_at([(0, 0.1, 0.03)])
+    assert_same_caches(ws, chain.add_measurement(coords[0], 0.1, 0.03))
+    assert len(gp.measurements) == 1
+
+
+def test_workspace_is_read_only_until_updated():
+    gp = GaussianProcessBelief(0.5, SquaredExponential(), grid_coords(2))
+    ws = gp.workspace()
+    with pytest.raises(ValueError):
+        ws.query_variance[0] = 0.0
+    with pytest.raises(ValueError):
+        ws.add_measurements_at([(0, 1.0, 0.0)])
+    assert gp.trace_of_variance() == 4.0
