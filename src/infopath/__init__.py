@@ -16,7 +16,6 @@ from .gp import (
     SingularCovarianceError,
     SquaredExponential,
     conditional_entropy,
-    kernel_eval,
     mutual_information_exact,
     mutual_information_trace,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "generate_rover_map",
     "isrs_observe",
     "isrs_true_reward",
-    "kernel_eval",
     "mutual_information_exact",
     "mutual_information_trace",
     "plan",

@@ -12,8 +12,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -112,17 +113,7 @@ class ExperimentConfig:
             "grid_size": self.grid_size,
             "budget": self.resolved_budget(),
             "information_weight": self.resolved_information_weight(),
-            "solver_config": {
-                "iterations": self.solver_config.iterations,
-                "max_depth": self.solver_config.max_depth,
-                "exploration": self.solver_config.exploration,
-                "k_action": self.solver_config.k_action,
-                "alpha_action": self.solver_config.alpha_action,
-                "k_state": self.solver_config.k_state,
-                "alpha_state": self.solver_config.alpha_state,
-                "discount": self.solver_config.discount,
-                "seed": self.solver_config.seed,
-            },
+            "solver_config": asdict(self.solver_config),
         }
         if self.environment == "isrs":
             d.update(rocks=self.rocks, beacons=self.beacons, p_good=self.p_good)
@@ -272,40 +263,65 @@ def run_batch(cfg: ExperimentConfig) -> AggregateResult:
 # ----------------------------------------------------------------------
 # serialization
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+INSTANCE_TYPES = {"isrs": IsrsInstance, "rover": RoverInstance}
+
+# (column, StepRecord field): the steps.csv header and the episodes.json record keys
+STEP_COLUMNS = (
+    ("step", "step"), ("loc_x", "x"), ("loc_y", "y"), ("action", "action"),
+    ("budget", "remaining_budget"), ("reward", "true_reward"),
+    ("trace", "trace_of_variance"), ("rmse", "rmse"),
+)
+_STEP_KEYS = tuple(column for column, _ in STEP_COLUMNS)
+_step_values = operator.attrgetter(*(name for _, name in STEP_COLUMNS))
 
 
 def _json_safe(obj):
+    # the common branches come first: episodes.json runs ~700k values through here
     if isinstance(obj, dict):
         return {k: _json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_json_safe(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
     if isinstance(obj, (np.floating, float)):
         x = float(obj)
         return None if not math.isfinite(x) else x
+    if isinstance(obj, (str, int)):
+        return obj
+    if isinstance(obj, np.integer):
+        return int(obj)
     if isinstance(obj, np.ndarray):
         return _json_safe(obj.tolist())
+    if isinstance(obj, frozenset):
+        return _json_safe(sorted(obj))
+    if is_dataclass(obj):
+        return {f.name: _json_safe(getattr(obj, f.name)) for f in fields(obj)}
     return obj
 
 
-def _dump_json(obj, path: Path):
+def _dump_json(obj, path: Path) -> Path:
     path.write_text(json.dumps(_json_safe(obj), sort_keys=True, indent=2) + "\n")
+    return path
+
+
+def _write_csv(path: Path, snapshot: dict, header, rows) -> Path:
+    """A ``# config`` comment line, the header, then the rows.
+
+    The csv module writes Python floats as their repr, so values round-trip
+    exactly; None becomes an empty field and text with commas is quoted.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="") as f:
+        f.write("# config " + json.dumps(_json_safe(snapshot), sort_keys=True) + "\n")
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
 
 
 def belief_to_dict(gp) -> dict:
     """JSON form of a GP belief: prior, kernel, and the raw measurement lists."""
     return {
         "prior_mean": gp.prior_mean,
-        "kernel": {
-            "kind": gp.kernel.kind,
-            "signal_variance": gp.kernel.signal_variance,
-            "lengthscale": gp.kernel.lengthscale,
-        },
+        "kernel": {"kind": gp.kernel.kind, **asdict(gp.kernel)},
         "measured_locations": gp.measured_locations.tolist(),
         "measurements": gp.measurements.tolist(),
         "noise_variances": gp.noise_variances.tolist(),
@@ -313,140 +329,60 @@ def belief_to_dict(gp) -> dict:
 
 
 def instance_to_dict(inst) -> dict:
-    """JSON form of an environment instance; enough to re-run any episode."""
-    if isinstance(inst, IsrsInstance):
-        return {
-            "environment": "isrs",
-            "grid_size": inst.grid_size,
-            "rocks": [{"node": n, "good": n in inst.good_rocks} for n in inst.rock_nodes],
-            "beacons": sorted(inst.beacons),
-            "modalities": [
-                {"name": m.name, "cost": m.cost, "noise_stddev": m.noise_stddev,
-                 "reveals_truth": m.reveals_truth}
-                for m in inst.modalities
-            ],
-            "movement_cost": inst.movement_cost,
-            "budget": inst.budget,
-            "start": inst.start,
-            "goal": inst.goal,
-            "sensing_radius": inst.sensing_radius,
-            "fidelity_doubling": inst.fidelity_doubling,
-            "seed": inst.seed,
-        }
-    if isinstance(inst, RoverInstance):
-        return {
-            "environment": "rover",
-            "grid_size": inst.grid_size,
-            "true_map": inst.true_map.tolist(),
-            "beta": inst.beta,
-            "spectrometer_sigma": inst.spectrometer_sigma,
-            "drill_cost": inst.drill_cost,
-            "step_cost": inst.step_cost,
-            "budget": inst.budget,
-            "start": inst.start,
-            "goal": inst.goal,
-            "seed": inst.seed,
-        }
+    """JSON form of an environment instance, enough to re-run any episode: the
+    instance's fields plus ``environment``."""
+    for kind, cls in INSTANCE_TYPES.items():
+        if type(inst) is cls:
+            return {"environment": kind, **_json_safe(inst)}
     raise TypeError(f"unknown instance type {type(inst).__name__}")
 
 
 def instance_from_dict(data: dict):
-    kind = data.get("environment")
+    """Rebuild an instance from ``instance_to_dict`` output through its
+    constructor, so the constructor's checks run on the loaded data."""
+    data = dict(data)
+    kind = data.pop("environment", None)
+    if kind not in INSTANCE_TYPES:
+        raise ConfigError(f"unknown instance environment {kind!r}")
     if kind == "isrs":
-        return IsrsInstance(
-            grid_size=data["grid_size"],
-            rock_nodes=tuple(r["node"] for r in data["rocks"]),
-            good_rocks=frozenset(r["node"] for r in data["rocks"] if r["good"]),
+        data.update(
+            rock_nodes=tuple(data["rock_nodes"]),
+            good_rocks=frozenset(data["good_rocks"]),
             beacons=frozenset(data["beacons"]),
             modalities=tuple(SensingModality(**m) for m in data["modalities"]),
-            movement_cost=data["movement_cost"],
-            budget=data["budget"],
-            start=data["start"],
-            goal=data["goal"],
-            sensing_radius=data["sensing_radius"],
-            fidelity_doubling=data["fidelity_doubling"],
-            seed=data.get("seed"),
         )
-    if kind == "rover":
-        return RoverInstance(
-            grid_size=data["grid_size"],
-            true_map=np.array(data["true_map"]),
-            beta=data["beta"],
-            spectrometer_sigma=data["spectrometer_sigma"],
-            drill_cost=data["drill_cost"],
-            step_cost=data["step_cost"],
-            budget=data["budget"],
-            start=data["start"],
-            goal=data["goal"],
-            seed=data.get("seed"),
-        )
-    raise ConfigError(f"unknown instance environment {kind!r}")
+    return INSTANCE_TYPES[kind](**data)
 
 
 # ----------------------------------------------------------------------
 # file emission
 
-def _config_header(snapshot: dict) -> str:
-    return "# config " + json.dumps(_json_safe(snapshot), sort_keys=True) + "\n"
-
-
-def write_curves_csv(logs, path: Path, snapshot: dict):
-    steps, tm, ts, rm, rs = curve_stats(logs)
-    lines = [_config_header(snapshot), "step,trace_mean,trace_std,rmse_mean,rmse_std\n"]
-    for i in range(len(steps)):
-        lines.append(",".join([
-            str(int(steps[i])), _fmt(float(tm[i])), _fmt(float(ts[i])),
-            _fmt(float(rm[i])), _fmt(float(rs[i]))]) + "\n")
-    path.write_text("".join(lines))
-
-
-def emit_curves(logs, out_dir, snapshot=None) -> Path:
+def write_curves_csv(logs, out_dir, snapshot: dict) -> Path:
     """Write the per-step mean/stddev curves of a batch of logs to curves.csv."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "curves.csv"
-    write_curves_csv(logs, path, snapshot or {})
-    return path
+    steps, *curves = curve_stats(logs)
+    rows = zip(steps.tolist(), *(c.tolist() for c in curves))
+    return _write_csv(Path(out_dir) / "curves.csv", snapshot,
+                      ("step", "trace_mean", "trace_std", "rmse_mean", "rmse_std"), rows)
 
 
 def write_run_outputs(result: AggregateResult, out_dir) -> list[Path]:
     """Emit config.json, episodes.csv, steps.csv, curves.csv and episodes.json."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    snapshot = result.config
-    paths = []
+    snapshot, logs = result.config, result.logs
 
-    p = out_dir / "config.json"
-    _dump_json(snapshot, p)
-    paths.append(p)
-
-    p = out_dir / "episodes.csv"
-    lines = [_config_header(snapshot),
-             "episode,seed,status,steps,reward,true_reward_sum,final_trace,final_rmse\n"]
-    for i, log in enumerate(result.logs):
-        lines.append(",".join([
-            str(i), str(log.seed), log.status, str(len(log.records)),
-            _fmt(log.reward), _fmt(log.true_reward_sum),
-            _fmt(log.final_trace), _fmt(log.final_rmse)]) + "\n")
-    p.write_text("".join(lines))
-    paths.append(p)
-
-    p = out_dir / "steps.csv"
-    lines = [_config_header(snapshot),
-             "episode,step,loc_x,loc_y,action,budget,reward,trace,rmse\n"]
-    for i, log in enumerate(result.logs):
-        for r in log.records:
-            lines.append(",".join([
-                str(i), str(r.step), _fmt(r.x), _fmt(r.y), r.action,
-                _fmt(r.remaining_budget), _fmt(r.true_reward),
-                _fmt(r.trace_of_variance), _fmt(r.rmse)]) + "\n")
-    p.write_text("".join(lines))
-    paths.append(p)
-
-    paths.append(emit_curves(result.logs, out_dir, snapshot))
-
-    p = out_dir / "episodes.json"
-    _dump_json({
+    config_json = _dump_json(snapshot, out_dir / "config.json")
+    episodes_csv = _write_csv(
+        out_dir / "episodes.csv", snapshot,
+        ("episode", "seed", "status", "steps", "reward", "true_reward_sum",
+         "final_trace", "final_rmse"),
+        ((i, log.seed, log.status, len(log.records), log.reward, log.true_reward_sum,
+          log.final_trace, log.final_rmse) for i, log in enumerate(logs)))
+    steps_csv = _write_csv(
+        out_dir / "steps.csv", snapshot, ("episode", *_STEP_KEYS),
+        ((i, *_step_values(r)) for i, log in enumerate(logs) for r in log.records))
+    curves_csv = write_curves_csv(logs, out_dir, snapshot)
+    episodes_json = _dump_json({
         "config": snapshot,
         "episodes": [
             {
@@ -454,21 +390,13 @@ def write_run_outputs(result: AggregateResult, out_dir) -> list[Path]:
                 "status": log.status,
                 "reward": log.reward,
                 "true_reward_sum": log.true_reward_sum,
-                "records": [
-                    {
-                        "step": r.step, "loc_x": r.x, "loc_y": r.y, "action": r.action,
-                        "budget": r.remaining_budget, "reward": r.true_reward,
-                        "trace": r.trace_of_variance, "rmse": r.rmse,
-                    }
-                    for r in log.records
-                ],
+                "records": [dict(zip(_STEP_KEYS, _step_values(r))) for r in log.records],
                 "final_belief": belief_to_dict(log.final_belief),
             }
-            for log in result.logs
+            for log in logs
         ],
-    }, p)
-    paths.append(p)
-    return paths
+    }, out_dir / "episodes.json")
+    return [config_json, episodes_csv, steps_csv, curves_csv, episodes_json]
 
 
 # ----------------------------------------------------------------------
@@ -506,28 +434,19 @@ def run_sweep(base_cfg: ExperimentConfig, cells=None, solvers=None):
 
 def write_sweep_csv(rows, cell_keys, solvers, out_dir, snapshot) -> Path:
     """Table layout: one row per parameter cell, one column group per solver."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "sweep.csv"
     header = list(cell_keys)
     for solver in solvers:
         header += [f"{solver}_mean", f"{solver}_std", f"{solver}_failures"]
-    table = [header]
+    table = []
     for row in rows:
-        fields = [_fmt(row["cell"].get(k, "")) for k in cell_keys]
+        values = [row["cell"].get(k, "") for k in cell_keys]
         for solver in solvers:
             res = row["results"][solver]
             if isinstance(res, AggregateResult):
-                mean = res.mean_reward_success
                 succ = [r for r, s in zip(res.episode_rewards, res.statuses) if s == STATUS_GOAL]
                 std = float(np.std(succ)) if succ else None
-                fields += ["" if mean is None else _fmt(mean),
-                           "" if std is None else _fmt(std),
-                           str(res.failures)]
+                values += [res.mean_reward_success, std, res.failures]
             else:
-                fields += [res, "", ""]
-        table.append(fields)
-    with path.open("w", newline="") as f:
-        f.write(_config_header(snapshot))
-        csv.writer(f, lineterminator="\n").writerows(table)  # quotes error text with commas
-    return path
+                values += [res, "", ""]
+        table.append(values)
+    return _write_csv(Path(out_dir) / "sweep.csv", snapshot, header, table)

@@ -19,6 +19,8 @@ import sys
 from pathlib import Path
 
 from .bench import (
+    ENVIRONMENTS,
+    SOLVERS,
     ConfigError,
     ExperimentConfig,
     build_instance,
@@ -28,6 +30,7 @@ from .bench import (
     write_run_outputs,
     write_sweep_csv,
 )
+from .mcts import SolverConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -35,39 +38,34 @@ EXIT_RUNTIME = 3
 
 
 def _add_common_flags(p: argparse.ArgumentParser):
-    p.add_argument("--env", choices=("isrs", "rover"), help="environment")
-    p.add_argument("--solver", choices=("mcts-dpw", "random", "raster"), help="policy")
-    p.add_argument("--k", type=int, help="number of rocks (isrs)")
-    p.add_argument("--b", type=int, help="number of beacons (isrs)")
-    p.add_argument("--p", type=float, help="probability a rock is good (isrs)")
+    # each dest is an ExperimentConfig or SolverConfig field name
+    p.add_argument("--env", dest="environment", choices=ENVIRONMENTS, help="environment")
+    p.add_argument("--solver", choices=SOLVERS, help="policy")
+    p.add_argument("--k", dest="rocks", type=int, help="number of rocks (isrs)")
+    p.add_argument("--b", dest="beacons", type=int, help="number of beacons (isrs)")
+    p.add_argument("--p", dest="p_good", type=float, help="probability a rock is good (isrs)")
     p.add_argument("--budget", type=float, help="mission budget")
-    p.add_argument("--sigma", type=float, help="spectrometer noise stddev (rover)")
+    p.add_argument("--sigma", dest="spectrometer_sigma", type=float,
+                   help="spectrometer noise stddev (rover)")
     p.add_argument("--beta", type=int, help="number of sample types (rover)")
-    p.add_argument("--grid", type=int, help="grid side length")
+    p.add_argument("--grid", dest="grid_size", type=int, help="grid side length")
     p.add_argument("--runs", type=int, help="episodes per batch")
-    p.add_argument("--seed", type=int, help="base seed; episode i uses seed+i")
-    p.add_argument("--iters", type=int, help="tree-search iterations per step")
-    p.add_argument("--depth", type=int, help="tree-search horizon")
+    p.add_argument("--seed", dest="base_seed", type=int,
+                   help="base seed; episode i uses seed+i")
+    p.add_argument("--iters", dest="iterations", type=int,
+                   help="tree-search iterations per step")
+    p.add_argument("--depth", dest="max_depth", type=int, help="tree-search horizon")
     p.add_argument("--lambda", dest="information_weight", type=float,
                    help="information reward weight")
     p.add_argument("--config", type=Path, help="JSON experiment config")
     p.add_argument("--out", type=Path, default=Path("results"), help="output directory")
 
 
-_FLAG_FIELDS = {
-    "env": "environment",
-    "solver": "solver",
-    "k": "rocks",
-    "b": "beacons",
-    "p": "p_good",
-    "budget": "budget",
-    "sigma": "spectrometer_sigma",
-    "beta": "beta",
-    "grid": "grid_size",
-    "runs": "runs",
-    "seed": "base_seed",
-    "information_weight": "information_weight",
-}
+def _flag_values(args, cls) -> dict:
+    """The flags given on the command line that name a field of ``cls``."""
+    given = vars(args)
+    return {f.name: given[f.name] for f in dataclasses.fields(cls)
+            if given.get(f.name) is not None}
 
 
 def _build_config(args) -> ExperimentConfig:
@@ -81,16 +79,8 @@ def _build_config(args) -> ExperimentConfig:
         cfg = ExperimentConfig.from_dict(data)
     else:
         cfg = ExperimentConfig()
-    updates = {}
-    for flag, fieldname in _FLAG_FIELDS.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            updates[fieldname] = value
-    solver_updates = {}
-    if getattr(args, "iters", None) is not None:
-        solver_updates["iterations"] = args.iters
-    if getattr(args, "depth", None) is not None:
-        solver_updates["max_depth"] = args.depth
+    updates = _flag_values(args, ExperimentConfig)
+    solver_updates = _flag_values(args, SolverConfig)
     if solver_updates:
         try:
             updates["solver_config"] = dataclasses.replace(cfg.solver_config, **solver_updates)

@@ -73,12 +73,6 @@ class SquaredExponential:
         return self.signal_variance * np.exp(-0.5 * d2 / self.lengthscale**2)
 
 
-def kernel_eval(x, x_other, spec) -> float:
-    """Kernel value for a single pair of coordinates."""
-    dx = np.asarray(x, dtype=float) - np.asarray(x_other, dtype=float)
-    return float(spec.signal_variance * math.exp(-0.5 * float(dx @ dx) / spec.lengthscale**2))
-
-
 @dataclass(frozen=True)
 class PosteriorSummary:
     """Joint posterior over a target set: mean vector and full covariance."""

@@ -40,8 +40,6 @@ DEFAULT_MODALITIES = (
 DEFAULT_BUDGET = 40.0
 DEFAULT_SENSING_RADIUS = 4.0
 DEFAULT_FIDELITY_DOUBLING = 2.0
-# noise floor for exact (truth-revealing) measurements fed to the GP
-OBSERVATION_NOISE_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -70,11 +68,6 @@ class IsrsInstance:
                 raise ValueError(f"node {node} is off the grid")
         if not self.good_rocks <= set(self.rock_nodes):
             raise ValueError("good_rocks must be a subset of rock_nodes")
-
-    @property
-    def rocks(self) -> dict[int, bool]:
-        """node -> goodness map."""
-        return {node: node in self.good_rocks for node in self.rock_nodes}
 
     def graph(self) -> LocationGraph:
         return LocationGraph.grid(self.grid_size, self.movement_cost, self.start, self.goal)
@@ -135,11 +128,14 @@ def isrs_true_reward(inst: IsrsInstance, memory: frozenset, action: Action) -> f
     return -ROCK_REWARD
 
 
-def isrs_observe(inst: IsrsInstance, at: int, modality: SensingModality, rng) -> tuple[Measurement, ...]:
+def isrs_observe(inst: IsrsInstance, at: int, modality: SensingModality, rng,
+                 noise_floor: float) -> tuple[Measurement, ...]:
     """Noisy goodness readings for every rock within the sensing radius of a beacon.
 
     Reported values are the rocks' static goodness (good=1, bad=0) plus Gaussian
     noise whose stddev doubles every ``fidelity_doubling`` cells of distance.
+    Each reading's noise variance is at least ``noise_floor``, the MDP's
+    ``jitter_floor``, so ground truth and planning feed the GP the same noise.
     Raises when ``at`` is not a beacon (sensing is only offered there).
     """
     if at not in inst.beacons:
@@ -156,7 +152,7 @@ def isrs_observe(inst: IsrsInstance, at: int, modality: SensingModality, rng) ->
         value = GOOD_VALUE if rock in inst.good_rocks else BAD_VALUE
         if sd > 0:
             value += rng.normal(0.0, sd)
-        out.append(Measurement(rock, float(value), max(sd * sd, OBSERVATION_NOISE_FLOOR)))
+        out.append(Measurement(rock, float(value), max(sd * sd, noise_floor)))
     return tuple(out)
 
 
@@ -235,7 +231,8 @@ class IsrsMdp(BeliefMdp):
                 value = GOOD_VALUE if target in inst.good_rocks else BAD_VALUE
                 return (Measurement(target, value, self.jitter_floor),)
             return ()
-        return isrs_observe(inst, belief.location, self.modalities[action.modality], rng)
+        return isrs_observe(inst, belief.location, self.modalities[action.modality], rng,
+                            self.jitter_floor)
 
     def belief_rmse(self, belief):
         """RMSE of the belief mean against rock goodness, over rock cells."""

@@ -34,16 +34,11 @@ MISSION_FAILURE_REWARD = -1e9
 
 @dataclass(frozen=True)
 class SensingModality:
-    """A named sensor with a budget cost and a noise level.
-
-    ``reveals_truth`` marks drill-like sensors whose measurements pin the
-    belief at the sensed cell (noise variance floored at the solver jitter).
-    """
+    """A named sensor with a budget cost and a noise level."""
 
     name: str
     cost: float
     noise_stddev: float
-    reveals_truth: bool = False
 
     def __post_init__(self):
         if self.cost <= 0:

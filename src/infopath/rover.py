@@ -37,7 +37,6 @@ SPECTROMETER = "spectrometer"
 DEFAULT_BUDGET = 100.0
 DEFAULT_STEP_COST = 1.0
 DEFAULT_DRILL_COST = 3.0
-OBSERVATION_NOISE_FLOOR = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,21 +158,23 @@ def rover_true_reward(inst: RoverInstance, memory: frozenset, action: Action, at
     return DRILL_REWARD if t not in memory else -DRILL_REWARD
 
 
-def rover_observe(inst: RoverInstance, at: int, kind: str, rng) -> Measurement:
+def rover_observe(inst: RoverInstance, at: int, kind: str, rng,
+                  noise_floor: float) -> Measurement:
     """One ground-truth reading at a cell.
 
     The spectrometer adds Gaussian noise of stddev sigma_s and records sigma_s^2
-    as the measurement noise; the drill reveals the exact value at the noise
-    floor. The true map itself is never modified.
+    as the measurement noise; the drill reveals the exact value. Recorded noise
+    is at least ``noise_floor``, the MDP's ``jitter_floor``, so ground truth and
+    planning feed the GP the same noise. The true map itself is never modified.
     """
     value = inst.cell_value(at)
     if kind == SPECTROMETER:
         sigma = inst.spectrometer_sigma
         if sigma > 0:
             value += rng.normal(0.0, sigma)
-        return Measurement(at, float(value), max(sigma * sigma, OBSERVATION_NOISE_FLOOR))
+        return Measurement(at, float(value), max(sigma * sigma, noise_floor))
     if kind == DRILL:
-        return Measurement(at, value, OBSERVATION_NOISE_FLOOR)
+        return Measurement(at, value, noise_floor)
     raise ValueError(f"unknown sensor kind {kind!r}")
 
 
@@ -206,7 +207,7 @@ class RoverMdp(BeliefMdp):
                  prior_mean=0.5, kernel=None):
         if reward_config is None:
             reward_config = RewardConfig(information_weight=0.5, interaction_reward=DRILL_REWARD)
-        drill = SensingModality(DRILL, cost=inst.drill_cost, noise_stddev=0.0, reveals_truth=True)
+        drill = SensingModality(DRILL, cost=inst.drill_cost, noise_stddev=0.0)
         super().__init__(inst.graph(), (drill,), reward_config,
                          budget=inst.budget, prior_mean=prior_mean, kernel=kernel)
         self.instance = inst
@@ -259,8 +260,9 @@ class RoverMdp(BeliefMdp):
 
     def true_observation(self, belief, action, rng):
         if isinstance(action, Move):
-            return (rover_observe(self.instance, action.target, SPECTROMETER, rng),)
-        return (rover_observe(self.instance, belief.location, DRILL, rng),)
+            return (rover_observe(self.instance, action.target, SPECTROMETER, rng,
+                                  self.jitter_floor),)
+        return (rover_observe(self.instance, belief.location, DRILL, rng, self.jitter_floor),)
 
     def belief_rmse(self, belief):
         return rmse(belief.gp, self.instance.true_map)

@@ -10,11 +10,11 @@ from infopath.bench import (
     build_mdp,
     curve_stats,
     default_sweep,
-    emit_curves,
     instance_from_dict,
     instance_to_dict,
     run_batch,
     run_sweep,
+    write_curves_csv,
     write_run_outputs,
     write_sweep_csv,
 )
@@ -132,7 +132,7 @@ def test_curve_padding_and_stats():
 def test_emit_curves_single_log_equals_columns(tmp_path):
     cfg = small_cfg(runs=1)
     result = run_batch(cfg)
-    emit_curves(result.logs, tmp_path, result.config)
+    write_curves_csv(result.logs, tmp_path, result.config)
     lines = (tmp_path / "curves.csv").read_text().splitlines()
     rows = [line.split(",") for line in lines[2:]]
     log = result.logs[0]

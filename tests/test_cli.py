@@ -49,7 +49,7 @@ def test_gen_instance_isrs_schema(tmp_path):
                    "--b", "3", "--p", "0.5", "--seed", "1", "--out", str(out))
     assert code == 0
     data = json.loads((out / "instance.json").read_text())
-    assert len(data["rocks"]) == 4
+    assert len(data["rock_nodes"]) == 4
     assert len(data["beacons"]) == 3
     assert {m["name"] for m in data["modalities"]} == {"cheap", "accurate"}
 

@@ -11,8 +11,8 @@ from infopath.gp import (
     PosteriorSummary,
     SingularCovarianceError,
     SquaredExponential,
+    _cholesky_escalating,
     conditional_entropy,
-    kernel_eval,
     mutual_information_exact,
     mutual_information_trace,
 )
@@ -71,7 +71,7 @@ def random_belief(rng, n_query=25, n_meas=8, s2=1.0, ell=1.5, prior=0.5):
 
 def test_kernel_value_at_identical_points():
     spec = SquaredExponential(signal_variance=1.0, lengthscale=2.0)
-    assert kernel_eval((3.0, 4.0), (3.0, 4.0), spec) == pytest.approx(1.0)
+    assert spec.matrix([(3.0, 4.0)], [(3.0, 4.0)])[0, 0] == pytest.approx(1.0)
 
 
 def test_kernel_symmetry_on_random_pairs():
@@ -79,13 +79,14 @@ def test_kernel_symmetry_on_random_pairs():
     spec = SquaredExponential(signal_variance=2.3, lengthscale=0.7)
     for _ in range(20):
         a, b = rng.normal(size=2), rng.normal(size=2)
-        assert kernel_eval(a, b, spec) == pytest.approx(kernel_eval(b, a, spec), abs=0.0)
+        ab, ba = spec.matrix([a], [b])[0, 0], spec.matrix([b], [a])[0, 0]
+        assert ab == pytest.approx(ba, abs=0.0)
 
 
 def test_kernel_unit_distance_closed_form():
     # derived by direct scalar evaluation of the kernel formula
     spec = SquaredExponential(signal_variance=1.0, lengthscale=1.0)
-    assert kernel_eval((0.0, 0.0), (1.0, 0.0), spec) == pytest.approx(math.exp(-0.5), abs=1e-12)
+    assert spec.matrix([(0.0, 0.0)], [(1.0, 0.0)])[0, 0] == pytest.approx(math.exp(-0.5), abs=1e-12)
 
 
 def test_kernel_rejects_bad_parameters():
@@ -245,6 +246,25 @@ def test_entropy_rejects_indefinite_covariance():
     cov = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
     with pytest.raises(SingularCovarianceError):
         conditional_entropy(PosteriorSummary(np.zeros(2), cov, 2))
+
+
+def _with_smallest_eigenvalue(smallest, s2, n=6, seed=0):
+    """A symmetric n x n matrix with eigenvalues smallest and s2*[0.5, 2]."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))
+    eigs = np.concatenate([[smallest], s2 * np.linspace(0.5, 2.0, n - 1)])
+    return (q * eigs) @ q.T
+
+
+@pytest.mark.parametrize("s2", [1.0, 4.0, 0.25])
+def test_jitter_escalates_until_factorization_succeeds(s2):
+    mat = _with_smallest_eigenvalue(-5e-7 * s2, s2)
+    # jitters 1e-8*s2 and 1e-7*s2 leave the matrix indefinite; 1e-6*s2 does not
+    chol, jitter = _cholesky_escalating(mat, s2, JITTER_REL)
+    assert jitter == pytest.approx(1e-6 * s2, rel=1e-12)
+    np.testing.assert_allclose(chol @ chol.T, mat + jitter * np.eye(len(mat)),
+                               rtol=0, atol=1e-12 * s2)
+    with pytest.raises(SingularCovarianceError):
+        _cholesky_escalating(_with_smallest_eigenvalue(-1e-3 * s2, s2), s2, JITTER_REL)
 
 
 def test_mi_exact_identical_and_scaled():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from infopath.episodes import run_episode
+from infopath.gp import JITTER_REL
 from infopath.isrs import (
     DEFAULT_MODALITIES,
     IsrsInstance,
@@ -66,7 +67,7 @@ def test_observe_noiseless_limit():
     inst = IsrsInstance(grid_size=3, rock_nodes=(1, 4), good_rocks=frozenset((4,)),
                         beacons=frozenset((0,)), modalities=(mod,))
     rng = np.random.default_rng(0)
-    obs = isrs_observe(inst, 0, mod, rng)
+    obs = isrs_observe(inst, 0, mod, rng, JITTER_REL)
     values = {m.node: m.value for m in obs}
     assert values == {1: 0.0, 4: 1.0}
 
@@ -75,7 +76,7 @@ def test_observe_off_beacon_rejected():
     inst = IsrsInstance(grid_size=3, rock_nodes=(4,), good_rocks=frozenset(),
                         beacons=frozenset((0,)))
     with pytest.raises(ValueError):
-        isrs_observe(inst, 5, inst.modalities[0], np.random.default_rng(0))
+        isrs_observe(inst, 5, inst.modalities[0], np.random.default_rng(0), JITTER_REL)
 
 
 def test_noise_decay_rule():
@@ -89,7 +90,7 @@ def test_noise_decay_rule():
 def test_observe_respects_radius():
     inst = IsrsInstance(grid_size=10, rock_nodes=(1, 99), good_rocks=frozenset((1,)),
                         beacons=frozenset((0,)), sensing_radius=4.0)
-    obs = isrs_observe(inst, 0, inst.modalities[0], np.random.default_rng(1))
+    obs = isrs_observe(inst, 0, inst.modalities[0], np.random.default_rng(1), JITTER_REL)
     assert [m.node for m in obs] == [1]  # node 99 is far outside the radius
 
 
@@ -135,5 +136,5 @@ def test_ground_truth_immutable_under_sensing():
     rng = np.random.default_rng(2)
     beacon = next(iter(inst.beacons))
     for _ in range(5):
-        isrs_observe(inst, beacon, inst.modalities[0], rng)
+        isrs_observe(inst, beacon, inst.modalities[0], rng, JITTER_REL)
     assert (inst.rock_nodes, inst.good_rocks, inst.beacons) == before

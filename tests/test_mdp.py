@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from infopath.episodes import STATUS_GOAL, run_episode
+from infopath.gp import SquaredExponential
 from infopath.isrs import DEFAULT_MODALITIES, IsrsInstance, IsrsMdp, generate_isrs
 from infopath.mdp import (
     MISSION_FAILURE_REWARD,
@@ -13,6 +14,7 @@ from infopath.mdp import (
     SensingModality,
 )
 from infopath.policies import random_policy
+from infopath.rover import DRILL, RoverInstance, RoverMdp
 
 
 def small_instance(budget=10.0, beacons=(0,), rocks=(7,), good=(7,), n=3):
@@ -265,3 +267,35 @@ def test_feasibility_safety_random_walks():
         assert log.status == STATUS_GOAL
         final_budget = log.records[-1].remaining_budget if log.records else inst.budget
         assert final_budget >= 0.0
+
+
+def _rover_case(sigma, action):
+    inst = RoverInstance(grid_size=3, true_map=np.full((3, 3), 0.5), beta=5,
+                         spectrometer_sigma=sigma)
+    return RoverMdp(inst, kernel=SquaredExponential(signal_variance=4.0)), action
+
+
+def _isrs_case(action, modalities=DEFAULT_MODALITIES):
+    inst = IsrsInstance(grid_size=3, rock_nodes=(1,), good_rocks=frozenset((1,)),
+                        beacons=frozenset((0,)), modalities=modalities)
+    return IsrsMdp(inst, kernel=SquaredExponential(signal_variance=4.0)), action
+
+
+NOISE_FLOOR_CASES = {
+    "rover-drill": lambda: _rover_case(0.3, Sense(DRILL)),
+    "rover-noiseless-spectrometer": lambda: _rover_case(0.0, Move(1)),
+    "isrs-rock-visit": lambda: _isrs_case(Move(1)),
+    "isrs-noiseless-beacon": lambda: _isrs_case(
+        Sense("exact"), (SensingModality("exact", cost=1.0, noise_stddev=0.0),)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOISE_FLOOR_CASES))
+def test_true_observation_noise_matches_planned_noise(case):
+    # signal variance 4 puts the planner's relative noise floor at 4e-8
+    mdp, action = NOISE_FLOOR_CASES[case]()
+    belief = mdp.initial_belief()
+    observed = mdp.true_observation(belief, action, np.random.default_rng(0))
+    planned = mdp.measurement_sites(belief, action)
+    assert planned
+    assert [(m.node, m.noise_variance) for m in observed] == [tuple(s) for s in planned]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from infopath.episodes import STATUS_GOAL, run_episode
-from infopath.gp import GaussianProcessBelief, SquaredExponential
+from infopath.gp import JITTER_REL, GaussianProcessBelief, SquaredExponential
 from infopath.mdp import Move, Sense
 from infopath.policies import random_policy
 from infopath.rover import (
@@ -98,7 +98,7 @@ def test_total_positive_reward_bounded_by_beta():
 
 def test_spectrometer_noiseless_limit():
     inst = flat_instance(value=0.7, sigma=0.0)
-    obs = rover_observe(inst, 3, SPECTROMETER, np.random.default_rng(0))
+    obs = rover_observe(inst, 3, SPECTROMETER, np.random.default_rng(0), JITTER_REL)
     assert obs.value == pytest.approx(0.7)
 
 
@@ -106,7 +106,8 @@ def test_spectrometer_sample_mean():
     inst = flat_instance(value=0.3, sigma=0.5)
     rng = np.random.default_rng(7)
     n = 10_000
-    draws = np.array([rover_observe(inst, 0, SPECTROMETER, rng).value for _ in range(n)])
+    draws = np.array([rover_observe(inst, 0, SPECTROMETER, rng, JITTER_REL).value
+                      for _ in range(n)])
     assert abs(draws.mean() - 0.3) <= 3 * 0.5 / math.sqrt(n)
 
 
@@ -124,7 +125,7 @@ def test_drill_reveals_and_pins_posterior():
 
 def test_unknown_sensor_kind_rejected():
     with pytest.raises(ValueError):
-        rover_observe(flat_instance(), 0, "sonar", np.random.default_rng(0))
+        rover_observe(flat_instance(), 0, "sonar", np.random.default_rng(0), JITTER_REL)
 
 
 def test_ground_truth_immutable_under_observation():
@@ -132,8 +133,8 @@ def test_ground_truth_immutable_under_observation():
     snapshot = inst.true_map.copy()
     rng = np.random.default_rng(3)
     for node in range(25):
-        rover_observe(inst, node, SPECTROMETER, rng)
-        rover_observe(inst, node, DRILL, rng)
+        rover_observe(inst, node, SPECTROMETER, rng, JITTER_REL)
+        rover_observe(inst, node, DRILL, rng, JITTER_REL)
     assert np.array_equal(inst.true_map, snapshot)
 
 
