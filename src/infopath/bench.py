@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import operator
+import os
 import time
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
@@ -276,7 +277,6 @@ _step_values = operator.attrgetter(*(name for _, name in STEP_COLUMNS))
 
 
 def _json_safe(obj):
-    # the common branches come first: episodes.json runs ~700k values through here
     if isinstance(obj, dict):
         return {k: _json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -297,8 +297,106 @@ def _json_safe(obj):
     return obj
 
 
-def _dump_json(obj, path: Path) -> Path:
-    path.write_text(json.dumps(_json_safe(obj), sort_keys=True, indent=2) + "\n")
+_encode_str = json.encoder.encode_basestring_ascii
+_float_repr = float.__repr__
+_int_repr = int.__repr__
+_CHUNK_PARTS = 4096  # pieces of text buffered before a write
+
+
+def _encode_json(obj, write) -> None:
+    """Pass the text of ``json.dumps(_json_safe(obj), sort_keys=True, indent=2)``
+    and a newline to ``write``, walking ``obj`` once.
+
+    Leaves are formatted by the functions the stdlib encoder calls
+    (``encode_basestring_ascii``, ``float.__repr__``, ``int.__repr__``), so the
+    bytes match; values of any other type go through ``_json_safe`` first. Dict
+    keys must be strings. Text is handed on whenever a container closes with
+    more than ``_CHUNK_PARTS`` pieces pending, so neither the document nor the
+    list of its pieces is ever held whole.
+    """
+    parts = []
+    append = parts.append
+
+    def value(o, nl):
+        t = type(o)
+        if t is float:
+            append(_float_repr(o) if o - o == 0.0 else "null")  # o - o is nan for nan and inf
+        elif t is str:
+            append(_encode_str(o))
+        elif t is int:
+            append(_int_repr(o))
+        elif t is dict:
+            mapping(o, nl)
+        elif t is list or t is tuple:
+            sequence(o, nl)
+        elif o is None:
+            append("null")
+        elif o is True:
+            append("true")
+        elif o is False:
+            append("false")
+        else:
+            safe = _json_safe(o)
+            if safe is not o:
+                value(safe, nl)
+            elif isinstance(o, str):
+                append(_encode_str(o))
+            elif isinstance(o, int):
+                append(_int_repr(o))
+            else:
+                raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+    def close(text):
+        append(text)
+        if len(parts) > _CHUNK_PARTS:
+            write("".join(parts))
+            parts.clear()
+
+    def mapping(d, nl):
+        if not d:
+            append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, v in sorted(d.items()):  # _encode_str raises TypeError on a non-str key
+            append(sep + _encode_str(k) + ": ")
+            sep = "," + inner
+            value(v, inner)
+        close(nl + "}")
+
+    def sequence(seq, nl):
+        if not seq:
+            append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for v in seq:
+            append(sep)
+            sep = "," + inner
+            value(v, inner)
+        close(nl + "]")
+
+    value(obj, "\n")
+    append("\n")
+    write("".join(parts))
+
+
+def write_json(obj, path: Path) -> Path:
+    """Write ``obj`` as ``json.dumps(_json_safe(obj), sort_keys=True, indent=2)``
+    plus a newline, byte for byte, without building the whole text.
+
+    The text goes to a temporary file beside ``path`` that replaces it only
+    once complete, so an unencodable value leaves no partial file.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("w") as f:
+            _encode_json(obj, f.write)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
@@ -371,7 +469,7 @@ def write_run_outputs(result: AggregateResult, out_dir) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     snapshot, logs = result.config, result.logs
 
-    config_json = _dump_json(snapshot, out_dir / "config.json")
+    config_json = write_json(snapshot, out_dir / "config.json")
     episodes_csv = _write_csv(
         out_dir / "episodes.csv", snapshot,
         ("episode", "seed", "status", "steps", "reward", "true_reward_sum",
@@ -382,7 +480,7 @@ def write_run_outputs(result: AggregateResult, out_dir) -> list[Path]:
         out_dir / "steps.csv", snapshot, ("episode", *_STEP_KEYS),
         ((i, *_step_values(r)) for i, log in enumerate(logs) for r in log.records))
     curves_csv = write_curves_csv(logs, out_dir, snapshot)
-    episodes_json = _dump_json({
+    episodes_json = write_json({
         "config": snapshot,
         "episodes": [
             {

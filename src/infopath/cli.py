@@ -27,6 +27,7 @@ from .bench import (
     instance_to_dict,
     run_batch,
     run_sweep,
+    write_json,
     write_run_outputs,
     write_sweep_csv,
 )
@@ -122,8 +123,7 @@ def _cmd_gen_instance(args) -> int:
     inst = build_instance(cfg, cfg.base_seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "instance.json"
-    path.write_text(json.dumps(instance_to_dict(inst), sort_keys=True, indent=2) + "\n")
+    path = write_json(instance_to_dict(inst), out_dir / "instance.json")
     print(f"wrote {path}")
     return EXIT_OK
 

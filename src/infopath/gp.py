@@ -137,6 +137,14 @@ def conditional_entropy(summary: PosteriorSummary) -> float:
     return 0.5 * logdet + 0.5 * summary.dimension * (1.0 + _LOG_2PI)
 
 
+def rms_error(estimate: np.ndarray, truth: np.ndarray) -> float:
+    """Root-mean-square of ``estimate - truth``, bit for bit
+    ``np.sqrt(np.mean((estimate - truth) ** 2))``: the same pairwise sum and
+    division, without ``np.mean``'s Python-level dispatch."""
+    d = estimate - truth
+    return math.sqrt(float(np.add.reduce(d * d)) / d.size)
+
+
 def mutual_information_exact(cov_prev: np.ndarray, cov_new: np.ndarray) -> float:
     """Entropy drop between two posteriors: 0.5*log|cov_prev| - 0.5*log|cov_new|."""
     cov_prev = np.asarray(cov_prev, dtype=float)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gp import rms_error
 from .graph import LocationGraph
 from .mdp import (
     Action,
@@ -173,6 +174,9 @@ class IsrsMdp(BeliefMdp):
                          sensing_nodes=inst.beacons)
         self.instance = inst
         self._rock_set = frozenset(inst.rock_nodes)
+        self._rock_index = np.array(inst.rock_nodes, dtype=np.intp)
+        self._rock_truth = np.array([GOOD_VALUE if r in inst.good_rocks else BAD_VALUE
+                                     for r in inst.rock_nodes])
         # per-(beacon, modality) measurement plans: ((rock, noise variance), ...)
         self._beacon_sites: dict[int, dict[str, tuple[tuple[int, float], ...]]] = {}
         coords = self.graph.coords
@@ -236,10 +240,6 @@ class IsrsMdp(BeliefMdp):
 
     def belief_rmse(self, belief):
         """RMSE of the belief mean against rock goodness, over rock cells."""
-        rocks = list(self.instance.rock_nodes)
-        if not rocks:
+        if not self._rock_index.size:
             return 0.0
-        truth = np.array([GOOD_VALUE if r in self.instance.good_rocks else BAD_VALUE
-                          for r in rocks])
-        mean = belief.gp.query_mean[rocks]
-        return float(np.sqrt(np.mean((mean - truth) ** 2)))
+        return rms_error(belief.gp.query_mean[self._rock_index], self._rock_truth)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gp import rms_error
 from .graph import LocationGraph
 from .mdp import (
     Action,
@@ -183,12 +184,10 @@ def rmse(gp, true_map) -> float:
 
     The belief's query set must be the grid cells in node order.
     """
-    tm = np.asarray(true_map, dtype=float)
-    n = tm.shape[0]
-    truth = tm.T.ravel()  # node order: id = x + n*y
+    truth = np.asarray(true_map, dtype=float).T.ravel()  # node order: id = x + n*y
     if len(truth) != len(gp.query_mean):
         raise ValueError("query set does not match the map")
-    return float(np.sqrt(np.mean((gp.query_mean - truth) ** 2)))
+    return rms_error(gp.query_mean, truth)
 
 
 def _phi(z: float) -> float:
@@ -211,6 +210,7 @@ class RoverMdp(BeliefMdp):
         super().__init__(inst.graph(), (drill,), reward_config,
                          budget=inst.budget, prior_mean=prior_mean, kernel=kernel)
         self.instance = inst
+        self._truth = inst.true_map.T.ravel()  # node order, as in ``rmse``
         self._spect_nu = max(inst.spectrometer_sigma ** 2, self.jitter_floor)
         # matching tolerance: half the spacing between adjacent type values
         self._delta = 0.5 / (inst.beta - 1)
@@ -265,4 +265,4 @@ class RoverMdp(BeliefMdp):
         return (rover_observe(self.instance, belief.location, DRILL, rng, self.jitter_floor),)
 
     def belief_rmse(self, belief):
-        return rmse(belief.gp, self.instance.true_map)
+        return rms_error(belief.gp.query_mean, self._truth)

@@ -15,6 +15,7 @@ from infopath.gp import (
     conditional_entropy,
     mutual_information_exact,
     mutual_information_trace,
+    rms_error,
 )
 
 
@@ -385,3 +386,12 @@ def test_workspace_is_read_only_until_updated():
     with pytest.raises(ValueError):
         ws.add_measurements_at([(0, 1.0, 0.0)])
     assert gp.trace_of_variance() == 4.0
+
+
+def test_rms_error_has_the_bits_of_the_numpy_mean_form():
+    rng = np.random.default_rng(11)
+    for size in (1, 10, 100, 257):  # 10 ISRS rocks, a 10x10 rover map, odd sizes
+        truth = rng.uniform(0.0, 1.0, size)
+        for estimate in rng.normal(0.5, rng.uniform(1e-6, 2.0, (5000, 1)), (5000, size)):
+            old = float(np.sqrt(np.mean((estimate - truth) ** 2)))
+            assert rms_error(estimate, truth) == old

@@ -16,7 +16,8 @@ from infopath.mcts import (
     search,
     simulate,
 )
-from infopath.mdp import Move
+from infopath.mdp import MISSION_FAILURE_REWARD, Move, RolloutState
+from infopath.rover import RoverMdp, generate_rover
 
 
 class ArmsMdp:
@@ -221,6 +222,38 @@ def test_every_tree_action_was_feasible():
             assert an.action in feasible
             checked += 1
     assert checked > 0
+
+
+@pytest.mark.parametrize("env", ["isrs", "rover"])
+@pytest.mark.parametrize("budget", [8.0, 20.0, 40.0])
+def test_pruned_search_never_meets_the_failure_sentinel(env, budget, monkeypatch):
+    """Feasibility pruning keeps every tree step and every rollout step from
+    stranding the agent, so no sampled reward is the mission-failure sentinel."""
+    rollout_rewards, pruned = [], 0
+    advance = RolloutState.advance
+
+    def recording_advance(self, action, rng):
+        nonlocal pruned
+        pruned += len(self.feasible_actions()) < len(self.mdp.actions(self))
+        reward = advance(self, action, rng)
+        rollout_rewards.append(reward)
+        return reward
+
+    monkeypatch.setattr(RolloutState, "advance", recording_advance)
+    tree_rewards = []
+    for seed in range(3):
+        if env == "isrs":
+            mdp = IsrsMdp(generate_isrs(6, 6, 4, 0.5, seed=seed, budget=budget))
+        else:
+            mdp = RoverMdp(generate_rover(5, 6, 0.1, seed=seed, budget=budget))
+        root = search(mdp.initial_belief(), mdp,
+                      SolverConfig(iterations=60, max_depth=40, seed=seed))
+        tree_rewards += [r for node in iter_belief_nodes(root)
+                         for an in node.children for _, r in an.children]
+    assert tree_rewards and rollout_rewards
+    assert MISSION_FAILURE_REWARD not in tree_rewards
+    assert MISSION_FAILURE_REWARD not in rollout_rewards
+    assert pruned  # the budget binds: some rollout step had actions pruned
 
 
 def test_solver_config_validation():

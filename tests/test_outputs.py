@@ -62,6 +62,30 @@ RUNS = {
                 "cc763c24f9fe1a5454f1727714c0a6696e15d3b99f81f62fc7d159c92aa11382",
         },
     ),
+    "isrs-random": (
+        # the third baseline-batch config of perfbench, at three runs
+        ["run", "--env", "isrs", "--solver", "random", "--runs", "3", "--seed", "5"],
+        {
+            "config.json":
+                "2613b9dac8fc27d7cfbfa1a25d9b790407503a498e4a7fcfd2169ee69d7a0d86",
+            "curves.csv":
+                "3f3ad1d82c1aeda4a62e0ec7661839fced939c286d8e72335e47e81f5be89162",
+            "episodes.csv":
+                "a12286a4b445f32f8e97fb8d66a951292c9cd7d74e4efd471f04fea640c52bb4",
+            "episodes.json":
+                "90ad63c2c365871c690fdf8119abb1249a62e694e7feb47e3771ac900af7ddea",
+            "steps.csv":
+                "45ea681b7a2cccb214df3615850455add294f696765df85f7107d215d55afb2f",
+        },
+    ),
+    "isrs-instance": (
+        # frozensets and nested SensingModality dataclasses
+        ["gen-instance", "--env", "isrs", "--seed", "3"],
+        {
+            "instance.json":
+                "80faeea515ce56c960229ae2f22439f5fa2c2b39fb7f965d5940be74795be35b",
+        },
+    ),
     "rover-instance": (
         ["gen-instance", "--env", "rover", "--seed", "3"],
         {
