@@ -10,6 +10,7 @@ belief variance and the belief RMSE against the hidden map.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -45,7 +46,7 @@ class EpisodeLog:
     initial_rmse: float = float("nan")
     final_belief: object = None
 
-    @property
+    @cached_property
     def true_reward_sum(self) -> float:
         return float(sum(r.true_reward for r in self.records))
 

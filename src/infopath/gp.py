@@ -145,6 +145,13 @@ def rms_error(estimate: np.ndarray, truth: np.ndarray) -> float:
     return math.sqrt(float(np.add.reduce(d * d)) / d.size)
 
 
+def _check_noise(sites):
+    """Raise unless every (site, value, noise variance) has positive noise."""
+    for _, _, nu in sites:
+        if nu <= 0:
+            raise ValueError("noise variances must be positive")
+
+
 def mutual_information_exact(cov_prev: np.ndarray, cov_new: np.ndarray) -> float:
     """Entropy drop between two posteriors: 0.5*log|cov_prev| - 0.5*log|cov_new|."""
     cov_prev = np.asarray(cov_prev, dtype=float)
@@ -345,11 +352,23 @@ class GaussianProcessBelief:
                    for loc, val, nu in triples]
         if not triples:
             return self
-        for _, _, nu in triples:
-            if nu <= 0:
-                raise ValueError("noise variances must be positive")
+        _check_noise(triples)
+        return self._appended([loc for loc, _, _ in triples],
+                              [(self.query_index(loc), val, nu) for loc, val, nu in triples])
 
-        k = len(triples)
+    def add_measurements_at(self, sites) -> "GaussianProcessBelief":
+        """Return a new belief with measurements at query points appended, as
+        (query index, value, noise variance); self is unchanged."""
+        if not sites:
+            return self
+        _check_noise(sites)
+        query_set = self.query_set
+        return self._appended([query_set[j] for j, _, _ in sites], sites)
+
+    def _appended(self, locations, sites) -> "GaussianProcessBelief":
+        """The snapshot with ``sites`` appended; a site's query index is None
+        when its location (the matching entry of ``locations``) is off the set."""
+        k = len(sites)
         m = len(self._y)
         x = np.empty((m + k, 2))
         x[:m] = self._x
@@ -357,12 +376,11 @@ class GaussianProcessBelief:
         y[:m] = self._y
         nu_all = np.empty(m + k)
         nu_all[:m] = self._nu
-        for i, (loc, val, nu) in enumerate(triples):
-            x[m + i] = loc
-            y[m + i] = val
-            nu_all[m + i] = nu
+        for i, (loc, (_, val, nu)) in enumerate(zip(locations, sites), m):
+            x[i] = loc
+            y[i] = val
+            nu_all[i] = nu
 
-        sites = [(self.query_index(loc), val, nu) for loc, val, nu in triples]
         w = np.empty((m + k, len(self.query_set)))
         w[:m] = self._w
         mean_q = self._mean_q.copy()
@@ -383,7 +401,7 @@ class GaussianProcessBelief:
         new._w = w
         new._mean_q = mean_q
         new._var_q = var_q
-        new._trace = float(var_q.sum())
+        new._trace = float(np.add.reduce(var_q))
         new._chol = None  # rebuilt on demand by posterior()
         new._alpha = None
         return new
@@ -423,7 +441,7 @@ class BeliefWorkspace:
 
     ``add_measurements_at`` takes measurements at query points, named by
     their index in the query set. It gives the same mean, variance and trace
-    as the belief's own ``add_measurements`` chain would, through the same
+    as the belief's own ``add_measurements_at`` chain would, through the same
     rank-1 routine and the same batch-rebuild fallback, but it writes into
     preallocated rows instead of building a snapshot per call. The source
     belief is never written: the caches are copied on the first update, so a
@@ -460,11 +478,13 @@ class BeliefWorkspace:
 
     def add_measurements_at(self, sites):
         """Append measurements in place, as (query index, value, noise variance)."""
-        if not sites:
-            return
-        for _, _, nu in sites:
-            if nu <= 0:
-                raise ValueError("noise variances must be positive")
+        if sites:
+            _check_noise(sites)
+            self.add_checked_measurements_at(sites)
+
+    def add_checked_measurements_at(self, sites):
+        """``add_measurements_at`` for a non-empty list of sites whose noise
+        variances the caller has already checked to be positive."""
         m, k = self._m, len(sites)
         self._added.extend(sites)
         if self._w is None:
@@ -475,7 +495,7 @@ class BeliefWorkspace:
             self._w = w
         if self._base._extend(self._w, m, self.query_mean, self.query_variance, sites):
             self._m = m + k
-            self._trace = float(self.query_variance.sum())
+            self._trace = float(np.add.reduce(self.query_variance))
         else:
             self._rebuild()
 

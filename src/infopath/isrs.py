@@ -217,6 +217,12 @@ class IsrsMdp(BeliefMdp):
         r = self.reward_config.interaction_reward
         return r * p_good - r * (1.0 - p_good)
 
+    def static_sites(self, location, action):
+        """Moves off rocks measure nothing; a beacon read measures its fixed plan."""
+        if isinstance(action, Move):
+            return None if action.target in self._rock_set else ()
+        return self._beacon_sites[location][action.modality]
+
     def updated_memory(self, belief, action, observation):
         if isinstance(action, Move) and action.target in self._rock_set:
             return belief.memory | {action.target}

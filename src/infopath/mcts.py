@@ -149,22 +149,24 @@ def rollout(belief, depth, mdp, config: SolverConfig, rng) -> float:
     """Discounted return of a uniform-random feasible rollout of ``depth`` steps.
 
     An MDP with a ``rollout_state(belief)`` hook is stepped in place through
-    the state it returns, which offers ``feasible_actions()`` (empty when
-    terminal) and ``advance(action, rng) -> reward``; any other MDP through
-    ``is_terminal``/``feasible_actions``/``generative_sample``. Both ways draw
-    from ``rng`` in the same order and return the same value.
+    the state it returns, which offers ``feasible_actions()`` (a sequence of
+    opaque steps, empty when terminal) and ``advance(step, rng) -> reward``;
+    any other MDP through ``is_terminal``/``feasible_actions``/
+    ``generative_sample``. Both ways draw from ``rng`` in the same order and
+    return the same value.
     """
     hook = getattr(mdp, "rollout_state", None)
     state = hook(belief) if hook is not None else _SnapshotRollout(mdp, belief)
+    feasible, advance, integers = state.feasible_actions, state.advance, rng.integers
+    gamma = config.discount
     total = 0.0
     discount = 1.0
     for _ in range(depth):
-        actions = state.feasible_actions()
+        actions = feasible()
         if not actions:
             break
-        action = actions[rng.integers(len(actions))]
-        total += discount * state.advance(action, rng)
-        discount *= config.discount
+        total += discount * advance(actions[integers(len(actions))], rng)
+        discount *= gamma
     return total
 
 

@@ -15,12 +15,16 @@ the expected interaction reward, and how the memory evolves.
 
 Tree search steps through immutable ``BeliefState`` snapshots. A rollout is a
 chain that never branches, so ``rollout_state`` hands out a ``RolloutState``
-that takes the same steps in place, with the same draws and rewards.
+that takes the same steps in place, with the same draws and rewards. Its
+steps are records that each location tabulates by remaining budget; a step
+that an environment declares static (fixed sites, no interaction reward,
+memory unchanged) runs without calling the environment hooks.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -96,6 +100,19 @@ class BeliefState:
     step: int = 0
 
 
+class RolloutStep(NamedTuple):
+    """A feasible action of a rollout with what taking it needs.
+
+    ``static_sites`` are the action's fixed (node, noise variance) sites when
+    the environment declares it static, else None.
+    """
+
+    action: Action
+    cost: float
+    target: int
+    static_sites: tuple[tuple[int, float], ...] | None
+
+
 class LocationActions(NamedTuple):
     """The actions at one location, with what feasibility checks need."""
 
@@ -127,8 +144,9 @@ class BeliefMdp:
 
     Every modality can sense at ``sensing_nodes`` (all nodes when None).
     Subclasses override the three environment hooks (``measurement_sites``,
-    ``expected_state_reward``, ``updated_memory``) for planning, and the two
-    ground-truth hooks (``true_reward``, ``true_observation``) for episode
+    ``expected_state_reward``, ``updated_memory``) for planning, and may name
+    the actions those hooks treat as fixed through ``static_sites``. The two
+    ground-truth hooks (``true_reward``, ``true_observation``) serve episode
     execution.
     """
 
@@ -156,6 +174,8 @@ class BeliefMdp:
         self.goal_costs = graph.costs_from(graph.goal)
         self._tables = self._action_tables(sensing_nodes)
         self._empty_gp = GaussianProcessBelief(prior_mean, self.kernel, graph.coords)
+        # location -> (budget thresholds, step tuples), filled by rollouts
+        self._step_tables: dict[int, tuple[list[float], list[tuple[RolloutStep, ...]]]] = {}
 
     def _action_tables(self, sensing_nodes) -> tuple[LocationActions, ...]:
         """The action table of every location, indexed by node id."""
@@ -186,6 +206,17 @@ class BeliefMdp:
 
     def updated_memory(self, belief: BeliefState, action: Action, observation: Observation):
         return belief.memory
+
+    def static_sites(self, location: int, action: Action):
+        """The fixed (node, noise_variance) sites of an action taken at
+        ``location`` that is static, or None for a dynamic one.
+
+        Static means that at this location, whatever the belief,
+        ``measurement_sites`` returns these sites, ``expected_state_reward``
+        returns 0.0 and ``updated_memory`` returns the memory unchanged.
+        Rollouts take static steps without calling those hooks.
+        """
+        return None
 
     # ------------------------------------------------------------------
     # ground-truth hooks (episode side)
@@ -255,10 +286,8 @@ class BeliefMdp:
             raise ValueError(
                 f"{action_label(action)} costs {cost} but only "
                 f"{belief.remaining_budget} budget remains")
-        gp = belief.gp
-        if observation:
-            gp = gp.add_measurements(
-                [(self.graph.coord(m.node), m.value, m.noise_variance) for m in observation])
+        # the graph's nodes are the GP's query points, in order
+        gp = belief.gp.add_measurements_at(observation)
         return BeliefState(
             location=self.action_target(belief, action),
             remaining_budget=belief.remaining_budget - cost,
@@ -306,15 +335,65 @@ class BeliefMdp:
         """A mutable copy of ``belief`` for an in-place rollout."""
         return RolloutState(self, belief)
 
+    def _rollout_steps(self, location: int, budget: float) -> tuple[RolloutStep, ...]:
+        """The feasible rollout steps at (location, budget); () when terminal.
+
+        ``is_terminal`` and ``feasible_actions`` read only these two, and
+        their answer changes only where the budget crosses a threshold of the
+        location: its cheapest action cost, or for one action the least
+        budget with ``budget - cost >= goal cost``. So each location keeps
+        its sorted thresholds and the steps between them, built on the first
+        visit, and a lookup is a bisection.
+        """
+        table = self._step_tables.get(location)
+        if table is None:
+            table = self._step_tables[location] = self._rollout_step_table(location)
+        thresholds, steps = table
+        return steps[bisect_right(thresholds, budget)]
+
+    def _rollout_step_table(self, location: int):
+        moves, senses, min_cost, goal_cost = self._tables[location]
+        edges = [(cost, back) for _, cost, back in moves]
+        edges += [(cost, goal_cost) for _, cost in senses]
+        thresholds = sorted({min_cost, *(_least_budget(cost, back) for cost, back in edges)})
+        at = BeliefState(location, 0.0, self._empty_gp)
+        records = {a: self._rollout_step(at, a) for a in self.actions(at)}
+        steps = [()]  # below every threshold, min_cost among them: terminal
+        for budget in thresholds:
+            at = BeliefState(location, budget, self._empty_gp)
+            steps.append(() if self.is_terminal(at) else
+                         tuple(records[a] for a in self.feasible_actions(at)))
+        return thresholds, steps
+
+    def _rollout_step(self, here: BeliefState, action: Action) -> RolloutStep:
+        sites = self.static_sites(here.location, action)
+        if sites is not None and any(nu <= 0 for _, nu in sites):
+            raise ValueError("noise variances must be positive")
+        return RolloutStep(action, self.action_cost(here, action),
+                           self.action_target(here, action), sites)
+
+
+def _least_budget(cost: float, back: float) -> float:
+    """The least float budget with ``budget - cost >= back``, as computed in
+    floating point (the difference never falls as the budget grows)."""
+    budget = back + cost
+    while budget - cost >= back:
+        budget = math.nextafter(budget, -math.inf)
+    while budget - cost < back:
+        budget = math.nextafter(budget, math.inf)
+    return budget
+
 
 class RolloutState:
     """A belief state that a rollout steps in place.
 
     It reads like a ``BeliefState`` (location, remaining budget, GP, memory,
     step), so the environment hooks take it unchanged; its GP is a
-    ``BeliefWorkspace``. ``advance`` draws from the generator in the order
-    ``generative_sample`` does and returns the same reward, but builds no
-    belief or GP snapshot. The source belief is never touched.
+    ``BeliefWorkspace``. ``feasible_actions`` hands out the MDP's tabulated
+    ``RolloutStep`` records, and ``advance`` takes one: it draws from the
+    generator in the order ``generative_sample`` does and returns the same
+    reward, but builds no belief or GP snapshot. The source belief is never
+    touched.
     """
 
     __slots__ = ("mdp", "location", "remaining_budget", "gp", "memory", "step")
@@ -327,28 +406,35 @@ class RolloutState:
         self.memory = belief.memory
         self.step = belief.step
 
-    def feasible_actions(self) -> list[Action]:
-        """Feasible actions here; empty when the state is terminal."""
-        mdp = self.mdp
-        return [] if mdp.is_terminal(self) else mdp.feasible_actions(self)
+    def feasible_actions(self) -> tuple[RolloutStep, ...]:
+        """The feasible steps here; empty when the state is terminal."""
+        return self.mdp._rollout_steps(self.location, self.remaining_budget)
 
-    def advance(self, action: Action, rng) -> float:
-        """Take ``action`` in place and return its ``belief_reward``."""
+    def advance(self, step: RolloutStep, rng) -> float:
+        """Take ``step`` in place and return its ``belief_reward``."""
+        action, cost, target, sites = step
         mdp = self.mdp
-        observation = mdp.sample_observation(self, action, rng)
-        # everything the reward and the memory read of the current state,
-        # read before the update overwrites it
-        state_reward = mdp.expected_state_reward(self, action)
-        trace = self.gp.trace_of_variance()
-        memory = mdp.updated_memory(self, action, observation)
-        cost = mdp.action_cost(self, action)
-        if observation:  # the graph's nodes are the GP's query points, in order
-            self.gp.add_measurements_at(observation)
-        self.location = mdp.action_target(self, action)
+        gp = self.gp
+        trace = gp.trace_of_variance()
+        if sites is None:
+            observation = mdp.sample_observation(self, action, rng)
+            # everything the reward and the memory read of the current state,
+            # read before the update overwrites it
+            state_reward = mdp.expected_state_reward(self, action)
+            self.memory = mdp.updated_memory(self, action, observation)
+            gp.add_measurements_at(observation)
+        else:  # a static step: sample_observation's draws, without the hooks
+            state_reward = 0.0
+            if sites:
+                mean_q = gp.query_mean
+                var_q = gp.query_variance
+                gp.add_checked_measurements_at([
+                    (node, rng.normal(mean_q[node], math.sqrt(max(var_q[node], 0.0) + nu)), nu)
+                    for node, nu in sites])
+        self.location = target
         self.remaining_budget -= cost
-        self.memory = memory
         self.step += 1
-        if self.location != mdp.graph.goal and mdp.is_terminal(self):
+        if target != mdp.graph.goal and mdp.is_terminal(self):
             return MISSION_FAILURE_REWARD
-        info = trace - self.gp.trace_of_variance()
+        info = trace - gp.trace_of_variance()
         return state_reward + mdp.reward_config.information_weight * info

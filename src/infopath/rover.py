@@ -247,6 +247,10 @@ class RoverMdp(BeliefMdp):
         r = self.reward_config.interaction_reward
         return r * p - r * (1.0 - p)
 
+    def static_sites(self, location, action):
+        """A move takes one spectrometer reading at its target; drills are dynamic."""
+        return ((action.target, self._spect_nu),) if isinstance(action, Move) else None
+
     def updated_memory(self, belief, action, observation):
         if isinstance(action, Sense) and observation:
             t = nearest_type_index(observation[0].value, self.instance.beta)

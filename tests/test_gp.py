@@ -356,6 +356,30 @@ def test_workspace_chain_equals_snapshot_chain(seed, s2, ell, batches):
     assert np.array_equal(source.query_variance, prior_variance)
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), s2=st.floats(0.2, 5.0),
+       batches=st.lists(st.integers(1, 4), min_size=1, max_size=20))
+def test_index_snapshots_equal_coordinate_snapshots(seed, s2, batches):
+    # the planner names query points by index; the coordinate wrapper must
+    # give the same snapshot, bit for bit, conditioning set included
+    rng = np.random.default_rng(seed)
+    coords = grid_coords(4)
+    by_coord = by_index = GaussianProcessBelief(0.5, SquaredExponential(s2, 1.5), coords)
+    for k in batches:
+        sites = [(int(rng.integers(len(coords))), float(rng.normal(0.5, 1.0)),
+                  float(10 ** rng.uniform(-8, 0))) for _ in range(k)]
+        by_coord = by_coord.add_measurements([(coords[j], val, nu) for j, val, nu in sites])
+        by_index = by_index.add_measurements_at(sites)
+        assert_same_caches(by_index, by_coord)
+        for a, b in ((by_index.measured_locations, by_coord.measured_locations),
+                     (by_index.measurements, by_coord.measurements),
+                     (by_index.noise_variances, by_coord.noise_variances)):
+            assert a.tobytes() == b.tobytes()
+    assert by_index.add_measurements_at(()) is by_index
+    with pytest.raises(ValueError):
+        by_index.add_measurements_at([(0, 1.0, 0.0)])
+
+
 def test_workspace_pivot_collapse_rebuilds_like_add_measurements():
     coords = grid_coords(3)
     kernel = SquaredExponential()

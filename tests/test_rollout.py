@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infopath.episodes import STATUS_GOAL, run_episode
-from infopath.isrs import IsrsMdp, generate_isrs
+from infopath.gp import SquaredExponential
+from infopath.isrs import DEFAULT_MODALITIES, IsrsMdp, generate_isrs
 from infopath.mcts import SolverConfig, rollout
+from infopath.mdp import BeliefState, Move, RewardConfig, SensingModality
 from infopath.policies import MctsPolicy
 from infopath.rover import RoverMdp, generate_rover
 
@@ -44,6 +46,112 @@ def test_workspace_rollout_equals_snapshot_rollout(env, seed, budget, tree_steps
     rng = np.random.default_rng(seed)
     belief = mdp.initial_belief()
     for _ in range(tree_steps):  # a belief deeper in the tree, built from snapshots
+        if mdp.is_terminal(belief) or not mdp.feasible_actions(belief):
+            break
+        actions = mdp.feasible_actions(belief)
+        belief, _ = mdp.generative_sample(belief, actions[rng.integers(len(actions))], rng)
+    before = belief_fingerprint(belief)
+    cfg = SolverConfig(discount=discount)
+    fast_rng = np.random.default_rng(seed + 1)
+    slow_rng = np.random.default_rng(seed + 1)
+    fast = rollout(belief, depth, mdp, cfg, fast_rng)
+    slow = rollout(belief, depth, ProtocolOnly(mdp), cfg, slow_rng)
+    assert fast == slow
+    assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+    assert belief_fingerprint(belief) == before
+
+
+# non-dyadic costs, so that budgets pick up rounding along a path
+ODD_MODALITIES = (SensingModality("cheap", cost=0.7, noise_stddev=0.4),
+                  SensingModality("accurate", cost=1.3, noise_stddev=0.1))
+
+
+def build_odd_mdp(env, seed, *, odd_costs=False, weight=None, signal_variance=1.0,
+                  variant=False):
+    """An MDP away from the defaults. ``variant``: an ISRS instance without
+    beacons, or a rover with an exact (zero-sigma) spectrometer."""
+    kernel = SquaredExponential(signal_variance=signal_variance)
+    if env == "isrs":
+        inst = generate_isrs(6, 6, 0 if variant else 4, 0.5, seed=seed, budget=40.0,
+                             modalities=ODD_MODALITIES if odd_costs else DEFAULT_MODALITIES,
+                             movement_cost=0.3 if odd_costs else 1.0)
+        rewards = None if weight is None else RewardConfig(weight, 10.0)
+        return IsrsMdp(inst, rewards, kernel=kernel)
+    costs = {"step_cost": 0.7, "drill_cost": 2.2} if odd_costs else {}
+    inst = generate_rover(5, 6, 0.0 if variant else 0.1, seed=seed, budget=40.0, **costs)
+    rewards = None if weight is None else RewardConfig(weight, 1.0)
+    return RoverMdp(inst, rewards, kernel=kernel)
+
+
+@st.composite
+def step_record_cases(draw):
+    env = draw(st.sampled_from(["isrs", "rover"]))
+    mdp = build_odd_mdp(env, draw(st.integers(0, 999)), odd_costs=draw(st.booleans()))
+    location = draw(st.integers(0, mdp.graph.n_nodes - 1))
+    table = mdp._tables[location]
+    # budgets on a feasibility boundary (budget - cost == goal cost), a few
+    # ulps around one or around the cheapest cost (terminal below), and anywhere
+    edges = [(cost, back) for _, cost, back in table.moves]
+    edges += [(cost, table.goal_cost) for _, cost in table.senses]
+    edges.append((table.min_cost, 0.0))
+    cost, back = draw(st.sampled_from(edges))
+    near = [back + cost]
+    for _ in range(2):
+        near = [np.nextafter(near[0], -np.inf), *near, np.nextafter(near[-1], np.inf)]
+    boundary = [b for b in near if b - cost == back]
+    kind = draw(st.sampled_from(["boundary", "near", "any"]))
+    if kind == "boundary" and boundary:
+        budget = float(draw(st.sampled_from(boundary)))
+    elif kind == "near":
+        budget = float(draw(st.sampled_from(near)))
+    else:
+        budget = draw(st.floats(0.0, 45.0))
+    if env == "isrs":
+        memory = frozenset(draw(st.sets(st.sampled_from(mdp.instance.rock_nodes))))
+    else:
+        memory = frozenset(draw(st.sets(st.integers(0, mdp.instance.beta - 1))))
+    gp = mdp.initial_belief().gp
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    for node in rng.integers(mdp.graph.n_nodes, size=draw(st.integers(0, 6))):
+        gp = gp.add_measurements_at([(int(node), float(rng.uniform(-0.5, 1.5)), 0.01)])
+    return mdp, BeliefState(location, budget, gp, memory), rng
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=step_record_cases())
+def test_memoized_step_records_match_the_mdp(case):
+    mdp, belief, rng = case
+    steps = mdp.rollout_state(belief).feasible_actions()
+    assert mdp.rollout_state(belief).feasible_actions() is steps  # memoized
+    if mdp.is_terminal(belief):
+        assert steps == ()
+        return
+    assert [s.action for s in steps] == mdp.feasible_actions(belief)
+    for action, cost, target, sites in steps:
+        assert cost == mdp.action_cost(belief, action)
+        assert target == mdp.action_target(belief, action)
+        dynamic = isinstance(action, Move) and action.target in mdp.instance.rock_nodes \
+            if isinstance(mdp, IsrsMdp) else not isinstance(action, Move)
+        assert (sites is None) == dynamic
+        if sites is not None:
+            assert mdp.measurement_sites(belief, action) == sites
+            assert mdp.expected_state_reward(belief, action) == 0.0
+            observation = mdp.sample_observation(belief, action, rng)
+            assert mdp.updated_memory(belief, action, observation) == belief.memory
+
+
+@settings(max_examples=80, deadline=None)
+@given(env=st.sampled_from(["isrs", "rover"]), seed=st.integers(0, 2**32 - 1),
+       weight=st.sampled_from([None, 0.0, 2.5]), signal_variance=st.sampled_from([1.0, 4.0]),
+       variant=st.booleans(), odd_costs=st.booleans(), tree_steps=st.integers(0, 10),
+       depth=st.integers(1, 40), discount=st.sampled_from([1.0, 0.9]))
+def test_workspace_rollout_equals_snapshot_rollout_off_defaults(
+        env, seed, weight, signal_variance, variant, odd_costs, tree_steps, depth, discount):
+    mdp = build_odd_mdp(env, seed % 1000, odd_costs=odd_costs, weight=weight,
+                        signal_variance=signal_variance, variant=variant)
+    rng = np.random.default_rng(seed)
+    belief = mdp.initial_belief()
+    for _ in range(tree_steps):
         if mdp.is_terminal(belief) or not mdp.feasible_actions(belief):
             break
         actions = mdp.feasible_actions(belief)
