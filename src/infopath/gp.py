@@ -13,9 +13,11 @@ case: all environment locations are query points), extending the Cholesky
 factor of the measurement system reuses the cached whitened cross-covariance,
 so an update costs O(m q) instead of the O(m^3 + m^2 q) of a refactorization.
 
-A chain of updates that never branches (a tree-search rollout) does not need
-snapshots: ``workspace()`` hands out a mutable copy of a belief's caches that
-takes the same updates in place, into preallocated rows.
+There is one update path. ``workspace()`` hands out a mutable copy of a
+belief's caches that takes updates in place, into preallocated rows, and
+``freeze()`` turns it back into a snapshot. A chain of updates that never
+branches (a tree-search rollout) stays in one workspace; a snapshot update
+is a workspace with exactly the rows it needs, updated once and frozen.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ JITTER_MAX_REL = 1e-4
 # An incremental pivot at or below this multiple of the signal variance has
 # collapsed; the update falls back to a batch rebuild that re-escalates jitter.
 PIVOT_MIN_REL = 1e-14
-# Spare rows a workspace allocates beyond its conditioning set; it doubles
-# its buffer when they run out.
+# Spare rows a rollout's workspace allocates beyond its conditioning set; it
+# doubles its buffer when they run out.
 WORKSPACE_ROOM = 16
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -145,11 +147,10 @@ def rms_error(estimate: np.ndarray, truth: np.ndarray) -> float:
     return math.sqrt(float(np.add.reduce(d * d)) / d.size)
 
 
-def _check_noise(sites):
-    """Raise unless every (site, value, noise variance) has positive noise."""
-    for _, _, nu in sites:
-        if nu <= 0:
-            raise ValueError("noise variances must be positive")
+def _read_only(a: np.ndarray) -> np.ndarray:
+    v = a.view()
+    v.setflags(write=False)
+    return v
 
 
 def mutual_information_exact(cov_prev: np.ndarray, cov_new: np.ndarray) -> float:
@@ -191,13 +192,16 @@ class GaussianProcessBelief:
         Parallel lists initializing the conditioning set; every noise variance
         must be positive. Duplicate locations are allowed (the per-measurement
         noise keeps the system nonsingular).
+
+    ``query_mean`` and ``query_variance`` are read-only views of the cached
+    posterior mean and variance at every query point.
     """
 
     __slots__ = (
         "prior_mean", "kernel", "query_set",
         "_x", "_y", "_nu", "_jitter",
         "_kqq", "_qindex", "_w", "_mean_q", "_var_q", "_trace",
-        "_chol", "_alpha",
+        "_chol", "_alpha", "query_mean", "query_variance",
     )
 
     def __init__(self, prior_mean, kernel, query_set,
@@ -249,6 +253,8 @@ class GaussianProcessBelief:
         self._mean_q = self.prior_mean + self._w.T @ self._alpha
         self._var_q = s2 - np.einsum("ij,ij->j", self._w, self._w)
         self._trace = float(self._var_q.sum())
+        self.query_mean = _read_only(self._mean_q)
+        self.query_variance = _read_only(self._var_q)
 
     def _ensure_factor(self):
         """Lazily restore the Cholesky factor dropped by fast incremental updates.
@@ -267,65 +273,20 @@ class GaussianProcessBelief:
                                            lower=True, check_finite=False)
             self._chol = chol
 
-    def _extend(self, w, m, mean_q, var_q, sites) -> bool:
-        """Append measurements at query points to this belief's factor, in place.
-
-        ``sites`` lists (query index, value, noise variance). Measurement i
-        becomes row m+i of the whitened cross-covariance ``w`` (rows below m
-        extend this belief's own), and the query mean and variance take its
-        rank-1 update. Returns False when a pivot collapses; the buffers are
-        then partly written and the caller rebuilds in batch.
-        """
-        kqq = self._kqq
-        jitter = self._jitter
-        floor = PIVOT_MIN_REL * self.kernel.signal_variance
-        for i, (j, val, nu) in enumerate(sites):
-            mc = m + i
-            d2 = var_q[j] + nu + jitter
-            if d2 <= floor:
-                return False
-            d = math.sqrt(d2)
-            row = (kqq[j] - w[:mc].T @ w[:mc, j]) / d
-            a_new = (val - mean_q[j]) / d
-            w[mc] = row
-            mean_q += a_new * row
-            var_q -= row * row
-        return True
-
     # ------------------------------------------------------------------
     # read-only views of the conditioning set
 
     @property
     def measured_locations(self) -> np.ndarray:
-        v = self._x.view()
-        v.setflags(write=False)
-        return v
+        return _read_only(self._x)
 
     @property
     def measurements(self) -> np.ndarray:
-        v = self._y.view()
-        v.setflags(write=False)
-        return v
+        return _read_only(self._y)
 
     @property
     def noise_variances(self) -> np.ndarray:
-        v = self._nu.view()
-        v.setflags(write=False)
-        return v
-
-    @property
-    def query_mean(self) -> np.ndarray:
-        """Posterior mean at every query point (cached)."""
-        v = self._mean_q.view()
-        v.setflags(write=False)
-        return v
-
-    @property
-    def query_variance(self) -> np.ndarray:
-        """Posterior variance at every query point (cached)."""
-        v = self._var_q.view()
-        v.setflags(write=False)
-        return v
+        return _read_only(self._nu)
 
     def query_index(self, location) -> int | None:
         """Index of ``location`` in the query set, or None if off the set."""
@@ -345,70 +306,30 @@ class GaussianProcessBelief:
     def add_measurements(self, triples) -> "GaussianProcessBelief":
         """Return a new belief with several (location, value, noise_variance) appended.
 
-        Measurements at query points take the O(m q) incremental path; any
+        Locations on the query set go through ``add_measurements_at``; any
         off-query location falls back to a batch rebuild of the factor.
         """
-        triples = [(np.asarray(loc, dtype=float).ravel(), float(val), float(nu))
+        triples = [(np.asarray(loc, dtype=float).reshape(2), float(val), float(nu))
                    for loc, val, nu in triples]
-        if not triples:
-            return self
-        _check_noise(triples)
-        return self._appended([loc for loc, _, _ in triples],
-                              [(self.query_index(loc), val, nu) for loc, val, nu in triples])
+        sites = [(self.query_index(loc), val, nu) for loc, val, nu in triples]
+        if all(j is not None for j, _, _ in sites):
+            return self.add_measurements_at(sites)
+        locations, values, noise = zip(*triples)
+        return GaussianProcessBelief(self.prior_mean, self.kernel, self.query_set,
+                                     [*self._x, *locations], [*self._y, *values],
+                                     [*self._nu, *noise])
 
     def add_measurements_at(self, sites) -> "GaussianProcessBelief":
         """Return a new belief with measurements at query points appended, as
         (query index, value, noise variance); self is unchanged."""
-        if not sites:
-            return self
-        _check_noise(sites)
-        query_set = self.query_set
-        return self._appended([query_set[j] for j, _, _ in sites], sites)
+        ws = BeliefWorkspace(self, 0)
+        ws.add_measurements_at(sites)
+        return ws.freeze()
 
-    def _appended(self, locations, sites) -> "GaussianProcessBelief":
-        """The snapshot with ``sites`` appended; a site's query index is None
-        when its location (the matching entry of ``locations``) is off the set."""
-        k = len(sites)
-        m = len(self._y)
-        x = np.empty((m + k, 2))
-        x[:m] = self._x
-        y = np.empty(m + k)
-        y[:m] = self._y
-        nu_all = np.empty(m + k)
-        nu_all[:m] = self._nu
-        for i, (loc, (_, val, nu)) in enumerate(zip(locations, sites), m):
-            x[i] = loc
-            y[i] = val
-            nu_all[i] = nu
-
-        w = np.empty((m + k, len(self.query_set)))
-        w[:m] = self._w
-        mean_q = self._mean_q.copy()
-        var_q = self._var_q.copy()
-        if any(j is None for j, _, _ in sites) or \
-                not self._extend(w, m, mean_q, var_q, sites):
-            return GaussianProcessBelief(self.prior_mean, self.kernel, self.query_set,
-                                         x, y, nu_all)
-
-        new = object.__new__(GaussianProcessBelief)
-        new.prior_mean = self.prior_mean
-        new.kernel = self.kernel
-        new.query_set = self.query_set
-        new._kqq = self._kqq
-        new._qindex = self._qindex
-        new._jitter = self._jitter
-        new._x, new._y, new._nu = x, y, nu_all
-        new._w = w
-        new._mean_q = mean_q
-        new._var_q = var_q
-        new._trace = float(np.add.reduce(var_q))
-        new._chol = None  # rebuilt on demand by posterior()
-        new._alpha = None
-        return new
-
-    def workspace(self) -> "BeliefWorkspace":
-        """A mutable copy of this belief for a chain of in-place updates."""
-        return BeliefWorkspace(self)
+    def workspace(self, room: int = WORKSPACE_ROOM) -> "BeliefWorkspace":
+        """A mutable copy of this belief for a chain of in-place updates; its
+        first update allocates ``room`` spare rows."""
+        return BeliefWorkspace(self, room)
 
     # ------------------------------------------------------------------
     # posterior queries
@@ -440,20 +361,29 @@ class BeliefWorkspace:
     """Query-set caches of a belief, updated in place by a chain of measurements.
 
     ``add_measurements_at`` takes measurements at query points, named by
-    their index in the query set. It gives the same mean, variance and trace
-    as the belief's own ``add_measurements_at`` chain would, through the same
-    rank-1 routine and the same batch-rebuild fallback, but it writes into
-    preallocated rows instead of building a snapshot per call. The source
-    belief is never written: the caches are copied on the first update, so a
+    their index in the query set, and gives each a rank-1 update of the
+    factor: measurement i becomes row m+i of the whitened cross-covariance,
+    and the query mean and variance take its update. A collapsed pivot falls
+    back to a batch rebuild of the whole conditioning set. The source belief
+    is never written: the caches are copied on the first update, so a
     workspace that is only read costs nothing. ``query_mean`` and
-    ``query_variance`` are the live buffers.
+    ``query_variance`` are the live buffers. ``freeze()`` hands the buffers
+    to a snapshot.
     """
 
-    __slots__ = ("_base", "_added", "_w", "_m", "query_mean", "query_variance", "_trace")
+    __slots__ = ("_room", "_base", "_added", "_w", "_m", "query_mean", "query_variance",
+                 "_trace")
 
-    def __init__(self, belief: GaussianProcessBelief):
-        # _base: the belief whose factor the rows extend and whose jitter
-        # applies; _added: the sites appended since
+    def __init__(self, belief: GaussianProcessBelief, room: int = WORKSPACE_ROOM):
+        self._room = room
+        self._start(belief)
+
+    def _start(self, belief: GaussianProcessBelief):
+        """Read ``belief``'s caches until the next update copies them.
+
+        ``_base`` is the belief whose factor the rows extend and whose jitter
+        applies; ``_added`` the sites appended since.
+        """
         self._base = belief
         self._added = []
         self._w = None
@@ -466,47 +396,90 @@ class BeliefWorkspace:
         """Total posterior variance over the query set."""
         return self._trace
 
-    def _load(self, belief: GaussianProcessBelief, room: int):
-        """Copy the caches of ``belief`` into fresh buffers with ``room`` spare rows."""
-        m = len(belief._y)
-        self._w = np.empty((m + room, len(belief.query_set)))
-        self._w[:m] = belief._w
-        self._m = m
-        self.query_mean = belief._mean_q.copy()
-        self.query_variance = belief._var_q.copy()
-        self._trace = belief._trace
-
     def add_measurements_at(self, sites):
         """Append measurements in place, as (query index, value, noise variance)."""
-        if sites:
-            _check_noise(sites)
-            self.add_checked_measurements_at(sites)
-
-    def add_checked_measurements_at(self, sites):
-        """``add_measurements_at`` for a non-empty list of sites whose noise
-        variances the caller has already checked to be positive."""
+        if not sites:
+            return
+        for _, _, nu in sites:
+            if nu <= 0:
+                raise ValueError("noise variances must be positive")
+        base = self._base
         m, k = self._m, len(sites)
         self._added.extend(sites)
         if self._w is None:
-            self._load(self._base, max(k, WORKSPACE_ROOM))
+            self._w = np.empty((m + max(k, self._room), len(base.query_set)))
+            self._w[:m] = base._w
+            self.query_mean = base._mean_q.copy()
+            self.query_variance = base._var_q.copy()
         elif m + k > len(self._w):
             w = np.empty((max(2 * len(self._w), m + k), self._w.shape[1]))
             w[:m] = self._w[:m]
             self._w = w
-        if self._base._extend(self._w, m, self.query_mean, self.query_variance, sites):
-            self._m = m + k
-            self._trace = float(np.add.reduce(self.query_variance))
-        else:
-            self._rebuild()
+        w, mean_q, var_q = self._w, self.query_mean, self.query_variance
+        kqq = base._kqq
+        jitter = base._jitter
+        floor = PIVOT_MIN_REL * base.kernel.signal_variance
+        for mc, (j, val, nu) in enumerate(sites, m):
+            d2 = var_q[j] + nu + jitter
+            if d2 <= floor:
+                self._rebuild()
+                return
+            d = math.sqrt(d2)
+            row = (kqq[j] - w[:mc].T @ w[:mc, j]) / d
+            a_new = (val - mean_q[j]) / d
+            w[mc] = row
+            mean_q += a_new * row
+            var_q -= row * row
+        self._m = m + k
+        self._trace = float(np.add.reduce(var_q))
 
     def _rebuild(self):
-        """Batch-build the whole conditioning set, as ``add_measurements`` does
-        when a pivot collapses."""
+        """Batch-build the whole conditioning set and go on from it."""
         base, added = self._base, self._added
         x = np.concatenate([base._x, base.query_set[[j for j, _, _ in added]]])
         y = np.concatenate([base._y, [val for _, val, _ in added]])
         nu = np.concatenate([base._nu, [nu for _, _, nu in added]])
-        fresh = GaussianProcessBelief(base.prior_mean, base.kernel, base.query_set, x, y, nu)
-        self._base = fresh
-        self._added = []
-        self._load(fresh, WORKSPACE_ROOM)
+        self._start(GaussianProcessBelief(base.prior_mean, base.kernel, base.query_set,
+                                          x, y, nu))
+
+    def freeze(self) -> GaussianProcessBelief:
+        """The belief these caches hold, as a snapshot with exactly its m rows.
+
+        With nothing added since the source (or the last batch rebuild), that
+        is the source belief itself. Otherwise the snapshot takes the buffers,
+        and the workspace reads it until its next update copies them.
+        """
+        base, added = self._base, self._added
+        if not added:
+            return base
+        m0, m = len(base._y), self._m
+        x = np.empty((m, 2))
+        x[:m0] = base._x
+        y = np.empty(m)
+        y[:m0] = base._y
+        nu_all = np.empty(m)
+        nu_all[:m0] = base._nu
+        query_set = base.query_set
+        for i, (j, val, nu) in enumerate(added, m0):
+            x[i] = query_set[j]
+            y[i] = val
+            nu_all[i] = nu
+        w = self._w
+        new = object.__new__(GaussianProcessBelief)
+        new.prior_mean = base.prior_mean
+        new.kernel = base.kernel
+        new.query_set = query_set
+        new._kqq = base._kqq
+        new._qindex = base._qindex
+        new._jitter = base._jitter
+        new._x, new._y, new._nu = x, y, nu_all
+        new._w = w if len(w) == m else w[:m].copy()
+        new._mean_q = self.query_mean
+        new._var_q = self.query_variance
+        new.query_mean = _read_only(self.query_mean)
+        new.query_variance = _read_only(self.query_variance)
+        new._trace = self._trace
+        new._chol = None  # rebuilt on demand by posterior()
+        new._alpha = None
+        self._start(new)
+        return new

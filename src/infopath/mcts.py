@@ -5,10 +5,11 @@ with unvisited actions taking infinite priority; both the number of actions
 tried at a belief node and the number of sampled successors kept under an
 action node are capped at k*N^alpha, so the search stays deep even though
 every Gaussian-process successor belief is unique. New actions are drawn
-uniformly from the feasibility-pruned action set, so the tree never contains
-an action that could strand the agent. Leaf values come from uniform-random
-feasible rollouts through the generative model; a rollout never branches, so
-an MDP may offer a state that it steps in place (see ``rollout``).
+uniformly from the node's untried feasibility-pruned actions, so the tree
+never contains an action that could strand the agent. Leaf values come from
+uniform-random feasible rollouts through the generative model; a rollout
+never branches, so an MDP may offer a state that it steps in place (see
+``rollout``).
 
 The planner owns nothing between calls: every plan builds a fresh tree from
 the root belief and a seeded generator, so results are reproducible.
@@ -57,17 +58,16 @@ class SolverConfig:
 
 
 class BeliefNode:
-    """A belief in the tree: visit count and the widened action children."""
+    """A belief in the tree: visit count, the widened action children and the
+    feasible actions not widened yet."""
 
-    __slots__ = ("belief", "visits", "children", "tried", "feasible", "exhausted")
+    __slots__ = ("belief", "visits", "children", "untried")
 
     def __init__(self, belief):
         self.belief = belief
         self.visits = 0
         self.children: list[ActionNode] = []
-        self.tried: set = set()
-        self.feasible = None  # lazily computed feasible action list
-        self.exhausted = False
+        self.untried: list | None = None  # the feasible actions, filled on first use
 
 
 class ActionNode:
@@ -92,10 +92,10 @@ def iter_belief_nodes(root: BeliefNode):
             stack.extend(child for child, _ in an.children)
 
 
-def _node_feasible(node: BeliefNode, mdp):
-    if node.feasible is None:
-        node.feasible = mdp.feasible_actions(node.belief)
-    return node.feasible
+def _untried(node: BeliefNode, mdp) -> list:
+    if node.untried is None:
+        node.untried = list(mdp.feasible_actions(node.belief))
+    return node.untried
 
 
 def action_prog_widen(node: BeliefNode, mdp, config: SolverConfig, rng) -> ActionNode:
@@ -105,14 +105,9 @@ def action_prog_widen(node: BeliefNode, mdp, config: SolverConfig, rng) -> Actio
     at this node; when all are tried, selection falls through to pure UCB.
     Unvisited actions have infinite priority.
     """
-    if not node.exhausted and len(node.children) <= config.k_action * node.visits ** config.alpha_action:
-        untried = [a for a in _node_feasible(node, mdp) if a not in node.tried]
-        if untried:
-            action = untried[rng.integers(len(untried))]
-            node.tried.add(action)
-            node.children.append(ActionNode(action))
-        else:
-            node.exhausted = True
+    untried = _untried(node, mdp)
+    if untried and len(node.children) <= config.k_action * node.visits ** config.alpha_action:
+        node.children.append(ActionNode(untried.pop(rng.integers(len(untried)))))
     log_n = math.log(node.visits) if node.visits > 0 else 0.0
     best = None
     best_score = -math.inf
@@ -174,7 +169,7 @@ def simulate(node: BeliefNode, depth, mdp, config: SolverConfig, rng) -> float:
     """One tree simulation; returns the sampled return and updates statistics."""
     if depth == 0:
         return 0.0
-    if mdp.is_terminal(node.belief) or not _node_feasible(node, mdp):
+    if mdp.is_terminal(node.belief) or not (node.children or _untried(node, mdp)):
         return 0.0
     an = action_prog_widen(node, mdp, config, rng)
     if len(an.children) <= config.k_state * an.visits ** config.alpha_state:

@@ -13,12 +13,15 @@ the goal with no affordable action left.
 supply what differs: where sensing is possible, what each action measures,
 the expected interaction reward, and how the memory evolves.
 
-Tree search steps through immutable ``BeliefState`` snapshots. A rollout is a
-chain that never branches, so ``rollout_state`` hands out a ``RolloutState``
-that takes the same steps in place, with the same draws and rewards. Its
-steps are records that each location tabulates by remaining budget; a step
-that an environment declares static (fixed sites, no interaction reward,
-memory unchanged) runs without calling the environment hooks.
+There is one step kernel, ``RolloutState.advance``. A rollout is a chain
+that never branches, so ``rollout_state`` hands out a ``RolloutState`` that
+steps in place; a tree step (``generative_sample``) is one step of a fresh
+``RolloutState``, frozen into an immutable ``BeliefState`` snapshot. Steps
+are records that each location tabulates, with its feasible ones by
+remaining budget; a step that an environment declares static (fixed sites,
+no interaction reward, memory unchanged) runs without calling the
+environment hooks. Episodes apply the observation they are given through
+``transition``, which calls the hooks as the tree does.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .gp import JITTER_REL, GaussianProcessBelief, SquaredExponential
+from .gp import JITTER_REL, WORKSPACE_ROOM, GaussianProcessBelief, SquaredExponential
 from .graph import LocationGraph
 
 # Numeric stand-in for the minus-infinity mission-failure reward; episode logs
@@ -101,7 +104,7 @@ class BeliefState:
 
 
 class RolloutStep(NamedTuple):
-    """A feasible action of a rollout with what taking it needs.
+    """An action at a location with what taking it needs.
 
     ``static_sites`` are the action's fixed (node, noise variance) sites when
     the environment declares it static, else None.
@@ -174,8 +177,10 @@ class BeliefMdp:
         self.goal_costs = graph.costs_from(graph.goal)
         self._tables = self._action_tables(sensing_nodes)
         self._empty_gp = GaussianProcessBelief(prior_mean, self.kernel, graph.coords)
-        # location -> (budget thresholds, step tuples), filled by rollouts
-        self._step_tables: dict[int, tuple[list[float], list[tuple[RolloutStep, ...]]]] = {}
+        # location -> (budget thresholds, feasible step tuples, step by action),
+        # filled as steps visit the location
+        self._step_tables: dict[int, tuple[list[float], list[tuple[RolloutStep, ...]],
+                                           dict[Action, RolloutStep]]] = {}
 
     def _action_tables(self, sensing_nodes) -> tuple[LocationActions, ...]:
         """The action table of every location, indexed by node id."""
@@ -214,7 +219,8 @@ class BeliefMdp:
         Static means that at this location, whatever the belief,
         ``measurement_sites`` returns these sites, ``expected_state_reward``
         returns 0.0 and ``updated_memory`` returns the memory unchanged.
-        Rollouts take static steps without calling those hooks.
+        Tree and rollout steps take static actions without calling those
+        hooks.
         """
         return None
 
@@ -278,14 +284,19 @@ class BeliefMdp:
         out.extend(s for s, cost in senses if budget - cost >= here)
         return out
 
-    def transition(self, belief: BeliefState, action: Action,
-                   observation: Observation = ()) -> BeliefState:
-        """Apply an action deterministically; never mutates the input belief."""
+    def _affordable_cost(self, belief: BeliefState, action: Action) -> float:
+        """``action_cost``, raising also when the budget cannot pay it."""
         cost = self.action_cost(belief, action)
         if cost > belief.remaining_budget:
             raise ValueError(
                 f"{action_label(action)} costs {cost} but only "
                 f"{belief.remaining_budget} budget remains")
+        return cost
+
+    def transition(self, belief: BeliefState, action: Action,
+                   observation: Observation = ()) -> BeliefState:
+        """Apply an action deterministically; never mutates the input belief."""
+        cost = self._affordable_cost(belief, action)
         # the graph's nodes are the GP's query points, in order
         gp = belief.gp.add_measurements_at(observation)
         return BeliefState(
@@ -303,11 +314,16 @@ class BeliefMdp:
         Returns the mission-failure sentinel when the successor is terminal
         away from the goal.
         """
-        if next_belief.location != self.graph.goal and self.is_terminal(next_belief):
+        return self._reward(self.expected_state_reward(belief, action),
+                            belief.gp.trace_of_variance(), next_belief)
+
+    def _reward(self, state_reward: float, trace_before: float, after) -> float:
+        """``belief_reward`` from the expected interaction reward, the total
+        variance before the step and the state after it."""
+        if after.location != self.graph.goal and self.is_terminal(after):
             return MISSION_FAILURE_REWARD
-        info = belief.gp.trace_of_variance() - next_belief.gp.trace_of_variance()
-        return (self.expected_state_reward(belief, action)
-                + self.reward_config.information_weight * info)
+        info = trace_before - after.gp.trace_of_variance()
+        return state_reward + self.reward_config.information_weight * info
 
     def sample_observation(self, belief: BeliefState, action: Action, rng) -> Observation:
         """Draw what the action would observe from the *current* belief.
@@ -316,20 +332,18 @@ class BeliefMdp:
         posterior variance + measurement noise variance), independently per
         measured site, drawn in site order.
         """
-        sites = self.measurement_sites(belief, action)
-        if not sites:
-            return ()
-        mean_q = belief.gp.query_mean
-        var_q = belief.gp.query_variance
-        return tuple(
-            Measurement(node, rng.normal(mean_q[node], math.sqrt(max(var_q[node], 0.0) + nu)), nu)
-            for node, nu in sites)
+        return _draw_observation(belief.gp, self.measurement_sites(belief, action), rng)
 
     def generative_sample(self, belief: BeliefState, action: Action, rng):
-        """Sample (next belief, reward) for the tree search."""
-        observation = self.sample_observation(belief, action, rng)
-        next_belief = self.transition(belief, action, observation)
-        return next_belief, self.belief_reward(belief, action, next_belief)
+        """Sample (next belief, reward) for the tree search: one ``advance``
+        of a ``RolloutState``, frozen. It draws, updates and rewards as
+        ``sample_observation``, ``transition`` and ``belief_reward`` would."""
+        step = self._step_table(belief.location)[2].get(action)
+        if step is None or step.cost > belief.remaining_budget:
+            self._affordable_cost(belief, action)  # raises
+        state = RolloutState(self, belief, 0)
+        reward = state.advance(step, rng)
+        return state.freeze(), reward
 
     def rollout_state(self, belief: BeliefState) -> "RolloutState":
         """A mutable copy of ``belief`` for an in-place rollout."""
@@ -345,32 +359,42 @@ class BeliefMdp:
         its sorted thresholds and the steps between them, built on the first
         visit, and a lookup is a bisection.
         """
-        table = self._step_tables.get(location)
-        if table is None:
-            table = self._step_tables[location] = self._rollout_step_table(location)
-        thresholds, steps = table
+        thresholds, steps, _ = self._step_table(location)
         return steps[bisect_right(thresholds, budget)]
 
-    def _rollout_step_table(self, location: int):
+    def _step_table(self, location: int):
+        """The step table of ``location``, built on the first visit."""
+        table = self._step_tables.get(location)
+        if table is None:
+            table = self._step_tables[location] = self._build_step_table(location)
+        return table
+
+    def _build_step_table(self, location: int):
         moves, senses, min_cost, goal_cost = self._tables[location]
         edges = [(cost, back) for _, cost, back in moves]
         edges += [(cost, goal_cost) for _, cost in senses]
         thresholds = sorted({min_cost, *(_least_budget(cost, back) for cost, back in edges)})
         at = BeliefState(location, 0.0, self._empty_gp)
-        records = {a: self._rollout_step(at, a) for a in self.actions(at)}
+        records = {a: RolloutStep(a, self.action_cost(at, a), self.action_target(at, a),
+                                  self.static_sites(location, a)) for a in self.actions(at)}
         steps = [()]  # below every threshold, min_cost among them: terminal
         for budget in thresholds:
             at = BeliefState(location, budget, self._empty_gp)
             steps.append(() if self.is_terminal(at) else
                          tuple(records[a] for a in self.feasible_actions(at)))
-        return thresholds, steps
+        return thresholds, steps, records
 
-    def _rollout_step(self, here: BeliefState, action: Action) -> RolloutStep:
-        sites = self.static_sites(here.location, action)
-        if sites is not None and any(nu <= 0 for _, nu in sites):
-            raise ValueError("noise variances must be positive")
-        return RolloutStep(action, self.action_cost(here, action),
-                           self.action_target(here, action), sites)
+
+def _draw_observation(gp, sites, rng) -> Observation:
+    """y ~ Normal(posterior mean, posterior variance + noise variance) at each
+    (node, noise variance) site, independently, in site order."""
+    if not sites:
+        return ()
+    mean_q = gp.query_mean
+    var_q = gp.query_variance
+    return tuple(
+        Measurement(node, rng.normal(mean_q[node], math.sqrt(max(var_q[node], 0.0) + nu)), nu)
+        for node, nu in sites)
 
 
 def _least_budget(cost: float, back: float) -> float:
@@ -385,24 +409,25 @@ def _least_budget(cost: float, back: float) -> float:
 
 
 class RolloutState:
-    """A belief state that a rollout steps in place.
+    """A belief state that steps in place: the one step kernel.
 
     It reads like a ``BeliefState`` (location, remaining budget, GP, memory,
     step), so the environment hooks take it unchanged; its GP is a
     ``BeliefWorkspace``. ``feasible_actions`` hands out the MDP's tabulated
-    ``RolloutStep`` records, and ``advance`` takes one: it draws from the
-    generator in the order ``generative_sample`` does and returns the same
-    reward, but builds no belief or GP snapshot. The source belief is never
-    touched.
+    ``RolloutStep`` records, and ``advance`` takes one: the draws, GP update,
+    memory and reward of a step. ``freeze`` returns the ``BeliefState``
+    reached, whose GP is the workspace's snapshot. The source belief is never
+    touched. ``room`` is the workspace's spare rows: a rollout keeps the
+    default, a single tree step takes exactly the rows it needs.
     """
 
     __slots__ = ("mdp", "location", "remaining_budget", "gp", "memory", "step")
 
-    def __init__(self, mdp: BeliefMdp, belief: BeliefState):
+    def __init__(self, mdp: BeliefMdp, belief: BeliefState, room: int = WORKSPACE_ROOM):
         self.mdp = mdp
         self.location = belief.location
         self.remaining_budget = belief.remaining_budget
-        self.gp = belief.gp.workspace()
+        self.gp = belief.gp.workspace(room)
         self.memory = belief.memory
         self.step = belief.step
 
@@ -418,23 +443,19 @@ class RolloutState:
         trace = gp.trace_of_variance()
         if sites is None:
             observation = mdp.sample_observation(self, action, rng)
-            # everything the reward and the memory read of the current state,
-            # read before the update overwrites it
+            # the reward and the memory read the state before the update
             state_reward = mdp.expected_state_reward(self, action)
             self.memory = mdp.updated_memory(self, action, observation)
-            gp.add_measurements_at(observation)
-        else:  # a static step: sample_observation's draws, without the hooks
+        else:  # a static step: the same draws, without the hooks
+            observation = _draw_observation(gp, sites, rng)
             state_reward = 0.0
-            if sites:
-                mean_q = gp.query_mean
-                var_q = gp.query_variance
-                gp.add_checked_measurements_at([
-                    (node, rng.normal(mean_q[node], math.sqrt(max(var_q[node], 0.0) + nu)), nu)
-                    for node, nu in sites])
+        gp.add_measurements_at(observation)
         self.location = target
         self.remaining_budget -= cost
         self.step += 1
-        if target != mdp.graph.goal and mdp.is_terminal(self):
-            return MISSION_FAILURE_REWARD
-        info = trace - gp.trace_of_variance()
-        return state_reward + mdp.reward_config.information_weight * info
+        return mdp._reward(state_reward, trace, self)
+
+    def freeze(self) -> BeliefState:
+        """The state reached, as an immutable snapshot."""
+        return BeliefState(self.location, self.remaining_budget, self.gp.freeze(),
+                           self.memory, self.step)

@@ -412,6 +412,28 @@ def test_workspace_is_read_only_until_updated():
     assert gp.trace_of_variance() == 4.0
 
 
+def test_workspace_freezes_to_a_snapshot_with_exactly_its_rows():
+    coords = grid_coords(3)
+    gp = GaussianProcessBelief(0.5, SquaredExponential(), coords).add_measurement(
+        coords[4], 0.7, 0.01)
+    ws = gp.workspace()
+    assert ws.freeze() is gp  # nothing added: the source belief itself
+    ws.add_measurements_at(())
+    assert ws.freeze() is gp
+    ws.add_measurements_at([(1, 0.3, 0.05), (2, 0.6, 0.02)])
+    snap = ws.freeze()
+    assert len(snap._w) == len(snap.measurements) == 3  # no spare rows
+    assert_same_caches(snap, gp.add_measurements_at([(1, 0.3, 0.05), (2, 0.6, 0.02)]))
+    # the snapshot owns the buffers: later updates copy them first
+    kept = snap.query_mean.copy(), snap.query_variance.copy(), snap.trace_of_variance()
+    ws.add_measurements_at([(0, 0.1, 0.03)])
+    assert_same_caches(ws, snap.add_measurements_at([(0, 0.1, 0.03)]))
+    assert np.array_equal(snap.query_mean, kept[0])
+    assert np.array_equal(snap.query_variance, kept[1])
+    assert snap.trace_of_variance() == kept[2]
+    assert len(gp.measurements) == 1
+
+
 def test_rms_error_has_the_bits_of_the_numpy_mean_form():
     rng = np.random.default_rng(11)
     for size in (1, 10, 100, 257):  # 10 ISRS rocks, a 10x10 rover map, odd sizes

@@ -132,9 +132,8 @@ def test_ucb_prefers_unvisited_action():
     seen.visits, seen.q = 10, 100.0
     fresh = ActionNode(Move(1))
     node.children = [seen, fresh]
-    node.tried = {Move(0), Move(1)}
+    node.untried = []
     node.visits = 10
-    node.exhausted = True
     picked = action_prog_widen(node, ArmsMdp((0.0, 0.0)), SolverConfig(), np.random.default_rng(0))
     assert picked is fresh
 

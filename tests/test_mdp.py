@@ -14,7 +14,7 @@ from infopath.mdp import (
     SensingModality,
 )
 from infopath.policies import random_policy
-from infopath.rover import DRILL, RoverInstance, RoverMdp
+from infopath.rover import DRILL, RoverInstance, RoverMdp, generate_rover
 
 
 def small_instance(budget=10.0, beacons=(0,), rocks=(7,), good=(7,), n=3):
@@ -112,19 +112,39 @@ def test_transition_budget_arithmetic_commutes():
     assert b.remaining_budget == 10.0 - 1.0 - 1.0
 
 
-def test_transition_rejects_infeasible_actions():
+@pytest.mark.parametrize("step", [
+    lambda mdp, b, a: mdp.transition(b, a),
+    lambda mdp, b, a: mdp.generative_sample(b, a, np.random.default_rng(0)),
+], ids=["transition", "generative_sample"])
+def test_transition_rejects_infeasible_actions(step):
     mdp = IsrsMdp(small_instance(budget=10.0))
     b = mdp.initial_belief()
     with pytest.raises(ValueError):
-        mdp.transition(b, Move(8))  # not adjacent
+        step(mdp, b, Move(8))  # not adjacent
     with pytest.raises(ValueError):
-        mdp.transition(b, Sense("nonexistent"))
+        step(mdp, b, Sense("nonexistent"))
     poor = mdp.initial_belief(budget=0.75)
     with pytest.raises(ValueError):
-        mdp.transition(poor, Move(1))  # unaffordable
+        step(mdp, poor, Move(1))  # unaffordable
     away = type(b)(location=4, remaining_budget=5.0, gp=b.gp, memory=b.memory, step=0)
     with pytest.raises(ValueError):
-        mdp.transition(away, Sense("cheap"))  # sensing off-beacon
+        step(mdp, away, Sense("cheap"))  # sensing off-beacon
+
+
+def test_tree_snapshots_hold_exactly_their_rows():
+    # a tree node keeps only its m rows of the whitened cross-covariance: the
+    # 16 spare rows of a rollout's workspace would add 12.8 KB per node at q = 100
+    rng = np.random.default_rng(5)
+    for mdp in (IsrsMdp(generate_isrs(6, 6, 4, 0.5, seed=1, budget=30.0)),
+                RoverMdp(generate_rover(5, 6, 0.1, seed=1, budget=30.0))):
+        b = mdp.initial_belief()
+        while not mdp.is_terminal(b) and mdp.feasible_actions(b):
+            acts = mdp.feasible_actions(b)
+            senses = [a for a in acts if isinstance(a, Sense)]  # beacon reads, drills
+            pick = senses if senses and rng.random() < 0.5 else acts
+            b, _ = mdp.generative_sample(b, pick[rng.integers(len(pick))], rng)
+            assert len(b.gp._w) == len(b.gp.measurements)
+        assert len(b.gp.measurements) > 1
 
 
 def test_truth_reveal_pins_belief():

@@ -1,5 +1,8 @@
-"""The in-place rollout path against the 3-method snapshot path, and pinned
-planner episodes that guard the search's exact outputs."""
+"""The in-place rollout path against the 3-method snapshot path, tree steps
+against the environment hooks, and pinned planner episodes that guard the
+search's exact outputs."""
+
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
@@ -165,6 +168,49 @@ def test_workspace_rollout_equals_snapshot_rollout_off_defaults(
     assert fast == slow
     assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
     assert belief_fingerprint(belief) == before
+
+
+def full_fingerprint(belief):
+    gp = belief.gp
+    return belief_fingerprint(belief) + (gp.measured_locations.tobytes(),
+                                         gp.noise_variances.tobytes())
+
+
+@settings(max_examples=150, deadline=None)
+@given(env=st.sampled_from(["isrs", "rover"]), seed=st.integers(0, 2**32 - 1),
+       weight=st.sampled_from([None, 0.0, 2.5]), variant=st.booleans(), odd_costs=st.booleans(),
+       walk=st.integers(0, 12), location=st.one_of(st.none(), st.integers(0, 35)),
+       budget=st.one_of(st.none(), st.floats(0.0, 8.0)))
+def test_tree_step_equals_the_hook_composition(env, seed, weight, variant, odd_costs, walk,
+                                               location, budget):
+    # a tree step is one RolloutState step, frozen, and skips the hooks on
+    # static actions; for every affordable action it must still give the
+    # bits of sample_observation -> transition -> belief_reward
+    mdp = build_odd_mdp(env, seed % 1000, odd_costs=odd_costs, weight=weight, variant=variant)
+    rng = np.random.default_rng(seed)
+    belief = mdp.initial_belief()
+    for _ in range(walk):  # memory and measurements, built through the hooks
+        if mdp.is_terminal(belief) or not mdp.feasible_actions(belief):
+            break
+        actions = mdp.feasible_actions(belief)
+        action = actions[rng.integers(len(actions))]
+        belief = mdp.transition(belief, action, mdp.sample_observation(belief, action, rng))
+    if location is not None:
+        belief = replace(belief, location=location % mdp.graph.n_nodes)
+    if budget is not None:  # low budgets reach the failure sentinel
+        belief = replace(belief, remaining_budget=budget)
+    before = full_fingerprint(belief)
+    for i, action in enumerate(mdp.actions(belief)):
+        if mdp.action_cost(belief, action) > belief.remaining_budget:
+            continue
+        tree_rng = np.random.default_rng([seed, i])
+        hook_rng = np.random.default_rng([seed, i])
+        tree, tree_reward = mdp.generative_sample(belief, action, tree_rng)
+        hooks = mdp.transition(belief, action, mdp.sample_observation(belief, action, hook_rng))
+        assert full_fingerprint(tree) == full_fingerprint(hooks)
+        assert tree_reward == mdp.belief_reward(belief, action, hooks)
+        assert tree_rng.bit_generator.state == hook_rng.bit_generator.state
+    assert full_fingerprint(belief) == before
 
 
 # Captured before the in-place rollout existed; any change to the planner's
