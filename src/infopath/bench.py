@@ -53,6 +53,10 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
+def _finite_non_negative(x) -> bool:
+    return math.isfinite(x) and x >= 0
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     environment: str = "isrs"
@@ -92,10 +96,12 @@ class ExperimentConfig:
                 raise ConfigError(f"{self.beacons} beacons do not fit on a {n}x{n} grid")
         if self.beta < 2:
             raise ConfigError("beta must be >= 2")
-        if self.spectrometer_sigma < 0:
-            raise ConfigError("spectrometer_sigma must be non-negative")
-        if self.budget is not None and self.budget < 0:
-            raise ConfigError("budget must be non-negative")
+        if not _finite_non_negative(self.spectrometer_sigma):
+            raise ConfigError("spectrometer_sigma must be finite and non-negative")
+        for name in ("budget", "information_weight"):  # None: the environment default
+            value = getattr(self, name)
+            if value is not None and not _finite_non_negative(value):
+                raise ConfigError(f"{name} must be finite and non-negative")
 
     def resolved_budget(self) -> float:
         return DEFAULT_BUDGET[self.environment] if self.budget is None else float(self.budget)

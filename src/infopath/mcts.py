@@ -13,6 +13,15 @@ never branches, so an MDP may offer a state that it steps in place (see
 
 The planner owns nothing between calls: every plan builds a fresh tree from
 the root belief and a seeded generator, so results are reproducible.
+
+Planning draws its bounded integers (new actions, successor picks and one
+per rollout step) through ``_PlanGenerator``: the caller's bit generator,
+with ``integers(n)`` recomputed by numpy's own rule on the bit generator's
+``next_uint32``, reached through its stdlib ``ctypes`` interface.
+Values and the caller's generator state are those of
+``Generator.integers(n)``, bit for bit, at under half the cost; a property
+test in ``tests/test_mcts.py`` pins this to the installed numpy. Unlike
+``Generator.integers`` the draw takes no lock: a search runs on one thread.
 """
 
 from __future__ import annotations
@@ -21,6 +30,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+_INT64 = np.int64
+_TWO_32 = 1 << 32
 
 
 @dataclass(frozen=True)
@@ -55,6 +67,42 @@ class SolverConfig:
             raise ValueError("widening alpha parameters must lie in [0, 1)")
         if not 0.0 < self.discount <= 1.0:
             raise ValueError("discount must lie in (0, 1]")
+
+
+class _PlanGenerator(np.random.Generator):
+    """A generator on the caller's bit generator, so every draw advances the
+    caller's state, whose ``integers(n)`` for one ``int`` with 1 <= n < 2**32
+    skips numpy's argument handling.
+
+    That form is numpy's Lemire rule on ``next_uint32``: ``m = x * n`` for a
+    fresh 32-bit ``x``; while the low 32 bits of ``m`` lie below
+    ``(2**32 - n) % n``, draw again; return ``m >> 32``. ``n == 1`` draws
+    nothing. The value comes back as a Python ``int`` rather than
+    ``np.int64``. Every other form of ``integers``, and every other method,
+    is numpy's own.
+    """
+
+    def __init__(self, bit_generator):
+        super().__init__(bit_generator)
+        interface = bit_generator.ctypes
+        next_uint32, state = interface.next_uint32, interface.state
+        # a second Generator on the same bits: super().integers would tie a cycle
+        numpy_integers = np.random.Generator(bit_generator).integers
+
+        def integers(low, high=None, size=None, dtype=_INT64, endpoint=False):
+            if (type(low) is int and 0 < low < _TWO_32 and high is None and size is None
+                    and dtype is _INT64 and not endpoint):
+                if low == 1:
+                    return 0
+                m = next_uint32(state) * low
+                if m & 0xFFFFFFFF < low:
+                    threshold = (_TWO_32 - low) % low
+                    while m & 0xFFFFFFFF < threshold:
+                        m = next_uint32(state) * low
+                return m >> 32
+            return numpy_integers(low, high, size, dtype, endpoint)
+
+        self.integers = integers  # shadows the method: no binding per call
 
 
 class BeliefNode:
@@ -187,9 +235,11 @@ def simulate(node: BeliefNode, depth, mdp, config: SolverConfig, rng) -> float:
 
 
 def search(belief, mdp, config: SolverConfig, rng=None) -> BeliefNode:
-    """Run the configured number of simulations from a fresh root; returns it."""
+    """Run the configured number of simulations from a fresh root; returns it.
+    Draws advance ``rng`` (a ``Generator``) exactly as numpy's methods would."""
     if rng is None:
         rng = np.random.default_rng(config.seed)
+    rng = _PlanGenerator(rng.bit_generator)
     if mdp.is_terminal(belief):
         raise ValueError("cannot plan from a terminal belief")
     root = BeliefNode(belief)

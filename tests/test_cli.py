@@ -1,4 +1,9 @@
 import json
+import math
+
+import pytest
+
+from infopath.bench import ExperimentConfig, run_sweep, write_sweep_csv
 from infopath.cli import main
 
 
@@ -80,6 +85,34 @@ def test_config_error_exit_code(tmp_path):
 def test_overfull_grid_is_a_config_error(tmp_path):
     assert run_cli("run", "--env", "isrs", "--k", "200", "--runs", "1",
                    "--out", str(tmp_path)) == 2
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--lambda", "-1"), ("--lambda", "nan"), ("--lambda", "inf"),
+    ("--budget", "nan"), ("--budget", "inf"), ("--budget", "-1"),
+    ("--sigma", "nan"), ("--sigma", "inf"), ("--sigma", "-0.1"),
+])
+def test_bad_numbers_are_config_errors(tmp_path, capsys, flag, value):
+    # NaN passes a plain "< 0" check; a bad λ must not get as far as the MDP (exit 3)
+    code = run_cli("run", "--env", "rover", "--solver", "random", "--runs", "1",
+                   "--grid", "4", flag, value, "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert "must be finite and non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_writes_the_error_row_of_a_non_finite_cell(tmp_path):
+    cfg = ExperimentConfig(environment="rover", solver="random", runs=1, grid_size=4)
+    cells = [{"budget": math.nan, "spectrometer_sigma": 0.1},
+             {"budget": 6.0, "spectrometer_sigma": math.inf},
+             {"budget": 6.0, "spectrometer_sigma": 0.1}]
+    rows, cell_keys, solvers = run_sweep(cfg, cells=cells, solvers=("random",))
+    path = write_sweep_csv(rows, cell_keys, solvers, tmp_path, cfg.to_dict())
+    lines = path.read_text().splitlines()
+    assert lines[1] == "budget,spectrometer_sigma,random_mean,random_std,random_failures"
+    assert lines[2] == "nan,0.1,error: budget must be finite and non-negative,,"
+    assert lines[3] == "6.0,inf,error: spectrometer_sigma must be finite and non-negative,,"
+    assert len(lines) == 5 and "error" not in lines[4]
 
 
 def test_bad_flag_exit_code(tmp_path):

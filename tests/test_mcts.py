@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infopath import mcts
 from infopath.isrs import IsrsMdp, generate_isrs
@@ -264,3 +266,47 @@ def test_solver_config_validation():
         SolverConfig(discount=0.0)
     with pytest.raises(ValueError):
         SolverConfig(k_state=0.0)
+
+
+# ----------------------------------------------------------------------
+# the planner's bounded draw against numpy's Generator.integers
+
+BIT_GENERATORS = (np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937,
+                  np.random.Philox, np.random.SFC64)
+# 2**31 + 1 and 3 * 2**30 reject about half and a quarter of the 32-bit draws
+BOUNDS = (1, 2, 3, 7, 2**31 + 1, 3 * 2**30, 2**32 - 1)
+NUMPY_FORMS = (  # draws the plan generator leaves to numpy
+    lambda g, n: g.normal(),
+    lambda g, n: g.random(),
+    lambda g, n: g.standard_normal(),
+    lambda g, n: g.integers(0, n),
+    lambda g, n: g.integers(n, size=3),
+    lambda g, n: g.integers(n, endpoint=True),
+    lambda g, n: g.integers(n + 2**32),
+    lambda g, n: g.integers(np.int64(n)),
+)
+
+
+def same_state(a, b):
+    """Bit-generator states compare equal (Philox's holds arrays)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bit_generator=st.sampled_from(BIT_GENERATORS), seed=st.integers(0, 2**64 - 1),
+       draws=st.lists(st.tuples(st.sampled_from(BOUNDS), st.none() | st.sampled_from(NUMPY_FORMS)),
+                      max_size=60))
+def test_plan_generator_draws_equal_numpy(bit_generator, seed, draws):
+    plain = np.random.Generator(bit_generator(seed))
+    caller = np.random.Generator(bit_generator(seed))
+    planned = mcts._PlanGenerator(caller.bit_generator)
+    for n, form in draws:
+        if form is None:
+            value = planned.integers(n)
+            assert type(value) is int  # the bounded draw, not numpy's
+            assert value == plain.integers(n)
+        else:
+            assert np.array_equal(form(planned, n), form(plain, n))
+    assert same_state(caller.bit_generator.state, plain.bit_generator.state)

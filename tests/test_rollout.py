@@ -5,13 +5,15 @@ search's exact outputs."""
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from infopath import mcts
 from infopath.episodes import STATUS_GOAL, run_episode
 from infopath.gp import SquaredExponential
 from infopath.isrs import DEFAULT_MODALITIES, IsrsMdp, generate_isrs
-from infopath.mcts import SolverConfig, rollout
+from infopath.mcts import SolverConfig, iter_belief_nodes, plan, rollout, search
 from infopath.mdp import BeliefState, Move, RewardConfig, SensingModality
 from infopath.policies import MctsPolicy
 from infopath.rover import RoverMdp, generate_rover
@@ -43,8 +45,9 @@ def belief_fingerprint(belief):
 @settings(max_examples=80, deadline=None)
 @given(env=st.sampled_from(["isrs", "rover"]), seed=st.integers(0, 2**32 - 1),
        budget=st.sampled_from([6.0, 15.0, 40.0]), tree_steps=st.integers(0, 10),
-       depth=st.integers(1, 40), discount=st.sampled_from([1.0, 0.9]))
-def test_workspace_rollout_equals_snapshot_rollout(env, seed, budget, tree_steps, depth, discount):
+       depth=st.integers(1, 40), discount=st.sampled_from([1.0, 0.9]), planned=st.booleans())
+def test_workspace_rollout_equals_snapshot_rollout(env, seed, budget, tree_steps, depth, discount,
+                                                   planned):
     mdp = build_mdp(env, seed % 1000, budget)
     rng = np.random.default_rng(seed)
     belief = mdp.initial_belief()
@@ -55,8 +58,13 @@ def test_workspace_rollout_equals_snapshot_rollout(env, seed, budget, tree_steps
         belief, _ = mdp.generative_sample(belief, actions[rng.integers(len(actions))], rng)
     before = belief_fingerprint(belief)
     cfg = SolverConfig(discount=discount)
-    fast_rng = np.random.default_rng(seed + 1)
-    slow_rng = np.random.default_rng(seed + 1)
+
+    def make_rng(s):  # planned: both sides draw as under search
+        plain = np.random.default_rng(s)
+        return mcts._PlanGenerator(plain.bit_generator) if planned else plain
+
+    fast_rng = make_rng(seed + 1)
+    slow_rng = make_rng(seed + 1)
     fast = rollout(belief, depth, mdp, cfg, fast_rng)
     slow = rollout(belief, depth, ProtocolOnly(mdp), cfg, slow_rng)
     assert fast == slow
@@ -240,3 +248,24 @@ def test_pinned_rover_episode():
     log = run_episode(mdp, MctsPolicy(PINNED_CONFIG), 2)
     assert log.status == STATUS_GOAL
     assert ([r.action for r in log.records], [r.true_reward for r in log.records]) == PINNED_ROVER
+
+
+@pytest.mark.parametrize("env", ["isrs", "rover"])
+def test_plan_generator_leaves_the_search_unchanged(env, monkeypatch):
+    # search draws through mcts._PlanGenerator; numpy's own Generator on the
+    # same bit generator must grow the same tree and leave the same state
+    mdp = build_mdp(env, 4, 15.0)
+    belief = mdp.initial_belief()
+    cfg = SolverConfig(iterations=300, max_depth=20)
+
+    def planned():
+        rng = np.random.default_rng(17)
+        root = search(belief, mdp, cfg, rng)
+        table = [(node.visits, [(an.action, an.visits, an.q.hex()) for an in node.children])
+                 for node in iter_belief_nodes(root)]
+        return table, plan(belief, mdp, cfg, rng), rng.bit_generator.state
+
+    exact = planned()
+    monkeypatch.setattr(mcts, "_PlanGenerator", np.random.Generator)
+    assert planned() == exact
+    assert len(exact[0]) > 100  # a deep tree, not a handful of draws
