@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import operator
 import os
 import time
@@ -57,6 +58,16 @@ def _finite_non_negative(x) -> bool:
     return math.isfinite(x) and x >= 0
 
 
+# what a field of ExperimentConfig may hold, by its annotation; bools are not numbers here
+_FIELD_TYPES = {
+    "str": ((str,), "a string"),
+    "int": ((numbers.Integral,), "an integer"),
+    "float": ((numbers.Real,), "a number"),
+    "float | None": ((numbers.Real, type(None)), "a number or null"),
+    "SolverConfig": ((SolverConfig,), "a solver config"),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     environment: str = "isrs"
@@ -74,6 +85,11 @@ class ExperimentConfig:
     solver_config: SolverConfig = field(default_factory=SolverConfig)
 
     def validate(self):
+        for f in fields(self):
+            types, what = _FIELD_TYPES[f.type]
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ConfigError(f"{f.name} must be {what}, not {type(value).__name__}")
         if self.environment not in ENVIRONMENTS:
             raise ConfigError(f"unknown environment {self.environment!r}")
         if self.solver not in SOLVERS:

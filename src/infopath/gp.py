@@ -14,10 +14,17 @@ factor of the measurement system reuses the cached whitened cross-covariance,
 so an update costs O(m q) instead of the O(m^3 + m^2 q) of a refactorization.
 
 There is one update path. ``workspace()`` hands out a mutable copy of a
-belief's caches that takes updates in place, into preallocated rows, and
-``freeze()`` turns it back into a snapshot. A chain of updates that never
-branches (a tree-search rollout) stays in one workspace; a snapshot update
-is a workspace with exactly the rows it needs, updated once and frozen.
+belief's caches that takes updates in place, into preallocated rows. A chain
+of updates that never branches (a tree-search rollout) stays in one
+workspace; a snapshot update is a workspace updated once and frozen.
+
+A snapshot comes in one of two layouts. A compact one (``freeze_compact()``,
+the layout of every ``add_measurements_at`` result) holds its whole
+conditioning set and all m rows of the whitened cross-covariance. A linked
+one (``freeze()``, a tree-search step) holds only the k sites and k rows its
+update added, plus a link to the snapshot it extends, and rebuilds the rest
+on demand by one walk up to the nearest compact ancestor. Both hold their
+own query mean, query variance and trace, and both give the same bits.
 """
 
 from __future__ import annotations
@@ -153,6 +160,14 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return v
 
 
+def _appended(x, y, nu, query_set, sites):
+    """The conditioning set (x, y, nu) with (query index, value, noise
+    variance) sites appended."""
+    return (np.concatenate([x, query_set[[j for j, _, _ in sites]]]),
+            np.concatenate([y, [val for _, val, _ in sites]]),
+            np.concatenate([nu, [nu for _, _, nu in sites]]))
+
+
 def mutual_information_exact(cov_prev: np.ndarray, cov_new: np.ndarray) -> float:
     """Entropy drop between two posteriors: 0.5*log|cov_prev| - 0.5*log|cov_new|."""
     cov_prev = np.asarray(cov_prev, dtype=float)
@@ -195,11 +210,17 @@ class GaussianProcessBelief:
 
     ``query_mean`` and ``query_variance`` are read-only views of the cached
     posterior mean and variance at every query point.
+
+    ``_m`` is the conditioning size. A compact belief (``_parent`` None) holds
+    the conditioning set in ``_x``, ``_y``, ``_nu`` and all m rows of the
+    whitened cross-covariance in ``_w``. A linked one holds only the sites its
+    update appended to ``_parent``'s, in ``_sites``, and their rows in ``_w``;
+    ``_conditioning()`` and ``_fill_rows()`` rebuild the rest.
     """
 
     __slots__ = (
         "prior_mean", "kernel", "query_set",
-        "_x", "_y", "_nu", "_jitter",
+        "_x", "_y", "_nu", "_jitter", "_m", "_parent", "_sites",
         "_kqq", "_qindex", "_w", "_mean_q", "_var_q", "_trace",
         "_chol", "_alpha", "query_mean", "query_variance",
     )
@@ -223,6 +244,8 @@ class GaussianProcessBelief:
         if np.any(nu <= 0):
             raise ValueError("noise variances must be positive")
         self._x, self._y, self._nu = x, y, nu
+        self._m = len(y)
+        self._parent = self._sites = None
 
         self._kqq = kernel.matrix(q, q)
         self._kqq.setflags(write=False)
@@ -263,30 +286,56 @@ class GaussianProcessBelief:
         _chol never observe a half-built pair.
         """
         if self._chol is None:
-            a = self.kernel.matrix(self._x, self._x)
-            a[np.diag_indices_from(a)] += self._nu + self._jitter
+            x, y, nu = self._conditioning()
+            a = self.kernel.matrix(x, x)
+            a[np.diag_indices_from(a)] += nu + self._jitter
             try:
                 chol = np.linalg.cholesky(a)
             except np.linalg.LinAlgError as exc:  # incremental chain already pivoted
                 raise SingularCovarianceError("measurement system lost positive definiteness") from exc
-            self._alpha = solve_triangular(chol, self._y - self.prior_mean,
+            self._alpha = solve_triangular(chol, y - self.prior_mean,
                                            lower=True, check_finite=False)
             self._chol = chol
+
+    def _conditioning(self):
+        """The whole conditioning set as (x, y, nu), rebuilt along the links
+        up to the nearest compact ancestor."""
+        if self._parent is None:
+            return self._x, self._y, self._nu
+        added = []
+        root = self
+        while root._parent is not None:
+            added.append(root._sites)
+            root = root._parent
+        return _appended(root._x, root._y, root._nu, self.query_set,
+                         [site for sites in reversed(added) for site in sites])
+
+    def _fill_rows(self, out: np.ndarray) -> np.ndarray:
+        """Copy all m rows of the whitened cross-covariance into ``out[:m]``
+        and return ``out``: each link's own rows on the walk up, then the
+        compact ancestor's in one copy."""
+        belief = self
+        while belief._parent is not None:
+            m = belief._m
+            out[m - len(belief._w):m] = belief._w
+            belief = belief._parent
+        out[:belief._m] = belief._w
+        return out
 
     # ------------------------------------------------------------------
     # read-only views of the conditioning set
 
     @property
     def measured_locations(self) -> np.ndarray:
-        return _read_only(self._x)
+        return _read_only(self._conditioning()[0])
 
     @property
     def measurements(self) -> np.ndarray:
-        return _read_only(self._y)
+        return _read_only(self._conditioning()[1])
 
     @property
     def noise_variances(self) -> np.ndarray:
-        return _read_only(self._nu)
+        return _read_only(self._conditioning()[2])
 
     def query_index(self, location) -> int | None:
         """Index of ``location`` in the query set, or None if off the set."""
@@ -315,16 +364,17 @@ class GaussianProcessBelief:
         if all(j is not None for j, _, _ in sites):
             return self.add_measurements_at(sites)
         locations, values, noise = zip(*triples)
+        x, y, nu = self._conditioning()
         return GaussianProcessBelief(self.prior_mean, self.kernel, self.query_set,
-                                     [*self._x, *locations], [*self._y, *values],
-                                     [*self._nu, *noise])
+                                     [*x, *locations], [*y, *values], [*nu, *noise])
 
     def add_measurements_at(self, sites) -> "GaussianProcessBelief":
         """Return a new belief with measurements at query points appended, as
-        (query index, value, noise variance); self is unchanged."""
+        (query index, value, noise variance); self is unchanged. The result
+        is compact."""
         ws = BeliefWorkspace(self, 0)
         ws.add_measurements_at(sites)
-        return ws.freeze()
+        return ws.freeze_compact()
 
     def workspace(self, room: int = WORKSPACE_ROOM) -> "BeliefWorkspace":
         """A mutable copy of this belief for a chain of in-place updates; its
@@ -344,13 +394,14 @@ class GaussianProcessBelief:
         if t.shape[0] == 0:
             raise ValueError("targets must be non-empty")
         ktt = self._kqq.copy() if targets is None else self.kernel.matrix(t, t)
-        if len(self._y) == 0:
+        if self._m == 0:
             mean = np.full(t.shape[0], self.prior_mean)
             cov = ktt
         else:
             self._ensure_factor()
-            v = self._w if targets is None else solve_triangular(
-                self._chol, self.kernel.matrix(self._x, t), lower=True, check_finite=False)
+            v = self._fill_rows(np.empty((self._m, len(t)))) if targets is None else \
+                solve_triangular(self._chol, self.kernel.matrix(self._conditioning()[0], t),
+                                 lower=True, check_finite=False)
             mean = self.prior_mean + v.T @ self._alpha
             cov = ktt - v.T @ v
         cov = 0.5 * (cov + cov.T)
@@ -367,8 +418,8 @@ class BeliefWorkspace:
     back to a batch rebuild of the whole conditioning set. The source belief
     is never written: the caches are copied on the first update, so a
     workspace that is only read costs nothing. ``query_mean`` and
-    ``query_variance`` are the live buffers. ``freeze()`` hands the buffers
-    to a snapshot.
+    ``query_variance`` are the live buffers. ``freeze()`` and
+    ``freeze_compact()`` hand them to a snapshot.
     """
 
     __slots__ = ("_room", "_base", "_added", "_w", "_m", "query_mean", "query_variance",
@@ -387,7 +438,7 @@ class BeliefWorkspace:
         self._base = belief
         self._added = []
         self._w = None
-        self._m = len(belief._y)
+        self._m = belief._m
         self.query_mean = belief.query_mean  # read-only until the first update
         self.query_variance = belief.query_variance
         self._trace = belief._trace
@@ -407,8 +458,7 @@ class BeliefWorkspace:
         m, k = self._m, len(sites)
         self._added.extend(sites)
         if self._w is None:
-            self._w = np.empty((m + max(k, self._room), len(base.query_set)))
-            self._w[:m] = base._w
+            self._w = base._fill_rows(np.empty((m + max(k, self._room), len(base.query_set))))
             self.query_mean = base._mean_q.copy()
             self.query_variance = base._var_q.copy()
         elif m + k > len(self._w):
@@ -435,45 +485,22 @@ class BeliefWorkspace:
 
     def _rebuild(self):
         """Batch-build the whole conditioning set and go on from it."""
-        base, added = self._base, self._added
-        x = np.concatenate([base._x, base.query_set[[j for j, _, _ in added]]])
-        y = np.concatenate([base._y, [val for _, val, _ in added]])
-        nu = np.concatenate([base._nu, [nu for _, _, nu in added]])
+        base = self._base
+        x, y, nu = _appended(*base._conditioning(), base.query_set, self._added)
         self._start(GaussianProcessBelief(base.prior_mean, base.kernel, base.query_set,
                                           x, y, nu))
 
-    def freeze(self) -> GaussianProcessBelief:
-        """The belief these caches hold, as a snapshot with exactly its m rows.
-
-        With nothing added since the source (or the last batch rebuild), that
-        is the source belief itself. Otherwise the snapshot takes the buffers,
-        and the workspace reads it until its next update copies them.
-        """
-        base, added = self._base, self._added
-        if not added:
-            return base
-        m0, m = len(base._y), self._m
-        x = np.empty((m, 2))
-        x[:m0] = base._x
-        y = np.empty(m)
-        y[:m0] = base._y
-        nu_all = np.empty(m)
-        nu_all[:m0] = base._nu
-        query_set = base.query_set
-        for i, (j, val, nu) in enumerate(added, m0):
-            x[i] = query_set[j]
-            y[i] = val
-            nu_all[i] = nu
-        w = self._w
+    def _snapshot(self, base: GaussianProcessBelief) -> GaussianProcessBelief:
+        """A snapshot of these caches on ``base``'s model, taking the query
+        buffers; the caller sets its conditioning set and rows."""
         new = object.__new__(GaussianProcessBelief)
         new.prior_mean = base.prior_mean
         new.kernel = base.kernel
-        new.query_set = query_set
+        new.query_set = base.query_set
         new._kqq = base._kqq
         new._qindex = base._qindex
         new._jitter = base._jitter
-        new._x, new._y, new._nu = x, y, nu_all
-        new._w = w if len(w) == m else w[:m].copy()
+        new._m = self._m
         new._mean_q = self.query_mean
         new._var_q = self.query_variance
         new.query_mean = _read_only(self.query_mean)
@@ -481,5 +508,53 @@ class BeliefWorkspace:
         new._trace = self._trace
         new._chol = None  # rebuilt on demand by posterior()
         new._alpha = None
+        return new
+
+    def freeze(self) -> GaussianProcessBelief:
+        """The belief these caches hold, as a linked snapshot: it keeps the
+        sites added since the source (or the last batch rebuild) and their
+        rows, and links to the source for the rest.
+
+        With nothing added, that is the source belief itself. The workspace
+        reads the snapshot until its next update copies the buffers.
+        """
+        base, added = self._base, self._added
+        if not added:
+            return base
+        new = self._snapshot(base)
+        new._parent, new._sites = base, added
+        new._w = self._w[base._m:self._m].copy()
+        new._x = new._y = new._nu = None
+        self._start(new)
+        return new
+
+    def freeze_compact(self) -> GaussianProcessBelief:
+        """The belief these caches hold, as a compact snapshot with its whole
+        conditioning set and exactly its m rows.
+
+        With nothing added, that is the source belief itself. The workspace
+        reads the snapshot until its next update copies the buffers.
+        """
+        base, added = self._base, self._added
+        if not added:
+            return base
+        m0, m = base._m, self._m
+        base_x, base_y, base_nu = base._conditioning()
+        x = np.empty((m, 2))
+        x[:m0] = base_x
+        y = np.empty(m)
+        y[:m0] = base_y
+        nu_all = np.empty(m)
+        nu_all[:m0] = base_nu
+        query_set = base.query_set
+        for i, (j, val, nu) in enumerate(added, m0):
+            x[i] = query_set[j]
+            y[i] = val
+            nu_all[i] = nu
+        w = self._w
+        new = self._snapshot(base)
+        new._parent = new._sites = None
+        new._x, new._y, new._nu = x, y, nu_all
+        new._w = w if len(w) == m else w[:m].copy()
         self._start(new)
         return new

@@ -138,8 +138,8 @@ class RewardConfig:
     interaction_reward: float = 10.0
 
     def __post_init__(self):
-        if self.information_weight < 0:
-            raise ValueError("information_weight must be non-negative")
+        if not (math.isfinite(self.information_weight) and self.information_weight >= 0):
+            raise ValueError("information_weight must be finite and non-negative")
 
 
 class BeliefMdp:
@@ -158,8 +158,8 @@ class BeliefMdp:
         self.graph = graph
         self.kernel = kernel if kernel is not None else SquaredExponential()
         self.reward_config = reward_config if reward_config is not None else RewardConfig()
-        if budget < 0:
-            raise ValueError("budget must be non-negative")
+        if not (math.isfinite(budget) and budget >= 0):
+            raise ValueError("budget must be finite and non-negative")
         self.initial_budget = float(budget)
         self.jitter_floor = JITTER_REL * self.kernel.signal_variance
 
@@ -418,7 +418,8 @@ class RolloutState:
     memory and reward of a step. ``freeze`` returns the ``BeliefState``
     reached, whose GP is the workspace's snapshot. The source belief is never
     touched. ``room`` is the workspace's spare rows: a rollout keeps the
-    default, a single tree step takes exactly the rows it needs.
+    default, a single tree step takes exactly the rows it needs, and its
+    snapshot keeps only the rows the step added.
     """
 
     __slots__ = ("mdp", "location", "remaining_budget", "gp", "memory", "step")

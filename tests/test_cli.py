@@ -101,6 +101,24 @@ def test_bad_numbers_are_config_errors(tmp_path, capsys, flag, value):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("budget", "10", "budget must be a number or null, not str"),
+    ("runs", "2", "runs must be an integer, not str"),
+    ("runs", 2.0, "runs must be an integer, not float"),
+    ("p_good", True, "p_good must be a number, not bool"),
+    ("environment", 3, "environment must be a string, not int"),
+])
+def test_config_value_types_are_config_errors(tmp_path, capsys, key, value, message):
+    # a wrong type in a --config file must not get as far as a comparison (exit 3)
+    cfg = {"environment": "rover", "solver": "random", "runs": 1, "grid_size": 4, key: value}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code = run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_writes_the_error_row_of_a_non_finite_cell(tmp_path):
     cfg = ExperimentConfig(environment="rover", solver="random", runs=1, grid_size=4)
     cells = [{"budget": math.nan, "spectrometer_sigma": 0.1},

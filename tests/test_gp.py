@@ -416,22 +416,30 @@ def test_workspace_freezes_to_a_snapshot_with_exactly_its_rows():
     coords = grid_coords(3)
     gp = GaussianProcessBelief(0.5, SquaredExponential(), coords).add_measurement(
         coords[4], 0.7, 0.01)
-    ws = gp.workspace()
-    assert ws.freeze() is gp  # nothing added: the source belief itself
-    ws.add_measurements_at(())
-    assert ws.freeze() is gp
-    ws.add_measurements_at([(1, 0.3, 0.05), (2, 0.6, 0.02)])
-    snap = ws.freeze()
-    assert len(snap._w) == len(snap.measurements) == 3  # no spare rows
-    assert_same_caches(snap, gp.add_measurements_at([(1, 0.3, 0.05), (2, 0.6, 0.02)]))
-    # the snapshot owns the buffers: later updates copy them first
-    kept = snap.query_mean.copy(), snap.query_variance.copy(), snap.trace_of_variance()
-    ws.add_measurements_at([(0, 0.1, 0.03)])
-    assert_same_caches(ws, snap.add_measurements_at([(0, 0.1, 0.03)]))
-    assert np.array_equal(snap.query_mean, kept[0])
-    assert np.array_equal(snap.query_variance, kept[1])
-    assert snap.trace_of_variance() == kept[2]
-    assert len(gp.measurements) == 1
+    sites = [(1, 0.3, 0.05), (2, 0.6, 0.02)]
+    for linked in (False, True):
+        ws = gp.workspace()
+        freeze = ws.freeze if linked else ws.freeze_compact
+        assert freeze() is gp  # nothing added: the source belief itself
+        ws.add_measurements_at(())
+        assert freeze() is gp
+        ws.add_measurements_at(sites)
+        snap = freeze()
+        if linked:  # the two rows its update added, and a link for the rest
+            assert snap._parent is gp and snap._sites == sites
+            assert len(snap._w) == 2 and snap._x is None
+        else:  # all m rows, no spare ones
+            assert snap._parent is None and len(snap._w) == 3
+        assert len(snap.measurements) == 3
+        assert_same_caches(snap, gp.add_measurements_at(sites))
+        # the snapshot owns the buffers: later updates copy them first
+        kept = snap.query_mean.copy(), snap.query_variance.copy(), snap.trace_of_variance()
+        ws.add_measurements_at([(0, 0.1, 0.03)])
+        assert_same_caches(ws, snap.add_measurements_at([(0, 0.1, 0.03)]))
+        assert np.array_equal(snap.query_mean, kept[0])
+        assert np.array_equal(snap.query_variance, kept[1])
+        assert snap.trace_of_variance() == kept[2]
+        assert len(gp.measurements) == 1
 
 
 def test_rms_error_has_the_bits_of_the_numpy_mean_form():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from infopath.mcts import (
     simulate,
 )
 from infopath.mdp import MISSION_FAILURE_REWARD, Move, RolloutState
+from infopath.policies import random_policy
 from infopath.rover import RoverMdp, generate_rover
 
 
@@ -255,6 +257,35 @@ def test_pruned_search_never_meets_the_failure_sentinel(env, budget, monkeypatch
     assert MISSION_FAILURE_REWARD not in tree_rewards
     assert MISSION_FAILURE_REWARD not in rollout_rewards
     assert pruned  # the budget binds: some rollout step had actions pruned
+
+
+# Bytes a search may hold per belief node of its tree. A node's GP keeps only
+# the rows its step added (800 B per site at q = 100); when nodes kept all m
+# rows, this plan held 55 KB per node.
+TREE_BYTES_PER_NODE = 10_000
+
+
+def test_search_tree_memory_per_node():
+    mdp = RoverMdp(generate_rover(10, 10, 0.1, seed=3, budget=100.0))
+    rng = np.random.default_rng(0)
+    belief = mdp.initial_belief()
+    while len(belief.gp.measurements) < 60:  # an episode belief at m = 60
+        action = random_policy(belief, mdp, rng)
+        belief = mdp.transition(belief, action, mdp.true_observation(belief, action, rng))
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        root = search(belief, mdp, SolverConfig(iterations=150, max_depth=12),
+                      np.random.default_rng(1))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    nodes = sum(1 for _ in iter_belief_nodes(root))
+    assert nodes > 100
+    assert held / nodes < TREE_BYTES_PER_NODE
 
 
 def test_solver_config_validation():

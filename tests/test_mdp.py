@@ -38,6 +38,19 @@ def test_modality_cost_accuracy_ordering_enforced():
     IsrsMdp(inst)  # default modalities satisfy the ordering
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+def test_non_finite_or_negative_weight_and_budget_are_rejected(value):
+    # NaN passes a plain "< 0" check and would reach every reward and terminal test
+    with pytest.raises(ValueError, match="information_weight must be finite"):
+        RewardConfig(value)
+    with pytest.raises(ValueError, match="budget must be finite"):
+        RoverMdp(generate_rover(4, 3, 0.1, seed=0, budget=value))
+    with pytest.raises(ValueError, match="budget must be finite"):
+        IsrsMdp(small_instance(budget=value))
+    assert RewardConfig(0.0).information_weight == 0.0
+    assert RoverMdp(generate_rover(4, 3, 0.1, seed=0, budget=0.0)).initial_budget == 0.0
+
+
 def test_feasible_actions_at_goal_with_large_budget():
     mdp = IsrsMdp(small_instance(budget=100.0))
     b = mdp.initial_belief()
@@ -132,8 +145,9 @@ def test_transition_rejects_infeasible_actions(step):
 
 
 def test_tree_snapshots_hold_exactly_their_rows():
-    # a tree node keeps only its m rows of the whitened cross-covariance: the
-    # 16 spare rows of a rollout's workspace would add 12.8 KB per node at q = 100
+    # a tree node keeps only the k sites and k rows of the whitened
+    # cross-covariance its step added, and links to its parent's GP for the
+    # rest; a step that measures nothing keeps the parent's GP itself
     rng = np.random.default_rng(5)
     for mdp in (IsrsMdp(generate_isrs(6, 6, 4, 0.5, seed=1, budget=30.0)),
                 RoverMdp(generate_rover(5, 6, 0.1, seed=1, budget=30.0))):
@@ -142,8 +156,14 @@ def test_tree_snapshots_hold_exactly_their_rows():
             acts = mdp.feasible_actions(b)
             senses = [a for a in acts if isinstance(a, Sense)]  # beacon reads, drills
             pick = senses if senses and rng.random() < 0.5 else acts
+            parent = b.gp
             b, _ = mdp.generative_sample(b, pick[rng.integers(len(pick))], rng)
-            assert len(b.gp._w) == len(b.gp.measurements)
+            k = len(b.gp.measurements) - len(parent.measurements)
+            if k == 0:
+                assert b.gp is parent
+            else:
+                assert b.gp._parent is parent and b.gp._x is None
+                assert len(b.gp._w) == len(b.gp._sites) == k
         assert len(b.gp.measurements) > 1
 
 
