@@ -25,6 +25,12 @@ one (``freeze()``, a tree-search step) holds only the k sites and k rows its
 update added, plus a link to the snapshot it extends, and rebuilds the rest
 on demand by one walk up to the nearest compact ancestor. Both hold their
 own query mean, query variance and trace, and both give the same bits.
+
+The module needs only numpy to load and to update. Kernel matrices take their
+squared distances from numpy; scipy's triangular solve is imported on the
+first batch factorization (a constructor given measurements, an off-grid
+update, a pivot-collapse rebuild) or ``posterior()``, so planning and episodes
+never load scipy.
 """
 
 from __future__ import annotations
@@ -33,8 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.spatial.distance import cdist
 
 # Relative jitter added to the measurement-system diagonal; escalated x10 on
 # factorization failure up to JITTER_MAX_REL, then the solve errors out.
@@ -78,7 +82,15 @@ class SquaredExponential:
         """Cross-covariance matrix between two coordinate sets, shapes (n,2),(m,2)."""
         a = np.atleast_2d(np.asarray(a, dtype=float))
         b = np.atleast_2d(np.asarray(b, dtype=float))
-        d2 = cdist(a, b, "sqeuclidean")
+        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != 2 or b.shape[1] != 2:
+            raise ValueError("coordinate sets must have shape (n, 2)")
+        # (ax - bx)^2 + (ay - by)^2 per element: the bits of
+        # scipy's cdist(a, b, "sqeuclidean") for 2-D points.
+        d2 = np.subtract.outer(a[:, 0], b[:, 0])
+        d2 *= d2
+        dy = np.subtract.outer(a[:, 1], b[:, 1])
+        dy *= dy
+        d2 += dy
         return self.signal_variance * np.exp(-0.5 * d2 / self.lengthscale**2)
 
 
@@ -98,6 +110,14 @@ class PosteriorSummary:
             raise ValueError("covariance must be symmetric within 1e-10")
         if np.min(np.diagonal(cov)) < -1e-9:
             raise ValueError("covariance diagonal must be >= -1e-9")
+
+
+def _solve_lower(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``chol^{-1} rhs`` for a lower-triangular ``chol``; scipy loads on the
+    first call."""
+    from scipy.linalg import solve_triangular
+
+    return solve_triangular(chol, rhs, lower=True, check_finite=False)
 
 
 def _cholesky_escalating(mat: np.ndarray, scale: float, start_rel: float | None):
@@ -269,10 +289,8 @@ class GaussianProcessBelief:
             a = self.kernel.matrix(self._x, self._x)
             a[np.diag_indices_from(a)] += self._nu
             self._chol, self._jitter = _cholesky_escalating(a, s2, start_rel)
-            self._alpha = solve_triangular(self._chol, self._y - self.prior_mean,
-                                           lower=True, check_finite=False)
-            self._w = solve_triangular(self._chol, self.kernel.matrix(self._x, self.query_set),
-                                       lower=True, check_finite=False)
+            self._alpha = _solve_lower(self._chol, self._y - self.prior_mean)
+            self._w = _solve_lower(self._chol, self.kernel.matrix(self._x, self.query_set))
         self._mean_q = self.prior_mean + self._w.T @ self._alpha
         self._var_q = s2 - np.einsum("ij,ij->j", self._w, self._w)
         self._trace = float(self._var_q.sum())
@@ -293,8 +311,7 @@ class GaussianProcessBelief:
                 chol = np.linalg.cholesky(a)
             except np.linalg.LinAlgError as exc:  # incremental chain already pivoted
                 raise SingularCovarianceError("measurement system lost positive definiteness") from exc
-            self._alpha = solve_triangular(chol, y - self.prior_mean,
-                                           lower=True, check_finite=False)
+            self._alpha = _solve_lower(chol, y - self.prior_mean)
             self._chol = chol
 
     def _conditioning(self):
@@ -400,8 +417,7 @@ class GaussianProcessBelief:
         else:
             self._ensure_factor()
             v = self._fill_rows(np.empty((self._m, len(t)))) if targets is None else \
-                solve_triangular(self._chol, self.kernel.matrix(self._conditioning()[0], t),
-                                 lower=True, check_finite=False)
+                _solve_lower(self._chol, self.kernel.matrix(self._conditioning()[0], t))
             mean = self.prior_mean + v.T @ self._alpha
             cov = ktt - v.T @ v
         cov = 0.5 * (cov + cov.T)
