@@ -26,6 +26,10 @@ update added, plus a link to the snapshot it extends, and rebuilds the rest
 on demand by one walk up to the nearest compact ancestor. Both hold their
 own query mean, query variance and trace, and both give the same bits.
 
+Beliefs share what depends only on the kernel and the query set: the prior
+covariance of the query set and its index by location are built once per
+process for each (kernel, query set) and are read-only.
+
 The module needs only numpy to load and to update. Kernel matrices take their
 squared distances from numpy; scipy's triangular solve is imported on the
 first batch factorization (a constructor given measurements, an off-grid
@@ -35,8 +39,10 @@ never load scipy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -47,6 +53,8 @@ JITTER_MAX_REL = 1e-4
 # An incremental pivot at or below this multiple of the signal variance has
 # collapsed; the update falls back to a batch rebuild that re-escalates jitter.
 PIVOT_MIN_REL = 1e-14
+# Distinct (kernel, query set) pairs whose prior covariance the process keeps.
+QUERY_CACHE_SIZE = 8
 # Spare rows a rollout's workspace allocates beyond its conditioning set; it
 # doubles its buffer when they run out.
 WORKSPACE_ROOM = 16
@@ -180,6 +188,17 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return v
 
 
+@functools.lru_cache(maxsize=QUERY_CACHE_SIZE)
+def _query_model(kernel, coords: bytes):
+    """The read-only prior covariance of a query set, given as the bytes of
+    its (q, 2) coordinates, and its index by location; one per (kernel, query
+    set), shared by every belief over it."""
+    q = np.frombuffer(coords).reshape(-1, 2)
+    kqq = kernel.matrix(q, q)
+    kqq.setflags(write=False)
+    return kqq, MappingProxyType({(float(cx), float(cy)): i for i, (cx, cy) in enumerate(q)})
+
+
 def _appended(x, y, nu, query_set, sites):
     """The conditioning set (x, y, nu) with (query index, value, noise
     variance) sites appended."""
@@ -267,9 +286,7 @@ class GaussianProcessBelief:
         self._m = len(y)
         self._parent = self._sites = None
 
-        self._kqq = kernel.matrix(q, q)
-        self._kqq.setflags(write=False)
-        self._qindex = {(float(cx), float(cy)): i for i, (cx, cy) in enumerate(q)}
+        self._kqq, self._qindex = _query_model(kernel, q.tobytes())
         self._rebuild(start_rel=JITTER_REL)
 
     # ------------------------------------------------------------------

@@ -1,10 +1,20 @@
-"""Location graphs with positive edge costs and shortest-path queries."""
+"""Location graphs with positive edge costs and shortest-path queries.
+
+A graph is immutable once built, so one graph can serve every mission on it:
+``LocationGraph.grid`` hands out one shared graph per set of arguments, from
+a small in-process cache.
+"""
 
 from __future__ import annotations
 
+import functools
 import heapq
 
 import numpy as np
+
+# Distinct grids the process keeps built; objects keyed on a graph (action
+# tables) are cached as many times.
+GRID_CACHE_SIZE = 8
 
 
 class LocationGraph:
@@ -12,6 +22,9 @@ class LocationGraph:
 
     Nodes are integer ids 0..n-1 with 2-D coordinates; every edge carries a
     positive traversal cost. ``start`` and ``goal`` mark the mission endpoints.
+    ``goal_costs`` holds the Dijkstra cost from every node to the goal. The
+    coordinates and goal costs are read-only arrays and the adjacency is
+    tuples, so a graph shared between missions cannot change under them.
     """
 
     def __init__(self, coords, edges, start, goal):
@@ -29,17 +42,25 @@ class LocationGraph:
                 raise ValueError("edge costs must be positive")
             adj[u].append((v, float(cost)))
             adj[v].append((u, float(cost)))
-        self._adj = [tuple(sorted(nbrs)) for nbrs in adj]
+        self._adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
         if not (0 <= start < n and 0 <= goal < n):
             raise ValueError("start and goal must be valid node ids")
         self.start = int(start)
         self.goal = int(goal)
-        if np.isinf(self.costs_from(self.start)).any():
+        # undirected: every node reaches the goal iff the graph is connected
+        goal_costs = self.costs_from(self.goal)
+        if np.isinf(goal_costs).any():
             raise ValueError("graph must be connected")
+        goal_costs.setflags(write=False)
+        self.goal_costs = goal_costs
 
     @classmethod
+    @functools.lru_cache(maxsize=GRID_CACHE_SIZE)
     def grid(cls, n, movement_cost=1.0, start=0, goal=None):
-        """4-connected n x n grid; node id = x + n*y, coordinates (x, y)."""
+        """4-connected n x n grid; node id = x + n*y, coordinates (x, y).
+
+        Memoised: equal arguments return the same graph object.
+        """
         if n < 1:
             raise ValueError("grid size must be >= 1")
         coords = [(float(x), float(y)) for y in range(n) for x in range(n)]

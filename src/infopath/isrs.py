@@ -179,17 +179,23 @@ class IsrsMdp(BeliefMdp):
                                      for r in inst.rock_nodes])
         # per-(beacon, modality) measurement plans: ((rock, noise variance), ...)
         self._beacon_sites: dict[int, dict[str, tuple[tuple[int, float], ...]]] = {}
-        coords = self.graph.coords
+        xy = self.graph.coords.tolist()
+        floor = self.jitter_floor
         for beacon in inst.beacons:
+            bx, by = xy[beacon]
+            in_range = []  # (rock, distance) within the sensing radius
+            for rock in inst.rock_nodes:
+                rx, ry = xy[rock]
+                d = math.hypot(rx - bx, ry - by)
+                if d > inst.sensing_radius:
+                    continue
+                in_range.append((rock, d))
             plans = {}
             for mod in inst.modalities:
                 sites = []
-                for rock in inst.rock_nodes:
-                    d = math.hypot(*(coords[rock] - coords[beacon]))
-                    if d > inst.sensing_radius:
-                        continue
+                for rock, d in in_range:
                     sd = sensing_noise_stddev(mod, d, inst.fidelity_doubling)
-                    sites.append((rock, max(sd * sd, self.jitter_floor)))
+                    sites.append((rock, max(sd * sd, floor)))
                 plans[mod.name] = tuple(sites)
             self._beacon_sites[beacon] = plans
 

@@ -26,13 +26,14 @@ environment hooks. Episodes apply the observation they are given through
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .gp import JITTER_REL, WORKSPACE_ROOM, GaussianProcessBelief, SquaredExponential
-from .graph import LocationGraph
+from .graph import GRID_CACHE_SIZE, LocationGraph
 
 # Numeric stand-in for the minus-infinity mission-failure reward; episode logs
 # record the failure flag separately so averages stay interpretable.
@@ -174,29 +175,14 @@ class BeliefMdp:
             if better.noise_stddev < worse.noise_stddev and better.cost < worse.cost:
                 raise ValueError("modality costs must not decrease as accuracy increases")
 
-        self.goal_costs = graph.costs_from(graph.goal)
-        self._tables = self._action_tables(sensing_nodes)
+        self.goal_costs = graph.goal_costs
+        senses = tuple((Sense(name), mod.cost) for name, mod in self.modalities.items())
+        self._tables = _action_tables(graph, senses, sensing_nodes)
         self._empty_gp = GaussianProcessBelief(prior_mean, self.kernel, graph.coords)
         # location -> (budget thresholds, feasible step tuples, step by action),
         # filled as steps visit the location
         self._step_tables: dict[int, tuple[list[float], list[tuple[RolloutStep, ...]],
                                            dict[Action, RolloutStep]]] = {}
-
-    def _action_tables(self, sensing_nodes) -> tuple[LocationActions, ...]:
-        """The action table of every location, indexed by node id."""
-        graph = self.graph
-        gc = self.goal_costs.tolist()
-        move_to = [Move(w) for w in range(graph.n_nodes)]
-        senses = tuple((Sense(name), mod.cost) for name, mod in self.modalities.items())
-        sensing = None if sensing_nodes is None else frozenset(sensing_nodes)
-        tables = []
-        for v in range(graph.n_nodes):
-            neighbors = graph.neighbors(v)
-            moves = tuple([(move_to[w], cost, gc[w]) for w, cost in neighbors])
-            here = senses if sensing is None or v in sensing else ()
-            costs = [cost for _, cost in neighbors] + [cost for _, cost in here]
-            tables.append(LocationActions(moves, here, min(costs, default=math.inf), gc[v]))
-        return tuple(tables)
 
     # ------------------------------------------------------------------
     # environment hooks (planning side)
@@ -383,6 +369,42 @@ class BeliefMdp:
             steps.append(() if self.is_terminal(at) else
                          tuple(records[a] for a in self.feasible_actions(at)))
         return thresholds, steps, records
+
+
+def _action_tables(graph: LocationGraph, senses, sensing_nodes) -> tuple[LocationActions, ...]:
+    """The action table of every location, indexed by node id: ``senses``
+    (``(Sense, cost)`` pairs) at ``sensing_nodes``, or everywhere when None.
+
+    The tables of a sensing-everywhere MDP are shared with every MDP on the
+    same graph with the same senses; otherwise the shared move-only tables
+    take the senses at ``sensing_nodes``.
+    """
+    if sensing_nodes is None:
+        return _shared_tables(graph, senses)
+    sensing = frozenset(sensing_nodes)
+    tables = list(_shared_tables(graph, ()))
+    for v in range(graph.n_nodes):
+        if v in sensing:
+            moves, _, _, goal_cost = tables[v]
+            tables[v] = _location_actions(moves, senses, goal_cost)
+    return tuple(tables)
+
+
+@functools.lru_cache(maxsize=GRID_CACHE_SIZE)
+def _shared_tables(graph: LocationGraph, senses) -> tuple[LocationActions, ...]:
+    """``_action_tables`` with ``senses`` at every location, one per (graph, senses)."""
+    gc = graph.goal_costs.tolist()
+    move_to = [Move(w) for w in range(graph.n_nodes)]
+    tables = []
+    for v in range(graph.n_nodes):
+        moves = tuple([(move_to[w], cost, gc[w]) for w, cost in graph.neighbors(v)])
+        tables.append(_location_actions(moves, senses, gc[v]))
+    return tuple(tables)
+
+
+def _location_actions(moves, senses, goal_cost: float) -> LocationActions:
+    costs = [cost for _, cost, _ in moves] + [cost for _, cost in senses]
+    return LocationActions(moves, senses, min(costs, default=math.inf), goal_cost)
 
 
 def _draw_observation(gp, sites, rng) -> Observation:

@@ -1,4 +1,12 @@
-import pytest
+import os
+
+# One BLAS thread per process, set before anything imports numpy: batch
+# factorizations otherwise contend for every CPU and slow the suite by an
+# order of magnitude on a busy machine. An explicit setting still wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import pytest  # noqa: E402
 
 # Verdict lines recorded by the acceptance suite; replayed after the test
 # progress so they always reach the terminal regardless of capture mode.
