@@ -16,12 +16,17 @@ the expected interaction reward, and how the memory evolves.
 There is one step kernel, ``RolloutState.advance``. A rollout is a chain
 that never branches, so ``rollout_state`` hands out a ``RolloutState`` that
 steps in place; a tree step (``generative_sample``) is one step of a fresh
-``RolloutState``, frozen into an immutable ``BeliefState`` snapshot. Steps
-are records that each location tabulates, with its feasible ones by
-remaining budget; a step that an environment declares static (fixed sites,
-no interaction reward, memory unchanged) runs without calling the
-environment hooks. Episodes apply the observation they are given through
-``transition``, which calls the hooks as the tree does.
+``RolloutState``, frozen into an immutable ``BeliefState`` snapshot.
+
+Each location has one ``LocationTable``, shared by every MDP on the same
+graph with the same senses: every action's cost and target, and which
+actions are feasible between the budget thresholds where that changes.
+Terminal checks, feasible actions and costs all read it. Each MDP maps the
+table's intervals to ``RolloutStep`` records on a location's first visit; a
+step that an environment declares static (fixed sites, no interaction
+reward, memory unchanged) runs without calling the environment hooks.
+Episodes apply the observation they are given through ``transition``, which
+calls the hooks as the tree does.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .gp import JITTER_REL, WORKSPACE_ROOM, GaussianProcessBelief, SquaredExponential
@@ -117,13 +123,21 @@ class RolloutStep(NamedTuple):
     static_sites: tuple[tuple[int, float], ...] | None
 
 
-class LocationActions(NamedTuple):
-    """The actions at one location, with what feasibility checks need."""
+class LocationTable(NamedTuple):
+    """The actions at one location and which of them are feasible by budget.
 
-    moves: tuple[tuple[Move, float, float], ...]  # (move, cost, goal cost from its target)
-    senses: tuple[tuple[Sense, float], ...]  # (sense, cost)
-    min_cost: float  # cheapest action: with less budget the location is terminal
-    goal_cost: float  # goal cost from the location itself
+    ``costs`` maps each action, moves by target then senses, to its (cost,
+    target). An action is feasible from its least budget on, the least with
+    ``budget - cost >= goal cost from its target``; below the cheapest cost
+    the location is terminal. ``thresholds`` holds, sorted, the cheapest cost
+    (so always first) and every least budget; ``feasible[i]`` the actions
+    feasible from ``thresholds[i - 1]`` up to ``thresholds[i]``, so
+    ``feasible[0]`` is empty and a lookup is one bisection.
+    """
+
+    thresholds: tuple[float, ...]
+    feasible: tuple[tuple[Action, ...], ...]
+    costs: MappingProxyType  # Action -> (cost, target)
 
 
 @dataclass(frozen=True)
@@ -181,7 +195,7 @@ class BeliefMdp:
         self._empty_gp = GaussianProcessBelief(prior_mean, self.kernel, graph.coords)
         # location -> (budget thresholds, feasible step tuples, step by action),
         # filled as steps visit the location
-        self._step_tables: dict[int, tuple[list[float], list[tuple[RolloutStep, ...]],
+        self._step_tables: dict[int, tuple[tuple[float, ...], list[tuple[RolloutStep, ...]],
                                            dict[Action, RolloutStep]]] = {}
 
     # ------------------------------------------------------------------
@@ -228,24 +242,21 @@ class BeliefMdp:
 
     def initial_belief(self, budget=None) -> BeliefState:
         b = self.initial_budget if budget is None else float(budget)
+        if not (math.isfinite(b) and b >= 0):
+            raise ValueError("budget must be finite and non-negative")
         return BeliefState(self.graph.start, b, self._empty_gp)
 
     def actions(self, belief: BeliefState) -> list[Action]:
         """Full action space at the belief: neighbor moves plus sensing."""
-        table = self._tables[belief.location]
-        return [a for a, _, _ in table.moves] + [s for s, _ in table.senses]
+        return list(self._tables[belief.location].costs)
 
     def action_cost(self, belief: BeliefState, action: Action) -> float:
         """Budget cost of an applicable action; raises on inapplicable ones."""
-        table = self._tables[belief.location]
+        entry = self._tables[belief.location].costs.get(action)
+        if entry is not None:
+            return entry[0]
         if isinstance(action, Move):
-            for move, cost, _ in table.moves:
-                if move.target == action.target:
-                    return cost
             raise ValueError(f"node {action.target} is not adjacent to {belief.location}")
-        for sense, cost in table.senses:
-            if sense == action:
-                return cost
         raise ValueError(f"{action_label(action)} is not available at node {belief.location}")
 
     def action_target(self, belief: BeliefState, action: Action) -> int:
@@ -253,7 +264,7 @@ class BeliefMdp:
 
     def is_terminal(self, belief: BeliefState) -> bool:
         """True iff the remaining budget cannot pay for any action."""
-        return belief.remaining_budget < self._tables[belief.location].min_cost
+        return belief.remaining_budget < self._tables[belief.location].thresholds[0]
 
     def feasible_actions(self, belief: BeliefState) -> list[Action]:
         """Actions after which the goal stays reachable within the budget.
@@ -262,13 +273,11 @@ class BeliefMdp:
         boundary states (at the goal with just enough budget to act but not to
         leave and return); callers treat that as the end of the episode.
         """
-        moves, senses, min_cost, here = self._tables[belief.location]
-        budget = belief.remaining_budget
-        if budget < min_cost:
+        thresholds, feasible, _ = self._tables[belief.location]
+        i = bisect_right(thresholds, belief.remaining_budget)
+        if not i:
             raise ValueError("feasible_actions called on a terminal belief")
-        out = [a for a, cost, back in moves if budget - cost >= back]
-        out.extend(s for s, cost in senses if budget - cost >= here)
-        return out
+        return list(feasible[i])
 
     def _affordable_cost(self, belief: BeliefState, action: Action) -> float:
         """``action_cost``, raising also when the budget cannot pay it."""
@@ -336,75 +345,50 @@ class BeliefMdp:
         return RolloutState(self, belief)
 
     def _rollout_steps(self, location: int, budget: float) -> tuple[RolloutStep, ...]:
-        """The feasible rollout steps at (location, budget); () when terminal.
-
-        ``is_terminal`` and ``feasible_actions`` read only these two, and
-        their answer changes only where the budget crosses a threshold of the
-        location: its cheapest action cost, or for one action the least
-        budget with ``budget - cost >= goal cost``. So each location keeps
-        its sorted thresholds and the steps between them, built on the first
-        visit, and a lookup is a bisection.
-        """
+        """The feasible rollout steps at (location, budget); () when terminal:
+        the ``feasible_actions`` of the location's table, as step records."""
         thresholds, steps, _ = self._step_table(location)
         return steps[bisect_right(thresholds, budget)]
 
     def _step_table(self, location: int):
-        """The step table of ``location``, built on the first visit."""
+        """The location's table with this MDP's step records in place of its
+        actions, built on the first visit."""
         table = self._step_tables.get(location)
         if table is None:
-            table = self._step_tables[location] = self._build_step_table(location)
+            thresholds, feasible, costs = self._tables[location]
+            records = {a: RolloutStep(a, cost, target, self.static_sites(location, a))
+                       for a, (cost, target) in costs.items()}
+            table = self._step_tables[location] = (
+                thresholds, [tuple(records[a] for a in f) for f in feasible], records)
         return table
 
-    def _build_step_table(self, location: int):
-        moves, senses, min_cost, goal_cost = self._tables[location]
-        edges = [(cost, back) for _, cost, back in moves]
-        edges += [(cost, goal_cost) for _, cost in senses]
-        thresholds = sorted({min_cost, *(_least_budget(cost, back) for cost, back in edges)})
-        at = BeliefState(location, 0.0, self._empty_gp)
-        records = {a: RolloutStep(a, self.action_cost(at, a), self.action_target(at, a),
-                                  self.static_sites(location, a)) for a in self.actions(at)}
-        steps = [()]  # below every threshold, min_cost among them: terminal
-        for budget in thresholds:
-            at = BeliefState(location, budget, self._empty_gp)
-            steps.append(() if self.is_terminal(at) else
-                         tuple(records[a] for a in self.feasible_actions(at)))
-        return thresholds, steps, records
 
-
-def _action_tables(graph: LocationGraph, senses, sensing_nodes) -> tuple[LocationActions, ...]:
-    """The action table of every location, indexed by node id: ``senses``
+def _action_tables(graph: LocationGraph, senses, sensing_nodes) -> tuple[LocationTable, ...]:
+    """The table of every location, indexed by node id: ``senses``
     (``(Sense, cost)`` pairs) at ``sensing_nodes``, or everywhere when None.
-
-    The tables of a sensing-everywhere MDP are shared with every MDP on the
-    same graph with the same senses; otherwise the shared move-only tables
-    take the senses at ``sensing_nodes``.
-    """
+    Each is a shared table: the sensing one at ``sensing_nodes``, the
+    move-only one elsewhere."""
     if sensing_nodes is None:
         return _shared_tables(graph, senses)
-    sensing = frozenset(sensing_nodes)
-    tables = list(_shared_tables(graph, ()))
-    for v in range(graph.n_nodes):
-        if v in sensing:
-            moves, _, _, goal_cost = tables[v]
-            tables[v] = _location_actions(moves, senses, goal_cost)
-    return tuple(tables)
+    nodes = frozenset(sensing_nodes)
+    sensing, moving = _shared_tables(graph, senses), _shared_tables(graph, ())
+    return tuple(sensing[v] if v in nodes else moving[v] for v in range(graph.n_nodes))
 
 
 @functools.lru_cache(maxsize=GRID_CACHE_SIZE)
-def _shared_tables(graph: LocationGraph, senses) -> tuple[LocationActions, ...]:
+def _shared_tables(graph: LocationGraph, senses) -> tuple[LocationTable, ...]:
     """``_action_tables`` with ``senses`` at every location, one per (graph, senses)."""
     gc = graph.goal_costs.tolist()
-    move_to = [Move(w) for w in range(graph.n_nodes)]
     tables = []
     for v in range(graph.n_nodes):
-        moves = tuple([(move_to[w], cost, gc[w]) for w, cost in graph.neighbors(v)])
-        tables.append(_location_actions(moves, senses, gc[v]))
+        costs = {Move(w): (cost, w) for w, cost in graph.neighbors(v)}
+        costs.update((sense, (cost, v)) for sense, cost in senses)
+        least = {a: _least_budget(cost, gc[target]) for a, (cost, target) in costs.items()}
+        cheapest = min((cost for cost, _ in costs.values()), default=math.inf)
+        thresholds = tuple(sorted({cheapest, *least.values()}))
+        feasible = [()] + [tuple(a for a, lb in least.items() if lb <= t) for t in thresholds]
+        tables.append(LocationTable(thresholds, tuple(feasible), MappingProxyType(costs)))
     return tuple(tables)
-
-
-def _location_actions(moves, senses, goal_cost: float) -> LocationActions:
-    costs = [cost for _, cost, _ in moves] + [cost for _, cost in senses]
-    return LocationActions(moves, senses, min(costs, default=math.inf), goal_cost)
 
 
 def _draw_observation(gp, sites, rng) -> Observation:

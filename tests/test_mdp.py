@@ -51,6 +51,16 @@ def test_non_finite_or_negative_weight_and_budget_are_rejected(value):
     assert RoverMdp(generate_rover(4, 3, 0.1, seed=0, budget=0.0)).initial_budget == 0.0
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0, -0.5])
+def test_initial_belief_rejects_non_finite_or_negative_budget(value):
+    # NaN would bisect past every threshold, and inf would never end
+    mdp = RoverMdp(generate_rover(4, 3, 0.1, seed=0))
+    with pytest.raises(ValueError, match="budget must be finite"):
+        mdp.initial_belief(value)
+    assert mdp.initial_belief(0.0).remaining_budget == 0.0
+    assert mdp.initial_belief(np.float64(2.5)).remaining_budget == 2.5
+
+
 def test_feasible_actions_at_goal_with_large_budget():
     mdp = IsrsMdp(small_instance(budget=100.0))
     b = mdp.initial_belief()

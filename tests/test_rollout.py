@@ -94,17 +94,27 @@ def build_odd_mdp(env, seed, *, odd_costs=False, weight=None, signal_variance=1.
     return RoverMdp(inst, rewards, kernel=kernel)
 
 
+def literal_actions(mdp, location):
+    """(action, cost, target) at ``location``, read off the graph and the
+    modalities, not the MDP's tables: neighbor moves, then every modality
+    (ISRS senses only at beacons)."""
+    out = [(Move(w), cost, w) for w, cost in mdp.graph.neighbors(location)]
+    if not isinstance(mdp, IsrsMdp) or location in mdp.instance.beacons:
+        out += [(Sense(name), mod.cost, location) for name, mod in mdp.modalities.items()]
+    return out
+
+
 @st.composite
 def step_record_cases(draw):
     env = draw(st.sampled_from(["isrs", "rover"]))
     mdp = build_odd_mdp(env, draw(st.integers(0, 999)), odd_costs=draw(st.booleans()))
     location = draw(st.integers(0, mdp.graph.n_nodes - 1))
-    table = mdp._tables[location]
+    goal_costs = mdp.graph.goal_costs.tolist()
     # budgets on a feasibility boundary (budget - cost == goal cost), a few
     # ulps around one or around the cheapest cost (terminal below), and anywhere
-    edges = [(cost, back) for _, cost, back in table.moves]
-    edges += [(cost, table.goal_cost) for _, cost in table.senses]
-    edges.append((table.min_cost, 0.0))
+    actions = literal_actions(mdp, location)
+    edges = [(cost, goal_costs[target]) for _, cost, target in actions]
+    edges.append((min(cost for _, cost, _ in actions), 0.0))
     cost, back = draw(st.sampled_from(edges))
     near = [back + cost]
     for _ in range(2):
@@ -131,13 +141,26 @@ def step_record_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(case=step_record_cases())
 def test_memoized_step_records_match_the_mdp(case):
+    # the reference is the rule itself: terminal iff the budget is below the
+    # cheapest cost, and an action is feasible iff budget - cost >= the goal
+    # cost from its target, in the order of literal_actions
     mdp, belief, rng = case
+    budget, goal_costs = belief.remaining_budget, mdp.graph.goal_costs.tolist()
+    actions = literal_actions(mdp, belief.location)
+    terminal = budget < min(cost for _, cost, _ in actions)
+    feasible = [(a, cost, target) for a, cost, target in actions
+                if budget - cost >= goal_costs[target]]
     steps = mdp.rollout_state(belief).feasible_actions()
     assert mdp.rollout_state(belief).feasible_actions() is steps  # memoized
-    if mdp.is_terminal(belief):
+    assert mdp.is_terminal(belief) == terminal
+    assert mdp.actions(belief) == [a for a, _, _ in actions]
+    if terminal:
         assert steps == ()
+        with pytest.raises(ValueError, match="terminal"):
+            mdp.feasible_actions(belief)
         return
-    assert [s.action for s in steps] == mdp.feasible_actions(belief)
+    assert [s[:3] for s in steps] == feasible
+    assert mdp.feasible_actions(belief) == [a for a, _, _ in feasible]
     for action, cost, target, sites in steps:
         assert cost == mdp.action_cost(belief, action)
         assert target == mdp.action_target(belief, action)

@@ -1,5 +1,5 @@
 """One grid model per process: MDPs on one grid share its graph, goal costs,
-move tables and prior kernel matrix, and every MDP built through the shared
+location tables and prior kernel matrix, and every MDP built through the shared
 path equals one built from scratch, bit for bit."""
 
 import math
@@ -15,7 +15,7 @@ from infopath import mdp as mdp_mod
 from infopath.gp import SquaredExponential
 from infopath.graph import GRID_CACHE_SIZE, LocationGraph
 from infopath.isrs import DEFAULT_MODALITIES, IsrsMdp, generate_isrs, sensing_noise_stddev
-from infopath.mdp import SensingModality
+from infopath.mdp import Move, Sense, SensingModality
 from infopath.rover import RoverMdp, generate_rover
 
 KERNELS = (SquaredExponential(), SquaredExponential(signal_variance=2.0, lengthscale=0.8))
@@ -119,8 +119,14 @@ def test_grid_model_is_shared_between_missions():
         assert one._empty_gp._mean_q is not two._empty_gp._mean_q
         assert one._empty_gp._var_q is not two._empty_gp._var_q
     assert rovers[0]._tables is rovers[1]._tables  # drills everywhere: the whole table
-    one, two = isrs  # per-instance beacons on the shared move entries
-    assert all(a.moves is b.moves for a, b in zip(one._tables, two._tables))
+    # per-instance beacons: the sensing table's entries there, the move-only one's elsewhere
+    senses = tuple((Sense(mod.name), mod.cost) for mod in DEFAULT_MODALITIES)
+    sensing = mdp_mod._shared_tables(isrs[0].graph, senses)
+    moving = mdp_mod._shared_tables(isrs[0].graph, ())
+    for mdp in isrs:
+        for v, table in enumerate(mdp._tables):
+            assert table is (sensing if v in mdp.instance.beacons else moving)[v]
+    assert isrs[0].instance.beacons != isrs[1].instance.beacons
     assert rovers[0]._empty_gp._kqq is isrs[0]._empty_gp._kqq  # one kernel, one query set
 
 
@@ -151,6 +157,8 @@ def test_shared_state_is_read_only():
         graph.neighbors(0)[0] = (1, 1.0)
     with pytest.raises(TypeError):
         gp._qindex[(0.5, 0.5)] = 0
+    with pytest.raises(TypeError):
+        mdp._tables[0].costs[Move(0)] = (0.0, 0)
 
 
 def test_grid_caches_stay_bounded():
@@ -171,7 +179,8 @@ def test_tables_follow_their_own_graph():
     # an address; the shared tables are keyed on the graph itself
     for cost in (1.0, 2.0, 0.5, 3.0):
         mdp = scratch_mdp(RoverMdp, generate_rover(3, 4, 0.1, 0), cost)
-        assert [c for _, c, _ in mdp._tables[0].moves] == [cost, cost]
+        costs = mdp._tables[0].costs
+        assert [c for a, (c, _) in costs.items() if isinstance(a, Move)] == [cost, cost]
         del mdp
 
 
