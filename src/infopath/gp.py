@@ -16,7 +16,10 @@ so an update costs O(m q) instead of the O(m^3 + m^2 q) of a refactorization.
 There is one update path. ``workspace()`` hands out a mutable copy of a
 belief's caches that takes updates in place, into preallocated rows. A chain
 of updates that never branches (a tree-search rollout) stays in one
-workspace; a snapshot update is a workspace updated once and frozen.
+workspace; a snapshot update is a workspace updated once and frozen. The
+rank-1 arithmetic runs in the compiled kernel when it is built
+(``infopath.kernel``) and in numpy (``_rank1_update``, the reference)
+otherwise, with the same bits.
 
 A snapshot comes in one of two layouts. A compact one (``freeze_compact()``,
 the layout of every ``add_measurements_at`` result) holds its whole
@@ -45,6 +48,8 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
+
+from . import kernel
 
 # Relative jitter added to the measurement-system diagonal; escalated x10 on
 # factorization failure up to JITTER_MAX_REL, then the solve errors out.
@@ -211,6 +216,24 @@ def _appended(x, y, nu, query_set, sites):
     for i, (j, val, noise) in enumerate(sites, m0):
         out_x[i], out_y[i], out_nu[i] = query_set[j], val, noise
     return out_x, out_y, out_nu
+
+
+def _rank1_update(w, mean_q, var_q, kqq, jitter, floor, m, sites):
+    """The Python kernel of ``BeliefWorkspace.add_measurements_at``: each
+    (query index, value, noise variance) site becomes row m + i of ``w``, which
+    has room for it, and updates the query mean and variance in place. Returns
+    the new trace, or None when a pivot collapsed (at or below ``floor``)."""
+    for mc, (j, val, nu) in enumerate(sites, m):
+        d2 = var_q[j] + nu + jitter
+        if d2 <= floor:
+            return None
+        d = math.sqrt(d2)
+        row = (kqq[j] - w[:mc].T @ w[:mc, j]) / d
+        a_new = (val - mean_q[j]) / d
+        w[mc] = row
+        mean_q += a_new * row
+        var_q -= row * row
+    return float(np.add.reduce(var_q))
 
 
 def mutual_information_exact(cov_prev: np.ndarray, cov_new: np.ndarray) -> float:
@@ -493,10 +516,29 @@ class BeliefWorkspace:
         for _, _, nu in sites:
             if nu <= 0:
                 raise ValueError("noise variances must be positive")
-        base = self._base
-        m, k = self._m, len(sites)
+        m = self._m
         self._added.extend(sites)
+        self._reserve(len(sites))
+        compiled = kernel.lib()
+        update = _rank1_update if compiled is None else compiled.rank1_update
+        trace = update(self._w, self.query_mean, self.query_variance, *self._model(), m, sites)
+        if trace is None:
+            self._rebuild()
+            return
+        self._m = m + len(sites)
+        self._trace = trace
+
+    def _model(self):
+        """The prior covariance, jitter and pivot floor of the factor the
+        rows extend."""
+        base = self._base
+        return base._kqq, base._jitter, PIVOT_MIN_REL * base.kernel.signal_variance
+
+    def _reserve(self, k: int):
+        """Room for k more rows, copying the source's caches on first use."""
+        m = self._m
         if self._w is None:
+            base = self._base
             self._w = base._fill_rows(np.empty((m + max(k, self._room), len(base.query_set))))
             self.query_mean = base._mean_q.copy()
             self.query_variance = base._var_q.copy()
@@ -504,23 +546,6 @@ class BeliefWorkspace:
             w = np.empty((max(2 * len(self._w), m + k), self._w.shape[1]))
             w[:m] = self._w[:m]
             self._w = w
-        w, mean_q, var_q = self._w, self.query_mean, self.query_variance
-        kqq = base._kqq
-        jitter = base._jitter
-        floor = PIVOT_MIN_REL * base.kernel.signal_variance
-        for mc, (j, val, nu) in enumerate(sites, m):
-            d2 = var_q[j] + nu + jitter
-            if d2 <= floor:
-                self._rebuild()
-                return
-            d = math.sqrt(d2)
-            row = (kqq[j] - w[:mc].T @ w[:mc, j]) / d
-            a_new = (val - mean_q[j]) / d
-            w[mc] = row
-            mean_q += a_new * row
-            var_q -= row * row
-        self._m = m + k
-        self._trace = float(np.add.reduce(var_q))
 
     def _rebuild(self):
         """Batch-build the whole conditioning set and go on from it."""

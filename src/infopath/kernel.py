@@ -1,0 +1,141 @@
+"""The compiled step kernel, built on first use, and the fallback to Python.
+
+``_kernel.c`` runs ``BeliefWorkspace``'s rank-1 GP updates and whole
+uniform-random rollouts over an MDP's step tables. The first call to
+``lib()`` compiles it with the machine's C compiler into a private temporary
+directory, against numpy's random library and headers, loads it with
+``ctypes.PyDLL`` and hands it the ``dgemv``/``ddot`` of the BLAS numpy itself
+loaded. Before use it must match the Python kernel bit for bit on a few
+updates and draws. If anything fails (no compiler, a BLAS other than numpy's
+bundled scipy-openblas, a check that differs), ``lib()`` returns None and the
+Python kernel runs. Importing the package builds nothing.
+
+``KERNEL`` is read-only: "compiled", or "python: <reason>". Reading it
+builds the kernel if no update has yet.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import os
+import sys
+import tempfile
+import types
+from pathlib import Path
+
+import numpy as np
+
+COMPILER = "gcc"
+FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared", "-Wl,--exclude-libs,ALL")
+SOURCE = Path(__file__).with_name("_kernel.c")
+BLAS = "scipy-openblas"  # numpy's bundled ILP64 OpenBLAS, whose cblas symbols end in 64_
+
+_state = None  # (kernel or None, fallback reason) once tried
+
+
+class StepTables(ctypes.Structure):
+    """An MDP's step tables as the compiled rollout reads them: ``tables_t``
+    of ``_kernel.c``."""
+
+    _fields_ = (
+        [(name, ctypes.c_void_p) for name in (
+            "thresholds", "thr_start", "run_start", "run_steps", "cost", "target",
+            "site_start", "site_count", "site_node", "site_nu")]
+        + [("goal", ctypes.c_int64), ("weight", ctypes.c_double), ("failure", ctypes.c_double),
+           ("steps", ctypes.py_object)]
+    )
+
+
+def lib():
+    """The compiled kernel, or None when the Python kernel runs; the first
+    call builds it."""
+    global _state
+    if _state is None:
+        try:
+            _state = (_load(), "")
+        except Exception as exc:  # any failure leaves the Python kernel in charge
+            _state = (None, f"{type(exc).__name__}: {exc}")
+    return _state[0]
+
+
+def _blas_name() -> str:
+    return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+
+
+def _numpy_blas() -> ctypes.CDLL:
+    """numpy's bundled scipy-openblas, as numpy loaded it."""
+    name = _blas_name()
+    if name != BLAS:
+        raise RuntimeError(f"numpy's BLAS is {name}, not {BLAS}")
+    found = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
+    if len(found) != 1:
+        raise RuntimeError("numpy's bundled scipy-openblas library was not found")
+    return ctypes.CDLL(str(found[0]), mode=os.RTLD_NOLOAD)  # raises unless already loaded
+
+
+def _load():
+    import subprocess  # the build's own imports, kept out of the package's
+    import sysconfig
+
+    blas = _numpy_blas()
+    numpy_dir = Path(np.__file__).parent
+    with tempfile.TemporaryDirectory(prefix="infopath-kernel-") as tmp:
+        path = Path(tmp) / "_kernel.so"
+        done = subprocess.run(
+            [COMPILER, *FLAGS, f"-I{sysconfig.get_paths()['include']}", f"-I{np.get_include()}",
+             str(SOURCE), str(numpy_dir / "random" / "lib" / "libnpyrandom.a"), "-lm",
+             "-o", str(path)],
+            capture_output=True, text=True, timeout=120)
+        if done.returncode:
+            raise RuntimeError(f"{COMPILER} failed: {done.stderr.strip()[-500:]}")
+        dll = ctypes.PyDLL(str(path))  # mapped: the directory may go
+    dll.set_blas.argtypes = (ctypes.c_void_p, ctypes.c_void_p)
+    dll.set_blas(ctypes.cast(blas.scipy_cblas_dgemv64_, ctypes.c_void_p),
+                 ctypes.cast(blas.scipy_cblas_ddot64_, ctypes.c_void_p))
+    dll.functions.restype = ctypes.py_object
+    kernel = types.SimpleNamespace(dll=dll, **dll.functions())
+    _check_updates(kernel)
+    _check_draws(kernel)
+    return kernel
+
+
+def _check_updates(kernel):
+    """Rank-1 updates equal the Python kernel's at the shapes where numpy's
+    product changes form: m = 0, q = 1 (a dot), q > 128 (a split sum)."""
+    from .gp import _rank1_update
+
+    rng = np.random.default_rng(0)
+    for q, m, k in ((1, 3, 2), (3, 0, 3), (40, 1, 2), (100, 37, 3), (300, 20, 2)):
+        w = rng.normal(size=(m + k, q)) * 0.1
+        kqq = rng.normal(size=(q, q))
+        mean, var = rng.normal(size=q), 1.0 + rng.random(q)
+        sites = [(int(j), float(v), 1e-3) for j, v in zip(rng.integers(q, size=k), rng.random(k))]
+        got, want = [w, mean, var], [w.copy(), mean.copy(), var.copy()]
+        trace = kernel.rank1_update(*got, kqq, 1e-8, 1e-14, m, sites)
+        expected = _rank1_update(*want, kqq, 1e-8, 1e-14, m, sites)
+        if trace != expected or any(a.tobytes() != b.tobytes() for a, b in zip(got, want)):
+            raise RuntimeError(f"rank-1 update differs from numpy's at q={q}, m={m}")
+
+
+def _check_draws(kernel):
+    """Normal and bounded draws equal numpy's, value and final state."""
+    ours, numpys = np.random.PCG64(5), np.random.Generator(np.random.PCG64(5))
+    bitgen = ours.ctypes.bit_generator.value
+    for i in range(300):
+        n = (1, 3, 10, 2**31 + 5, 2**32 - 1)[i % 5]
+        if kernel.bounded(bitgen, n) != numpys.integers(n):
+            raise RuntimeError("bounded draw differs from numpy's")
+        if kernel.normal(bitgen, 0.25 * i, 0.5) != numpys.normal(0.25 * i, 0.5):
+            raise RuntimeError("normal draw differs from numpy's")
+    if ours.state != numpys.bit_generator.state:
+        raise RuntimeError("draws leave another generator state than numpy's")
+
+
+class _KernelModule(types.ModuleType):
+    @property
+    def KERNEL(self) -> str:
+        """Which step kernel runs: "compiled" or "python: <reason>"."""
+        return "compiled" if lib() is not None else f"python: {_state[1]}"
+
+
+sys.modules[__name__].__class__ = _KernelModule

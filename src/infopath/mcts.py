@@ -196,10 +196,15 @@ def rollout(belief, depth, mdp, config: SolverConfig, rng) -> float:
     opaque steps, empty when terminal) and ``advance(step, rng) -> reward``;
     any other MDP through ``is_terminal``/``feasible_actions``/
     ``generative_sample``. Both ways draw from ``rng`` in the same order and
-    return the same value.
+    return the same value. A state that also offers ``run(depth, discount,
+    rng)`` (the compiled kernel's) runs this whole loop itself, with the same
+    draws and value.
     """
     hook = getattr(mdp, "rollout_state", None)
     state = hook(belief) if hook is not None else _SnapshotRollout(mdp, belief)
+    run = getattr(state, "run", None)
+    if run is not None:
+        return run(depth, config.discount, rng)
     feasible, advance, integers = state.feasible_actions, state.advance, rng.integers
     gamma = config.discount
     total = 0.0

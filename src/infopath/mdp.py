@@ -13,10 +13,14 @@ the goal with no affordable action left.
 supply what differs: where sensing is possible, what each action measures,
 the expected interaction reward, and how the memory evolves.
 
-There is one step kernel, ``RolloutState.advance``. A rollout is a chain
-that never branches, so ``rollout_state`` hands out a ``RolloutState`` that
+The step kernel is ``RolloutState.advance``. A rollout is a chain that
+never branches, so ``rollout_state`` hands out a ``RolloutState`` that
 steps in place; a tree step (``generative_sample``) is one step of a fresh
-``RolloutState``, frozen into an immutable ``BeliefState`` snapshot.
+``RolloutState``, frozen into an immutable ``BeliefState`` snapshot. When
+the compiled kernel is built (``infopath.kernel``), ``rollout_state`` hands
+out a ``CompiledRollout`` instead, whose ``run`` takes a whole rollout in C
+over flat copies of the step tables and calls ``advance`` for dynamic
+steps, with the same bits.
 
 Each location has one ``LocationTable``, shared by every MDP on the same
 graph with the same senses: every action's cost and target, and which
@@ -31,6 +35,7 @@ calls the hooks as the tree does.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 from bisect import bisect_right
@@ -38,6 +43,9 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import NamedTuple
 
+import numpy as np
+
+from . import kernel
 from .gp import JITTER_REL, WORKSPACE_ROOM, GaussianProcessBelief, SquaredExponential
 from .graph import GRID_CACHE_SIZE, LocationGraph
 
@@ -99,15 +107,22 @@ class Measurement(NamedTuple):
 Observation = tuple[Measurement, ...]
 
 
-@dataclass(frozen=True, eq=False)
-class BeliefState:
-    """Agent location, remaining budget, world belief, and discrete memory."""
+class BeliefState(NamedTuple):
+    """Agent location, remaining budget, world belief, and discrete memory.
+
+    Immutable. Equality and hashing are by identity, as every GP belief is
+    its own object.
+    """
 
     location: int
     remaining_budget: float
     gp: GaussianProcessBelief
     memory: frozenset = frozenset()
     step: int = 0
+
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
 
 class RolloutStep(NamedTuple):
@@ -197,6 +212,7 @@ class BeliefMdp:
         # filled as steps visit the location
         self._step_tables: dict[int, tuple[tuple[float, ...], list[tuple[RolloutStep, ...]],
                                            dict[Action, RolloutStep]]] = {}
+        self._flat_tables = None  # every location's, for the compiled kernel: (struct, address)
 
     # ------------------------------------------------------------------
     # environment hooks (planning side)
@@ -341,8 +357,9 @@ class BeliefMdp:
         return state.freeze(), reward
 
     def rollout_state(self, belief: BeliefState) -> "RolloutState":
-        """A mutable copy of ``belief`` for an in-place rollout."""
-        return RolloutState(self, belief)
+        """A mutable copy of ``belief`` for an in-place rollout; with the
+        compiled kernel, one that runs the whole rollout there."""
+        return (RolloutState if kernel.lib() is None else CompiledRollout)(self, belief)
 
     def _rollout_steps(self, location: int, budget: float) -> tuple[RolloutStep, ...]:
         """The feasible rollout steps at (location, budget); () when terminal:
@@ -361,6 +378,14 @@ class BeliefMdp:
             table = self._step_tables[location] = (
                 thresholds, [tuple(records[a] for a in f) for f in feasible], records)
         return table
+
+    def _kernel_tables(self) -> int:
+        """The address of every location's step tables for the compiled
+        kernel, built on the first compiled rollout."""
+        if self._flat_tables is None:
+            tables = _kernel_tables(self)
+            self._flat_tables = (tables, ctypes.addressof(tables))
+        return self._flat_tables[1]
 
 
 def _action_tables(graph: LocationGraph, senses, sensing_nodes) -> tuple[LocationTable, ...]:
@@ -466,3 +491,58 @@ class RolloutState:
         """The state reached, as an immutable snapshot."""
         return BeliefState(self.location, self.remaining_budget, self.gp.freeze(),
                            self.memory, self.step)
+
+
+class CompiledRollout(RolloutState):
+    """A ``RolloutState`` whose ``run`` takes a whole rollout in the compiled
+    kernel; ``mcts.rollout`` calls it in place of its own loop.
+
+    The kernel takes static steps itself and calls back into Python for the
+    rest: ``advance`` for a dynamic step, and the workspace's ``_reserve``
+    and ``_rebuild`` when it needs rows or a pivot collapses.
+    """
+
+    __slots__ = ()
+
+    def run(self, depth: int, gamma: float, rng) -> float:
+        """The discounted return of up to ``depth`` uniform-random feasible
+        steps, drawn from ``rng`` as ``mcts.rollout``'s loop draws them."""
+        return kernel.lib().rollout(
+            self.mdp._kernel_tables(), self, rng, rng.bit_generator.ctypes.bit_generator.value,
+            depth, gamma, self.gp._model()[2])
+
+
+def _kernel_tables(mdp: BeliefMdp) -> kernel.StepTables:
+    """``mdp``'s step tables as the flat arrays of ``tables_t`` in
+    ``_kernel.c``, with its ``RolloutStep`` records by step id."""
+    thresholds, thr_start, run_start, run_steps = [], [0], [0], []
+    steps, site_start, site_count, site_node, site_nu = [], [], [], [], []
+    for v in range(mdp.graph.n_nodes):
+        thr, feasible, records = mdp._step_table(v)
+        ids = {}
+        for action, step in records.items():
+            ids[action] = len(steps)
+            steps.append(step)
+            site_start.append(len(site_node))
+            site_count.append(-1 if step.static_sites is None else len(step.static_sites))
+            for node, nu in step.static_sites or ():
+                site_node.append(node)
+                site_nu.append(nu)
+        thresholds.extend(thr)
+        thr_start.append(len(thresholds))
+        for run in feasible:
+            run_steps.extend(ids[step.action] for step in run)
+            run_start.append(len(run_steps))
+    ints = {"thr_start": thr_start, "run_start": run_start, "run_steps": run_steps,
+            "target": [step.target for step in steps], "site_start": site_start,
+            "site_count": site_count, "site_node": site_node}
+    floats = {"thresholds": thresholds, "cost": [step.cost for step in steps],
+              "site_nu": site_nu}
+    arrays = {**{name: np.array(v, dtype=np.int64) for name, v in ints.items()},
+              **{name: np.array(v, dtype=float) for name, v in floats.items()}}
+    tables = kernel.StepTables(
+        goal=mdp.graph.goal, weight=mdp.reward_config.information_weight,
+        failure=MISSION_FAILURE_REWARD, steps=tuple(steps),
+        **{name: a.ctypes.data for name, a in arrays.items()})
+    tables._arrays = arrays  # the struct points into them
+    return tables

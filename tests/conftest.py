@@ -30,3 +30,11 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in acceptance_verdicts:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def python_kernel(monkeypatch):
+    """Run the Python step kernel, as when the compiled one cannot be built."""
+    from infopath import kernel
+
+    monkeypatch.setattr(kernel, "_state", (None, "forced by a test"))

@@ -1,10 +1,13 @@
-"""Importing infopath and running episodes load no scipy module.
+"""Importing infopath and running episodes load no scipy module, and only
+the first GP update builds the compiled kernel.
 
 scipy's triangular solve is only needed by batch rebuilds and ``posterior()``,
 so ``gp`` imports it on first use. One fresh interpreter checks, in order,
 what is loaded after the import, after a random-policy episode, and after a
 posterior, and the posterior values against pins taken before the import
-moved.
+moved. The import and a config validation, the benchmark's set-up probe,
+must start no process and load no kernel: the kernel is compiled on the
+first workspace update, which the episode makes.
 """
 
 import json
@@ -21,14 +24,33 @@ import json, sys
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
+import os, subprocess
+spawned = []
+popen_init, fork = subprocess.Popen.__init__, os.fork
+
+def recording_init(self, args, *rest, **kwargs):
+    spawned.append(args)
+    popen_init(self, args, *rest, **kwargs)
+
+def recording_fork():
+    spawned.append("fork")
+    return fork()
+
+subprocess.Popen.__init__, os.fork = recording_init, recording_fork
+
 import infopath, infopath.cli
-seen = {"import": scipy_modules()}
+from infopath.bench import ExperimentConfig
+ExperimentConfig(environment="rover", solver="mcts-dpw").validate()
+seen = {"import": scipy_modules(), "import_spawned": list(spawned),
+        "import_kernel": sys.modules["infopath.kernel"]._state is not None,
+        "import_so": [m for m in open("/proc/self/maps").read().split() if m.endswith("_kernel.so")]}
 
 from infopath.episodes import run_episode
 from infopath.isrs import IsrsMdp, generate_isrs
 from infopath.policies import random_policy
 log = run_episode(IsrsMdp(generate_isrs(6, 5, 4, 0.5, seed=4, budget=16.0)), random_policy, seed=4)
 seen["episode"] = scipy_modules()
+seen["episode_kernel"] = sys.modules["infopath.kernel"]._state is not None
 seen["episode_measurements"] = len(log.final_belief.measurements)
 
 from infopath.gp import GaussianProcessBelief, SquaredExponential
@@ -71,6 +93,9 @@ def test_scipy_loads_only_when_a_posterior_needs_a_solve():
                           text=True, timeout=120, check=True)
     seen = json.loads(done.stdout.splitlines()[-1])
     assert seen["import"] == []
+    assert seen["import_spawned"] == []  # nothing compiled
+    assert seen["import_kernel"] is False and seen["import_so"] == []  # nothing loaded
+    assert seen["episode_kernel"] is True  # the first update tried the build
     assert seen["episode"] == []
     assert seen["episode_measurements"] > 0  # the episode did update its GP
     assert seen["chained_linalg"] is False  # rank-1 updates solve nothing

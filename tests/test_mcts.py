@@ -229,9 +229,11 @@ def test_every_tree_action_was_feasible():
 
 @pytest.mark.parametrize("env", ["isrs", "rover"])
 @pytest.mark.parametrize("budget", [8.0, 20.0, 40.0])
-def test_pruned_search_never_meets_the_failure_sentinel(env, budget, monkeypatch):
+def test_pruned_search_never_meets_the_failure_sentinel(env, budget, monkeypatch, python_kernel):
     """Feasibility pruning keeps every tree step and every rollout step from
-    stranding the agent, so no sampled reward is the mission-failure sentinel."""
+    stranding the agent, so no sampled reward is the mission-failure sentinel.
+    Rollout steps are counted through ``RolloutState.advance``, so the
+    Python kernel runs: the compiled loop takes static steps without it."""
     rollout_rewards, pruned = [], 0
     advance = RolloutState.advance
 

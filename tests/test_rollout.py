@@ -2,8 +2,6 @@
 against the environment hooks, and pinned planner episodes that guard the
 search's exact outputs."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -227,9 +225,9 @@ def test_tree_step_equals_the_hook_composition(env, seed, weight, variant, odd_c
         action = actions[rng.integers(len(actions))]
         belief = mdp.transition(belief, action, mdp.sample_observation(belief, action, rng))
     if location is not None:
-        belief = replace(belief, location=location % mdp.graph.n_nodes)
+        belief = belief._replace(location=location % mdp.graph.n_nodes)
     if budget is not None:  # low budgets reach the failure sentinel
-        belief = replace(belief, remaining_budget=budget)
+        belief = belief._replace(remaining_budget=budget)
     before = full_fingerprint(belief)
     for i, action in enumerate(mdp.actions(belief)):
         if mdp.action_cost(belief, action) > belief.remaining_budget:
@@ -315,7 +313,7 @@ def test_linked_snapshots_equal_compact_chains(env, seed, steps, collapse_at):
         rollout_rng, twin_rng = (np.random.default_rng([seed, step]) for _ in range(2))
         cfg = SolverConfig()
         assert rollout(child, 12, mdp, cfg, rollout_rng) == \
-            rollout(replace(child, gp=child_twin), 12, mdp, cfg, twin_rng)
+            rollout(child._replace(gp=child_twin), 12, mdp, cfg, twin_rng)
         assert rollout_rng.bit_generator.state == twin_rng.bit_generator.state
         nodes.append((child, child_twin))
     if env == "rover":
