@@ -166,13 +166,13 @@ static int64_t bounded(bitgen_t *b, uint64_t n)
     return (int64_t)(m >> 32);
 }
 
-/* An MDP's step tables (mirrored by infopath.kernel.StepTables). Location
- * v's budget thresholds are thresholds[thr_start[v] .. thr_start[v + 1]];
- * the steps feasible in its interval i are run_steps[run_start[x] ..
- * run_start[x + 1]] with x = thr_start[v] + v + i. Step s is the RolloutStep
- * steps[s]: it costs cost[s] and leads to target[s]; a static step measures
- * site_count[s] sites from site_start[s] on, a dynamic one has
- * site_count[s] == -1. */
+/* An MDP's location tables, flat (mirrored by infopath.kernel.StepTables).
+ * Location v's budget thresholds are thresholds[thr_start[v] ..
+ * thr_start[v + 1]]; the actions feasible in its interval i are
+ * run_steps[run_start[x] .. run_start[x + 1]] with x = thr_start[v] + v + i.
+ * Action id s is actions[s]: it costs cost[s] and leads to target[s]; a
+ * static one measures site_count[s] sites from site_start[s] on, a dynamic
+ * one has site_count[s] == -1. */
 typedef struct {
     const double *thresholds;
     const int64_t *thr_start, *run_start, *run_steps;
@@ -181,7 +181,7 @@ typedef struct {
     const double *site_nu;
     int64_t goal;
     double weight, failure;
-    PyObject *steps;
+    PyObject *actions;
 } tables_t;
 
 static int64_t bisect_right(const double *a, int64_t n, double x)
@@ -345,7 +345,7 @@ static int measure(walk_t *k, const tables_t *t, int64_t s, bitgen_t *bitgen, do
 /* mcts.rollout's loop for a RolloutState: the discounted return of up to
  * depth uniform-random feasible steps, drawn from rng, whose bit generator
  * is bitgen. Static steps draw, update, reward and discount here as
- * RolloutState.advance does; a dynamic step calls state.advance(step, rng),
+ * RolloutState.advance does; a dynamic step calls state.advance(action, rng),
  * a workspace without room for a step's sites its _reserve, and a collapsed
  * pivot its _rebuild. The state is left where the rollout ended. Returns the
  * return as a float, or NULL with the Python error set. */
@@ -367,7 +367,7 @@ static PyObject *rollout(const tables_t *t, PyObject *state, PyObject *rng, bitg
         const int64_t s = t->run_steps[first + bounded(bitgen, n)];
         double reward;
         if (t->site_count[s] < 0) {
-            if (call_back(&k, state, ADVANCE, PyTuple_GET_ITEM(t->steps, s), rng, floor, &reward))
+            if (call_back(&k, state, ADVANCE, PyTuple_GET_ITEM(t->actions, s), rng, floor, &reward))
                 goto error;
         } else {
             const double before = k.trace;

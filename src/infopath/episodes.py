@@ -99,11 +99,8 @@ def run_episode(mdp, policy, seed, config=None) -> EpisodeLog:
         if action is None:
             break
         try:
-            cost = mdp.action_cost(belief, action)
-        except ValueError:
-            status = STATUS_ABORTED
-            break
-        if cost > belief.remaining_budget:
+            mdp._affordable_cost(belief, action)
+        except ValueError:  # inapplicable or unaffordable
             status = STATUS_ABORTED
             break
         reward = mdp.true_reward(belief, action)

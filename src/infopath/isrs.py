@@ -224,7 +224,11 @@ class IsrsMdp(BeliefMdp):
         return r * p_good - r * (1.0 - p_good)
 
     def static_sites(self, location, action):
-        """Moves off rocks measure nothing; a beacon read measures its fixed plan."""
+        """Moves off rocks measure nothing; a beacon read measures its fixed plan.
+
+        One set or two dict lookups, no allocation: every Python tree and
+        rollout step calls this.
+        """
         if isinstance(action, Move):
             return None if action.target in self._rock_set else ()
         return self._beacon_sites[location][action.modality]

@@ -1,7 +1,7 @@
 """The compiled step kernel, built on first use, and the fallback to Python.
 
 ``_kernel.c`` runs ``BeliefWorkspace``'s rank-1 GP updates and whole
-uniform-random rollouts over an MDP's step tables. The first call to
+uniform-random rollouts over an MDP's location tables. The first call to
 ``lib()`` compiles it with the machine's C compiler into a private temporary
 directory, against numpy's random library and headers, loads it with
 ``ctypes.PyDLL`` and hands it the ``dgemv``/``ddot`` of the BLAS numpy itself
@@ -34,15 +34,15 @@ _state = None  # (kernel or None, fallback reason) once tried
 
 
 class StepTables(ctypes.Structure):
-    """An MDP's step tables as the compiled rollout reads them: ``tables_t``
-    of ``_kernel.c``."""
+    """An MDP's location tables as the compiled rollout reads them:
+    ``tables_t`` of ``_kernel.c``."""
 
     _fields_ = (
         [(name, ctypes.c_void_p) for name in (
             "thresholds", "thr_start", "run_start", "run_steps", "cost", "target",
             "site_start", "site_count", "site_node", "site_nu")]
         + [("goal", ctypes.c_int64), ("weight", ctypes.c_double), ("failure", ctypes.c_double),
-           ("steps", ctypes.py_object)]
+           ("actions", ctypes.py_object)]
     )
 
 

@@ -193,9 +193,9 @@ def rollout(belief, depth, mdp, config: SolverConfig, rng) -> float:
 
     An MDP with a ``rollout_state(belief)`` hook is stepped in place through
     the state it returns, which offers ``feasible_actions()`` (a sequence of
-    opaque steps, empty when terminal) and ``advance(step, rng) -> reward``;
-    any other MDP through ``is_terminal``/``feasible_actions``/
-    ``generative_sample``. Both ways draw from ``rng`` in the same order and
+    actions, empty when terminal) and ``advance(action, rng) -> reward``, as
+    ``_SnapshotRollout`` does for any other MDP through ``is_terminal``/
+    ``feasible_actions``/``generative_sample``. Both ways draw from ``rng`` in the same order and
     return the same value. A state that also offers ``run(depth, discount,
     rng)`` (the compiled kernel's) runs this whole loop itself, with the same
     draws and value.

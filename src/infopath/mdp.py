@@ -19,18 +19,17 @@ steps in place; a tree step (``generative_sample``) is one step of a fresh
 ``RolloutState``, frozen into an immutable ``BeliefState`` snapshot. When
 the compiled kernel is built (``infopath.kernel``), ``rollout_state`` hands
 out a ``CompiledRollout`` instead, whose ``run`` takes a whole rollout in C
-over flat copies of the step tables and calls ``advance`` for dynamic
+over a flat copy of the location tables and calls ``advance`` for dynamic
 steps, with the same bits.
 
 Each location has one ``LocationTable``, shared by every MDP on the same
 graph with the same senses: every action's cost and target, and which
 actions are feasible between the budget thresholds where that changes.
-Terminal checks, feasible actions and costs all read it. Each MDP maps the
-table's intervals to ``RolloutStep`` records on a location's first visit; a
-step that an environment declares static (fixed sites, no interaction
-reward, memory unchanged) runs without calling the environment hooks.
-Episodes apply the observation they are given through ``transition``, which
-calls the hooks as the tree does.
+Terminal checks, feasible actions, costs and steps all read it. A step that
+an environment declares static (``static_sites``: fixed sites, no
+interaction reward, memory unchanged) runs without calling the environment
+hooks. Episodes apply the observation they are given through
+``transition``, which calls the hooks as the tree does.
 """
 
 from __future__ import annotations
@@ -125,19 +124,6 @@ class BeliefState(NamedTuple):
     __hash__ = object.__hash__
 
 
-class RolloutStep(NamedTuple):
-    """An action at a location with what taking it needs.
-
-    ``static_sites`` are the action's fixed (node, noise variance) sites when
-    the environment declares it static, else None.
-    """
-
-    action: Action
-    cost: float
-    target: int
-    static_sites: tuple[tuple[int, float], ...] | None
-
-
 class LocationTable(NamedTuple):
     """The actions at one location and which of them are feasible by budget.
 
@@ -208,10 +194,6 @@ class BeliefMdp:
         senses = tuple((Sense(name), mod.cost) for name, mod in self.modalities.items())
         self._tables = _action_tables(graph, senses, sensing_nodes)
         self._empty_gp = GaussianProcessBelief(prior_mean, self.kernel, graph.coords)
-        # location -> (budget thresholds, feasible step tuples, step by action),
-        # filled as steps visit the location
-        self._step_tables: dict[int, tuple[tuple[float, ...], list[tuple[RolloutStep, ...]],
-                                           dict[Action, RolloutStep]]] = {}
         self._flat_tables = None  # every location's, for the compiled kernel: (struct, address)
 
     # ------------------------------------------------------------------
@@ -236,7 +218,9 @@ class BeliefMdp:
         ``measurement_sites`` returns these sites, ``expected_state_reward``
         returns 0.0 and ``updated_memory`` returns the memory unchanged.
         Tree and rollout steps take static actions without calling those
-        hooks.
+        hooks. Every Python tree or rollout step calls this, and the compiled
+        kernel's table calls it once per (location, action), so it must stay
+        a cheap, pure function of the two.
         """
         return None
 
@@ -349,11 +333,8 @@ class BeliefMdp:
         """Sample (next belief, reward) for the tree search: one ``advance``
         of a ``RolloutState``, frozen. It draws, updates and rewards as
         ``sample_observation``, ``transition`` and ``belief_reward`` would."""
-        step = self._step_table(belief.location)[2].get(action)
-        if step is None or step.cost > belief.remaining_budget:
-            self._affordable_cost(belief, action)  # raises
         state = RolloutState(self, belief, 0)
-        reward = state.advance(step, rng)
+        reward = state.advance(action, rng)
         return state.freeze(), reward
 
     def rollout_state(self, belief: BeliefState) -> "RolloutState":
@@ -361,27 +342,9 @@ class BeliefMdp:
         compiled kernel, one that runs the whole rollout there."""
         return (RolloutState if kernel.lib() is None else CompiledRollout)(self, belief)
 
-    def _rollout_steps(self, location: int, budget: float) -> tuple[RolloutStep, ...]:
-        """The feasible rollout steps at (location, budget); () when terminal:
-        the ``feasible_actions`` of the location's table, as step records."""
-        thresholds, steps, _ = self._step_table(location)
-        return steps[bisect_right(thresholds, budget)]
-
-    def _step_table(self, location: int):
-        """The location's table with this MDP's step records in place of its
-        actions, built on the first visit."""
-        table = self._step_tables.get(location)
-        if table is None:
-            thresholds, feasible, costs = self._tables[location]
-            records = {a: RolloutStep(a, cost, target, self.static_sites(location, a))
-                       for a, (cost, target) in costs.items()}
-            table = self._step_tables[location] = (
-                thresholds, [tuple(records[a] for a in f) for f in feasible], records)
-        return table
-
     def _kernel_tables(self) -> int:
-        """The address of every location's step tables for the compiled
-        kernel, built on the first compiled rollout."""
+        """The address of the flat copy of every location's table for the
+        compiled kernel, built on the first compiled rollout."""
         if self._flat_tables is None:
             tables = _kernel_tables(self)
             self._flat_tables = (tables, ctypes.addressof(tables))
@@ -444,9 +407,9 @@ class RolloutState:
 
     It reads like a ``BeliefState`` (location, remaining budget, GP, memory,
     step), so the environment hooks take it unchanged; its GP is a
-    ``BeliefWorkspace``. ``feasible_actions`` hands out the MDP's tabulated
-    ``RolloutStep`` records, and ``advance`` takes one: the draws, GP update,
-    memory and reward of a step. ``freeze`` returns the ``BeliefState``
+    ``BeliefWorkspace``. ``feasible_actions`` hands out the location table's
+    feasible actions, and ``advance`` takes one: the draws, GP update, memory
+    and reward of a step. ``freeze`` returns the ``BeliefState``
     reached, whose GP is the workspace's snapshot. The source belief is never
     touched. ``room`` is the workspace's spare rows: a rollout keeps the
     default, a single tree step takes exactly the rows it needs, and its
@@ -463,14 +426,20 @@ class RolloutState:
         self.memory = belief.memory
         self.step = belief.step
 
-    def feasible_actions(self) -> tuple[RolloutStep, ...]:
-        """The feasible steps here; empty when the state is terminal."""
-        return self.mdp._rollout_steps(self.location, self.remaining_budget)
+    def feasible_actions(self) -> tuple[Action, ...]:
+        """The feasible actions here; empty when the state is terminal."""
+        thresholds, feasible, _ = self.mdp._tables[self.location]
+        return feasible[bisect_right(thresholds, self.remaining_budget)]
 
-    def advance(self, step: RolloutStep, rng) -> float:
-        """Take ``step`` in place and return its ``belief_reward``."""
-        action, cost, target, sites = step
+    def advance(self, action: Action, rng) -> float:
+        """Take ``action`` in place and return its ``belief_reward``; raises
+        as ``transition`` does when it is inapplicable or unaffordable."""
         mdp = self.mdp
+        entry = mdp._tables[self.location].costs.get(action)
+        if entry is None or entry[0] > self.remaining_budget:
+            mdp._affordable_cost(self, action)  # raises
+        cost, target = entry
+        sites = mdp.static_sites(self.location, action)
         gp = self.gp
         trace = gp.trace_of_variance()
         if sites is None:
@@ -513,36 +482,37 @@ class CompiledRollout(RolloutState):
 
 
 def _kernel_tables(mdp: BeliefMdp) -> kernel.StepTables:
-    """``mdp``'s step tables as the flat arrays of ``tables_t`` in
-    ``_kernel.c``, with its ``RolloutStep`` records by step id."""
+    """``mdp``'s location tables as the flat arrays of ``tables_t`` in
+    ``_kernel.c``, with its actions by id and each one's ``static_sites``."""
     thresholds, thr_start, run_start, run_steps = [], [0], [0], []
-    steps, site_start, site_count, site_node, site_nu = [], [], [], [], []
-    for v in range(mdp.graph.n_nodes):
-        thr, feasible, records = mdp._step_table(v)
+    actions, cost, target, site_start, site_count, site_node, site_nu = [], [], [], [], [], [], []
+    for v, (thr, feasible, costs) in enumerate(mdp._tables):
         ids = {}
-        for action, step in records.items():
-            ids[action] = len(steps)
-            steps.append(step)
+        for action, (c, to) in costs.items():
+            ids[action] = len(actions)
+            actions.append(action)
+            cost.append(c)
+            target.append(to)
+            sites = mdp.static_sites(v, action)
             site_start.append(len(site_node))
-            site_count.append(-1 if step.static_sites is None else len(step.static_sites))
-            for node, nu in step.static_sites or ():
+            site_count.append(-1 if sites is None else len(sites))
+            for node, nu in sites or ():
                 site_node.append(node)
                 site_nu.append(nu)
         thresholds.extend(thr)
         thr_start.append(len(thresholds))
         for run in feasible:
-            run_steps.extend(ids[step.action] for step in run)
+            run_steps.extend(ids[action] for action in run)
             run_start.append(len(run_steps))
     ints = {"thr_start": thr_start, "run_start": run_start, "run_steps": run_steps,
-            "target": [step.target for step in steps], "site_start": site_start,
-            "site_count": site_count, "site_node": site_node}
-    floats = {"thresholds": thresholds, "cost": [step.cost for step in steps],
-              "site_nu": site_nu}
+            "target": target, "site_start": site_start, "site_count": site_count,
+            "site_node": site_node}
+    floats = {"thresholds": thresholds, "cost": cost, "site_nu": site_nu}
     arrays = {**{name: np.array(v, dtype=np.int64) for name, v in ints.items()},
               **{name: np.array(v, dtype=float) for name, v in floats.items()}}
     tables = kernel.StepTables(
         goal=mdp.graph.goal, weight=mdp.reward_config.information_weight,
-        failure=MISSION_FAILURE_REWARD, steps=tuple(steps),
+        failure=MISSION_FAILURE_REWARD, actions=tuple(actions),
         **{name: a.ctypes.data for name, a in arrays.items()})
     tables._arrays = arrays  # the struct points into them
     return tables

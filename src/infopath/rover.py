@@ -248,7 +248,11 @@ class RoverMdp(BeliefMdp):
         return r * p - r * (1.0 - p)
 
     def static_sites(self, location, action):
-        """A move takes one spectrometer reading at its target; drills are dynamic."""
+        """A move takes one spectrometer reading at its target; drills are dynamic.
+
+        A one-site tuple built from the action alone: every Python tree and
+        rollout step calls this.
+        """
         return ((action.target, self._spect_nu),) if isinstance(action, Move) else None
 
     def updated_memory(self, belief, action, observation):

@@ -7,7 +7,7 @@ from infopath.episodes import (
     run_episode,
 )
 from infopath.isrs import IsrsInstance, IsrsMdp, generate_isrs
-from infopath.mdp import MISSION_FAILURE_REWARD, Move
+from infopath.mdp import MISSION_FAILURE_REWARD, Move, Sense
 from infopath.policies import random_policy
 from infopath.rover import RoverMdp, generate_rover
 
@@ -45,6 +45,27 @@ def test_illegal_policy_aborts_with_distinguished_status():
     log = run_episode(IsrsMdp(inst), bad_policy, seed=0)
     assert log.status == STATUS_ABORTED
     assert log.records == ()
+
+
+def test_unaffordable_policy_action_aborts_with_distinguished_status():
+    mdp = RoverMdp(generate_rover(4, 4, 0.1, 0, budget=2.0))
+
+    def drill(belief, mdp, rng):
+        return Sense("drill")  # costs 3, more than the whole budget
+
+    assert not mdp.is_terminal(mdp.initial_belief())
+    log = run_episode(mdp, drill, seed=0)
+    assert log.status == STATUS_ABORTED
+    assert log.records == ()
+
+
+def test_random_episode_builds_no_kernel_table():
+    """Episodes without a planner never run a rollout, so the MDP keeps no
+    flat table of its own: the location tables are shared."""
+    for mdp in (RoverMdp(generate_rover(5, 4, 0.1, seed=2)),
+                IsrsMdp(generate_isrs(5, 4, 2, 0.5, seed=2))):
+        run_episode(mdp, random_policy, seed=2)
+        assert mdp._flat_tables is None
 
 
 def test_sentinel_reward_on_failure():

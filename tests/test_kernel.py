@@ -23,6 +23,7 @@ from infopath.mcts import SolverConfig, iter_belief_nodes, rollout, search
 from infopath.mdp import (
     MISSION_FAILURE_REWARD,
     CompiledRollout,
+    LocationTable,
     RolloutState,
     Sense,
     action_label,
@@ -45,14 +46,22 @@ def compiled():
 COLLAPSE_REL = {"isrs": 0.5, "rover": 0.05}
 
 
+def affordable_table(table):
+    """``table`` with every affordable action feasible, whatever its target."""
+    thresholds = tuple(sorted({cost for cost, _ in table.costs.values()}))
+    feasible = [()] + [tuple(a for a, (cost, _) in table.costs.items() if cost <= t)
+                       for t in thresholds]
+    return LocationTable(thresholds, tuple(feasible), table.costs)
+
+
 def unpruned(cls):
     class Unpruned(cls):
-        """Rollouts take every action from the cheapest cost on: feasibility
-        pruning keeps them from ever meeting the failure sentinel."""
+        """Steps take every affordable action: feasibility pruning keeps
+        them from ever meeting the failure sentinel."""
 
-        def _step_table(self, location):
-            thresholds, _, records = super()._step_table(location)
-            return thresholds[:1], [(), tuple(records.values())], records
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._tables = tuple(affordable_table(table) for table in self._tables)
 
     return Unpruned
 
@@ -94,16 +103,16 @@ def plan_under(which, env, seed, budget, discount, monkeypatch, pruned=True):
             seen["compiled_rollouts"] += 1
             return run(self, *args)
 
-        def recording_advance(self, step, rng):
+        def recording_advance(self, action, rng):
             if type(self) is RolloutState:  # a rollout step, not a tree step
-                sites = step.static_sites
-                kind = ("drill" if step.action == Sense("drill") else "beacon"
-                        if isinstance(step.action, Sense) else "rock" if sites is None
+                sites = self.mdp.static_sites(self.location, action)
+                kind = ("drill" if action == Sense("drill") else "beacon"
+                        if isinstance(action, Sense) else "rock" if sites is None
                         else "move")
                 seen[kind] = seen.get(kind, 0) + 1
                 if self.gp._m == 0 and sites:
                     seen["empty_prior"] = seen.get("empty_prior", 0) + 1
-            reward = advance(self, step, rng)
+            reward = advance(self, action, rng)
             if reward == MISSION_FAILURE_REWARD:
                 seen["failure"] = seen.get("failure", 0) + 1
             return reward

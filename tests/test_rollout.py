@@ -2,12 +2,15 @@
 against the environment hooks, and pinned planner episodes that guard the
 search's exact outputs."""
 
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infopath import mcts
+from infopath import mdp as mdp_module
 from infopath.episodes import STATUS_GOAL, run_episode
 from infopath.gp import SquaredExponential
 from infopath.isrs import DEFAULT_MODALITIES, IsrsMdp, generate_isrs
@@ -103,7 +106,7 @@ def literal_actions(mdp, location):
 
 
 @st.composite
-def step_record_cases(draw):
+def location_cases(draw):
     env = draw(st.sampled_from(["isrs", "rover"]))
     mdp = build_odd_mdp(env, draw(st.integers(0, 999)), odd_costs=draw(st.booleans()))
     location = draw(st.integers(0, mdp.graph.n_nodes - 1))
@@ -136,9 +139,27 @@ def step_record_cases(draw):
     return mdp, BeliefState(location, budget, gp, memory), rng
 
 
+def kernel_actions(mdp, location, budget):
+    """The compiled kernel's flat table at (location, budget): each feasible
+    action with its id's cost, target and static sites (None when dynamic)."""
+    tables = mdp_module._kernel_tables(mdp)
+    a = tables._arrays
+    thr = a["thr_start"]
+    x = thr[location] + location + bisect_right(a["thresholds"][thr[location]:thr[location + 1]],
+                                                budget)
+    out = []
+    for s in a["run_steps"][a["run_start"][x]:a["run_start"][x + 1]]:
+        start, count = a["site_start"][s], a["site_count"][s]
+        sites = None if count < 0 else tuple(
+            zip(a["site_node"][start:start + count].tolist(),
+                a["site_nu"][start:start + count].tolist()))
+        out.append((tables.actions[s], float(a["cost"][s]), int(a["target"][s]), sites))
+    return out
+
+
 @settings(max_examples=300, deadline=None)
-@given(case=step_record_cases())
-def test_memoized_step_records_match_the_mdp(case):
+@given(case=location_cases())
+def test_table_actions_match_the_mdp(case):
     # the reference is the rule itself: terminal iff the budget is below the
     # cheapest cost, and an action is feasible iff budget - cost >= the goal
     # cost from its target, in the order of literal_actions
@@ -148,20 +169,24 @@ def test_memoized_step_records_match_the_mdp(case):
     terminal = budget < min(cost for _, cost, _ in actions)
     feasible = [(a, cost, target) for a, cost, target in actions
                 if budget - cost >= goal_costs[target]]
-    steps = mdp.rollout_state(belief).feasible_actions()
-    assert mdp.rollout_state(belief).feasible_actions() is steps  # memoized
+    offered = mdp.rollout_state(belief).feasible_actions()
+    assert offered is mdp._tables[belief.location].feasible[
+        bisect_right(mdp._tables[belief.location].thresholds, budget)]  # the shared tuple
     assert mdp.is_terminal(belief) == terminal
     assert mdp.actions(belief) == [a for a, _, _ in actions]
+    compiled = kernel_actions(mdp, belief.location, budget)
     if terminal:
-        assert steps == ()
+        assert offered == () and compiled == []
         with pytest.raises(ValueError, match="terminal"):
             mdp.feasible_actions(belief)
         return
-    assert [s[:3] for s in steps] == feasible
-    assert mdp.feasible_actions(belief) == [a for a, _, _ in feasible]
-    for action, cost, target, sites in steps:
+    assert list(offered) == mdp.feasible_actions(belief) == [a for a, _, _ in feasible]
+    assert [c[:3] for c in compiled] == feasible
+    for (action, cost, target), (_, _, _, kernel_sites) in zip(feasible, compiled):
         assert cost == mdp.action_cost(belief, action)
         assert target == mdp.action_target(belief, action)
+        sites = mdp.static_sites(belief.location, action)
+        assert kernel_sites == (None if sites is None else tuple(sites))
         dynamic = isinstance(action, Move) and action.target in mdp.instance.rock_nodes \
             if isinstance(mdp, IsrsMdp) else not isinstance(action, Move)
         assert (sites is None) == dynamic

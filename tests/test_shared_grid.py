@@ -102,9 +102,14 @@ def test_shared_mdp_equals_mdp_from_scratch(case, probes):
     if isinstance(shared, IsrsMdp):
         assert shared._beacon_sites == scratch._beacon_sites == beacon_sites_reference(scratch)
     for location, budget in probes:
-        location %= inst.grid_size ** 2
-        assert shared._rollout_steps(location, budget) == scratch._rollout_steps(location, budget)
-    assert shared._step_tables == scratch._step_tables
+        belief = shared.initial_belief()._replace(location=location % inst.grid_size ** 2,
+                                                  remaining_budget=budget)
+        assert mdp_mod.RolloutState(shared, belief).feasible_actions() == \
+            mdp_mod.RolloutState(scratch, belief).feasible_actions()
+    ours, theirs = mdp_mod._kernel_tables(shared), mdp_mod._kernel_tables(scratch)
+    assert ours.actions == theirs.actions
+    assert {name: a.tobytes() for name, a in ours._arrays.items()} == \
+        {name: a.tobytes() for name, a in theirs._arrays.items()}
 
 
 def test_grid_model_is_shared_between_missions():
