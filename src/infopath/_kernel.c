@@ -3,11 +3,13 @@
  *
  * infopath/kernel.py builds this file on first use, loads it with
  * ctypes.PyDLL and takes its entry points from functions(): Python builtins
- * that run holding the GIL and take numpy arrays as Python objects. Every result equals the Python kernel's bit for
- * bit: draws are numpy's own random_normal and the Lemire bounded draw of
+ * that run holding the GIL and take numpy arrays as Python objects. Every
+ * result equals the Python kernel's bit for bit: draws are numpy's own
+ * random_normal and the Lemire bounded draw of
  * infopath.mcts._PlanGenerator, the column product is the dgemv of the BLAS
- * numpy loaded with the arguments numpy's matmul passes it, and the trace is
- * numpy's pairwise sum. Build with -ffp-contract=off: a fused multiply-add
+ * numpy loaded with the arguments numpy's matmul passes it, the trace is
+ * numpy's pairwise sum, and erf and rint are libm's, checked on load against
+ * math.erf and round. Build with -ffp-contract=off: a fused multiply-add
  * rounds once where numpy rounds twice.
  */
 #define NPY_NO_DEPRECATED_API NPY_2_0_API_VERSION
@@ -170,18 +172,23 @@ static int64_t bounded(bitgen_t *b, uint64_t n)
  * Location v's budget thresholds are thresholds[thr_start[v] ..
  * thr_start[v + 1]]; the actions feasible in its interval i are
  * run_steps[run_start[x] .. run_start[x + 1]] with x = thr_start[v] + v + i.
- * Action id s is actions[s]: it costs cost[s] and leads to target[s]; a
- * static one measures site_count[s] sites from site_start[s] on, a dynamic
- * one has site_count[s] == -1. */
+ * Action id s costs cost[s] and leads to target[s]. Its kind[s] is STATIC,
+ * DRILL or VISIT (the step kinds of infopath.mdp). It measures site_count[s]
+ * sites from site_start[s] on: a static step all of them, a drill or a
+ * visit its one site. The parameters of a drill or a visit are
+ * params[param_start[s] .. param_start[s + 1]]: the interaction reward, then
+ * a drill's match tolerance and its type values. */
+enum { STATIC, DRILL, VISIT };
 typedef struct {
     const double *thresholds;
     const int64_t *thr_start, *run_start, *run_steps;
     const double *cost;
-    const int64_t *target, *site_start, *site_count, *site_node;
+    const int64_t *target, *kind, *param_start;
+    const double *params;
+    const int64_t *site_start, *site_count, *site_node;
     const double *site_nu;
     int64_t goal;
     double weight, failure;
-    PyObject *actions;
 } tables_t;
 
 static int64_t bisect_right(const double *a, int64_t n, double x)
@@ -198,15 +205,16 @@ static int64_t bisect_right(const double *a, int64_t n, double x)
 }
 
 /* attribute names of RolloutState, BeliefWorkspace and its base belief */
-enum { LOCATION, BUDGET, STEP, GP, W, MEAN, VAR, ADDED, M, TRACE, BASE, KQQ, JITTER,
-       ADVANCE, RESERVE, REBUILD, NAMES };
+enum { LOCATION, BUDGET, STEP, MEMORY, GP, W, MEAN, VAR, ADDED, M, TRACE, BASE, KQQ, JITTER,
+       RESERVE, REBUILD, NAMES };
 static PyObject *names[NAMES];
 
 static int intern_names(void)
 {
     static const char *const text[NAMES] = {
-        "location", "remaining_budget", "step", "gp", "_w", "query_mean", "query_variance",
-        "_added", "_m", "_trace", "_base", "_kqq", "_jitter", "advance", "_reserve", "_rebuild"};
+        "location", "remaining_budget", "step", "memory", "gp", "_w", "query_mean",
+        "query_variance", "_added", "_m", "_trace", "_base", "_kqq", "_jitter", "_reserve",
+        "_rebuild"};
     for (int i = 0; i < NAMES; i++)
         if (names[i] == NULL && (names[i] = PyUnicode_InternFromString(text[i])) == NULL)
             return -1;
@@ -240,13 +248,14 @@ static int set(PyObject *o, int name, PyObject *v) /* steals v */
     return rc;
 }
 
-/* A rollout: the state's scalars and its workspace's caches, held here
- * between calls back into Python. */
+/* A rollout: the state's scalars and memory, and its workspace's caches,
+ * held here from the rollout's start to its end. Only the workspace's
+ * _reserve and _rebuild run Python in between. */
 typedef struct {
-    PyObject *state, *ws, *w, *mean, *var, *kqq, *added; /* owned */
+    PyObject *ws, *memory, *w, *mean, *var, *kqq, *added; /* owned */
     gp_t g;
     int64_t rows, location, steps;
-    double budget, trace;
+    double budget, trace, floor;
 } walk_t;
 
 static void drop(walk_t *k)
@@ -258,16 +267,15 @@ static void drop(walk_t *k)
     Py_CLEAR(k->added);
 }
 
-/* Read the state and its workspace, as Python left them. */
-static int load(walk_t *k, double floor)
+/* Read the workspace, as Python left it. */
+static int load(walk_t *k)
 {
     PyObject *base = NULL;
     drop(k);
     double jitter;
     int64_t m;
-    if (get_i64(k->state, LOCATION, &k->location) || get_f64(k->state, BUDGET, &k->budget) ||
-        get_i64(k->state, STEP, &k->steps) || get_i64(k->ws, M, &m) ||
-        get_f64(k->ws, TRACE, &k->trace) || !(k->w = PyObject_GetAttr(k->ws, names[W])) ||
+    if (get_i64(k->ws, M, &m) || get_f64(k->ws, TRACE, &k->trace) ||
+        !(k->w = PyObject_GetAttr(k->ws, names[W])) ||
         !(k->mean = PyObject_GetAttr(k->ws, names[MEAN])) ||
         !(k->var = PyObject_GetAttr(k->ws, names[VAR])) ||
         !(k->added = PyObject_GetAttr(k->ws, names[ADDED])) ||
@@ -279,54 +287,47 @@ static int load(walk_t *k, double floor)
     Py_DECREF(base);
     const int materialized = k->w != Py_None;
     k->g = (gp_t){materialized ? DATA(k->w) : NULL, DATA(k->mean), DATA(k->var), DATA(k->kqq),
-                  LENGTH(k->var), m, jitter, floor};
+                  LENGTH(k->var), m, jitter, k->floor};
     k->rows = materialized ? LENGTH(k->w) : 0;
     return 0;
 }
 
-/* Write the state and the workspace's size and trace back for Python. */
+/* Write the workspace's size and trace back for Python. */
 static int store(walk_t *k)
 {
-    return set(k->state, LOCATION, PyLong_FromLongLong(k->location)) ||
-           set(k->state, BUDGET, PyFloat_FromDouble(k->budget)) ||
-           set(k->state, STEP, PyLong_FromLongLong(k->steps)) ||
-           set(k->ws, M, PyLong_FromLongLong(k->g.m)) ||
+    return set(k->ws, M, PyLong_FromLongLong(k->g.m)) ||
            set(k->ws, TRACE, PyFloat_FromDouble(k->trace));
 }
 
-/* method(*args) on o, between a store and a load */
-static int call_back(walk_t *k, PyObject *o, int method, PyObject *arg1, PyObject *arg2,
-                     double floor, double *result)
+/* method(arg) of the workspace, between a store and a load */
+static int call_back(walk_t *k, int method, PyObject *arg)
 {
     if (store(k))
         return -1;
-    PyObject *res = PyObject_CallMethodObjArgs(o, names[method], arg1, arg2, NULL);
-    if (res == NULL)
-        return -1;
-    if (result != NULL)
-        *result = PyFloat_AsDouble(res);
-    Py_DECREF(res);
-    return PyErr_Occurred() || load(k, floor) ? -1 : 0;
+    PyObject *res = PyObject_CallMethodObjArgs(k->ws, names[method], arg, NULL);
+    Py_XDECREF(res);
+    return res == NULL || load(k) ? -1 : 0;
 }
 
-/* One static step's draws and updates; the step's sites join the
- * workspace's list before the updates, as in add_measurements_at. */
-static int measure(walk_t *k, const tables_t *t, int64_t s, bitgen_t *bitgen, double floor)
+/* A draw at query point j, as infopath.mdp._draw_observation makes it */
+static double draw(const walk_t *k, bitgen_t *bitgen, int64_t j, double nu)
 {
-    const int64_t n = t->site_count[s];
-    const int64_t *node = t->site_node + t->site_start[s];
-    const double *nu = t->site_nu + t->site_start[s];
+    const double v = k->g.var[j];
+    return random_normal(bitgen, k->g.mean[j], sqrt((0. > v ? 0. : v) + nu));
+}
+
+/* add_measurements_at for n drawn sites: room for them, the sites on the
+ * workspace's list, then their updates, or a batch rebuild when a pivot
+ * collapses. */
+static int measure(walk_t *k, const int64_t *node, const double *nu, const double *val,
+                   int64_t n)
+{
     if (k->g.w == NULL || k->g.m + n > k->rows) { /* the first update copies the caches */
         PyObject *room = PyLong_FromLongLong(n);
-        const int rc = room == NULL ? -1 : call_back(k, k->ws, RESERVE, room, NULL, floor, NULL);
+        const int rc = room == NULL ? -1 : call_back(k, RESERVE, room);
         Py_XDECREF(room);
         if (rc)
             return -1;
-    }
-    double val[n];
-    for (int64_t i = 0; i < n; i++) { /* every draw reads the state before the step */
-        const double v = k->g.var[node[i]];
-        val[i] = random_normal(bitgen, k->g.mean[node[i]], sqrt((0. > v ? 0. : v) + nu[i]));
     }
     for (int64_t i = 0; i < n; i++) {
         PyObject *site = Py_BuildValue("(Ldd)", (long long)node[i], val[i], nu[i]);
@@ -336,24 +337,129 @@ static int measure(walk_t *k, const tables_t *t, int64_t s, bitgen_t *bitgen, do
             return -1;
     }
     for (int64_t i = 0; i < n; i++)
-        if (!update(&k->g, node[i], val[i], nu[i])) /* a batch rebuild takes over */
-            return call_back(k, k->ws, REBUILD, NULL, NULL, floor, NULL);
+        if (!update(&k->g, node[i], val[i], nu[i]))
+            return call_back(k, REBUILD, NULL);
     k->trace = trace(&k->g);
     return 0;
 }
 
-/* mcts.rollout's loop for a RolloutState: the discounted return of up to
- * depth uniform-random feasible steps, drawn from rng, whose bit generator
- * is bitgen. Static steps draw, update, reward and discount here as
- * RolloutState.advance does; a dynamic step calls state.advance(action, rng),
- * a workspace without room for a step's sites its _reserve, and a collapsed
- * pivot its _rebuild. The state is left where the rollout ended. Returns the
- * return as a float, or NULL with the Python error set. */
-static PyObject *rollout(const tables_t *t, PyObject *state, PyObject *rng, bitgen_t *bitgen,
-                         int64_t depth, double gamma, double floor)
+/* A static step: every draw reads the state before the step */
+static int static_step(walk_t *k, const tables_t *t, int64_t s, bitgen_t *bitgen)
 {
-    walk_t k = {.state = state};
-    if (intern_names() || !(k.ws = PyObject_GetAttr(state, names[GP])) || load(&k, floor))
+    const int64_t n = t->site_count[s], first = t->site_start[s];
+    if (n == 0)
+        return 0;
+    double val[n];
+    for (int64_t i = 0; i < n; i++)
+        val[i] = draw(k, bitgen, t->site_node[first + i], t->site_nu[first + i]);
+    return measure(k, t->site_node + first, t->site_nu + first, val, n);
+}
+
+/* min(max(x, lo), hi) with Python's min and max, which keep a NaN */
+static double clip(double x, double lo, double hi)
+{
+    x = lo > x ? lo : x;
+    return hi < x ? hi : x;
+}
+
+/* rover._phi */
+static double phi(double z) { return 0.5 * (1. + erf(z / sqrt(2.))); }
+
+/* RoverMdp.probability_unseen at query point j, for the n type values tau
+ * and the match tolerance delta: the collected types are summed in the
+ * memory's own iteration order, which the sum's bits depend on. */
+static int unseen(const walk_t *k, int64_t j, const double *tau, int64_t n, double delta,
+                  double *p)
+{
+    const int collected = PyObject_IsTrue(k->memory);
+    if (collected <= 0) {
+        *p = 1.;
+        return collected;
+    }
+    const double mu = k->g.mean[j], v = k->g.var[j];
+    const double sigma = sqrt(1e-12 > v ? 1e-12 : v);
+    double p_match = 0.;
+    PyObject *it = PyObject_GetIter(k->memory), *item;
+    if (it == NULL)
+        return -1;
+    while ((item = PyIter_Next(it)) != NULL) {
+        int64_t i = PyLong_AsLongLong(item);
+        Py_DECREF(item);
+        if (i == -1 && PyErr_Occurred())
+            break;
+        if (i < 0) /* numpy's index from the end */
+            i += n;
+        if (i < 0 || i >= n) {
+            PyErr_SetString(PyExc_IndexError, "a collected type is out of the type values");
+            break;
+        }
+        p_match += phi((tau[i] + delta - mu) / sigma) - phi((tau[i] - delta - mu) / sigma);
+    }
+    Py_DECREF(it);
+    *p = clip(1. - p_match, 0., 1.);
+    return PyErr_Occurred() ? -1 : 0;
+}
+
+/* A drill or a visit, as RolloutState.advance takes it through the
+ * environment's hooks: the draw first, then the interaction reward and the
+ * new memory from the state before the update, then the update. */
+static int dynamic_step(walk_t *k, const tables_t *t, int64_t s, bitgen_t *bitgen,
+                        double *state_reward)
+{
+    const int64_t j = t->site_node[t->site_start[s]];
+    const double nu = t->site_nu[t->site_start[s]];
+    const double *param = t->params + t->param_start[s];
+    const double r = param[0];
+    PyObject *gained = NULL, *set = NULL, *memory = NULL;
+    int rc = -1, visited = 0;
+    double val = 0., p;
+    if (t->kind[s] == VISIT &&
+        ((gained = PyLong_FromLongLong(j)) == NULL ||
+         (visited = PySequence_Contains(k->memory, gained)) < 0))
+        goto done;
+    if (!visited) {
+        val = draw(k, bitgen, j, nu);
+        if (t->kind[s] == DRILL) {
+            const int64_t n = t->param_start[s + 1] - t->param_start[s] - 2;
+            if (unseen(k, j, param + 2, n, param[1], &p))
+                goto done;
+            /* round() is half-even; a NaN raises ValueError, as int() does */
+            gained = PyLong_FromDouble(rint(clip(val, 0., 1.) * (double)(n - 1)));
+            if (gained == NULL)
+                goto done;
+        } else
+            p = clip(k->g.mean[j], 0., 1.);
+        *state_reward = r * p - r * (1. - p);
+    }
+    if ((set = PySet_New(NULL)) == NULL || PySet_Add(set, gained) ||
+        (memory = PyNumber_Or(k->memory, set)) == NULL ||
+        (!visited && measure(k, &j, &nu, &val, 1)))
+        goto done;
+    Py_SETREF(k->memory, memory);
+    memory = NULL;
+    rc = 0;
+done:
+    Py_XDECREF(gained);
+    Py_XDECREF(set);
+    Py_XDECREF(memory);
+    return rc;
+}
+
+/* mcts.rollout's loop for a RolloutState: the discounted return of up to
+ * depth uniform-random feasible steps, drawn from rng's bit generator
+ * bitgen. Every step draws, updates, rewards and discounts here as
+ * RolloutState.advance does; a workspace without room for a step's sites
+ * calls its _reserve, and a collapsed pivot its _rebuild. The state is left
+ * where the rollout ended. Returns the return as a float, or NULL with the
+ * Python error set. */
+static PyObject *rollout(const tables_t *t, PyObject *state, bitgen_t *bitgen, int64_t depth,
+                         double gamma, double floor)
+{
+    walk_t k = {.floor = floor};
+    if (intern_names() || get_i64(state, LOCATION, &k.location) ||
+        get_f64(state, BUDGET, &k.budget) || get_i64(state, STEP, &k.steps) ||
+        !(k.memory = PyObject_GetAttr(state, names[MEMORY])) ||
+        !(k.ws = PyObject_GetAttr(state, names[GP])) || load(&k))
         goto error;
     double total = 0., discount = 1.;
     for (; depth > 0; depth--) {
@@ -365,32 +471,33 @@ static PyObject *rollout(const tables_t *t, PyObject *state, PyObject *rng, bitg
         if (n == 0)
             break;
         const int64_t s = t->run_steps[first + bounded(bitgen, n)];
-        double reward;
-        if (t->site_count[s] < 0) {
-            if (call_back(&k, state, ADVANCE, PyTuple_GET_ITEM(t->actions, s), rng, floor, &reward))
-                goto error;
-        } else {
-            const double before = k.trace;
-            if (t->site_count[s] > 0 && measure(&k, t, s, bitgen, floor))
-                goto error;
-            const int64_t to = k.location = t->target[s];
-            k.budget -= t->cost[s];
-            k.steps += 1;
-            reward = to != t->goal && k.budget < t->thresholds[t->thr_start[to]]
-                         ? t->failure
-                         : 0. + t->weight * (before - k.trace);
-        }
+        const double before = k.trace;
+        double state_reward = 0.;
+        if (t->kind[s] == STATIC ? static_step(&k, t, s, bitgen)
+                                 : dynamic_step(&k, t, s, bitgen, &state_reward))
+            goto error;
+        const int64_t to = k.location = t->target[s];
+        k.budget -= t->cost[s];
+        k.steps += 1;
+        const double reward = to != t->goal && k.budget < t->thresholds[t->thr_start[to]]
+                                  ? t->failure
+                                  : state_reward + t->weight * (before - k.trace);
         total += discount * reward;
         discount *= gamma;
     }
-    if (store(&k))
+    if (store(&k) || set(state, LOCATION, PyLong_FromLongLong(k.location)) ||
+        set(state, BUDGET, PyFloat_FromDouble(k.budget)) ||
+        set(state, STEP, PyLong_FromLongLong(k.steps)) ||
+        PyObject_SetAttr(state, names[MEMORY], k.memory))
         goto error;
     drop(&k);
     Py_DECREF(k.ws);
+    Py_DECREF(k.memory);
     return PyFloat_FromDouble(total);
 error:
     drop(&k);
     Py_XDECREF(k.ws);
+    Py_XDECREF(k.memory);
     return NULL;
 }
 
@@ -410,13 +517,13 @@ static PyObject *py_rank1_update(PyObject *self, PyObject *const *a, Py_ssize_t 
 static PyObject *py_rollout(PyObject *self, PyObject *const *a, Py_ssize_t n)
 {
     (void)self;
-    if (n != 7)
-        return PyErr_Format(PyExc_TypeError, "rollout takes 7 arguments, not %zd", n);
+    if (n != 6)
+        return PyErr_Format(PyExc_TypeError, "rollout takes 6 arguments, not %zd", n);
     const tables_t *t = PyLong_AsVoidPtr(a[0]);
-    bitgen_t *bitgen = PyLong_AsVoidPtr(a[3]);
-    const int64_t depth = PyLong_AsLongLong(a[4]);
-    const double gamma = PyFloat_AsDouble(a[5]), floor = PyFloat_AsDouble(a[6]);
-    return PyErr_Occurred() ? NULL : rollout(t, a[1], a[2], bitgen, depth, gamma, floor);
+    bitgen_t *bitgen = PyLong_AsVoidPtr(a[2]);
+    const int64_t depth = PyLong_AsLongLong(a[3]);
+    const double gamma = PyFloat_AsDouble(a[4]), floor = PyFloat_AsDouble(a[5]);
+    return PyErr_Occurred() ? NULL : rollout(t, a[1], bitgen, depth, gamma, floor);
 }
 
 static PyObject *py_bounded(PyObject *self, PyObject *const *a, Py_ssize_t n)
@@ -443,14 +550,34 @@ static PyObject *py_normal(PyObject *self, PyObject *const *a, Py_ssize_t n)
     return PyErr_Occurred() ? NULL : PyFloat_FromDouble(random_normal(bitgen, loc, scale));
 }
 
+static PyObject *py_erf(PyObject *self, PyObject *const *a, Py_ssize_t n)
+{
+    (void)self;
+    if (n != 1)
+        return PyErr_Format(PyExc_TypeError, "erf takes 1 argument, not %zd", n);
+    const double x = PyFloat_AsDouble(a[0]);
+    return PyErr_Occurred() ? NULL : PyFloat_FromDouble(erf(x));
+}
+
+static PyObject *py_rint(PyObject *self, PyObject *const *a, Py_ssize_t n)
+{
+    (void)self;
+    if (n != 1)
+        return PyErr_Format(PyExc_TypeError, "rint takes 1 argument, not %zd", n);
+    const double x = PyFloat_AsDouble(a[0]);
+    return PyErr_Occurred() ? NULL : PyFloat_FromDouble(rint(x));
+}
+
 #define FASTCALL(f) (PyCFunction)(void (*)(void))(f), METH_FASTCALL
 static PyMethodDef methods[] = {
     {"rank1_update", FASTCALL(py_rank1_update),
      "rank1_update(w, mean, var, kqq, jitter, floor, m, sites) -> trace or None"},
     {"rollout", FASTCALL(py_rollout),
-     "rollout(tables, state, rng, bitgen, depth, gamma, floor) -> discounted return"},
+     "rollout(tables, state, bitgen, depth, gamma, floor) -> discounted return"},
     {"bounded", FASTCALL(py_bounded), "bounded(bitgen, n): Generator.integers(n)"},
     {"normal", FASTCALL(py_normal), "normal(bitgen, loc, scale): Generator.normal(loc, scale)"},
+    {"erf", FASTCALL(py_erf), "erf(x): the erf of the kernel's libm"},
+    {"rint", FASTCALL(py_rint), "rint(x): the rint of the kernel's libm"},
     {NULL, NULL, 0, NULL}};
 
 /* {name: builtin} of every entry point */

@@ -28,6 +28,7 @@ from .mdp import (
     Move,
     RewardConfig,
     SensingModality,
+    Visit,
 )
 
 ROCK_REWARD = 10.0
@@ -232,6 +233,12 @@ class IsrsMdp(BeliefMdp):
         if isinstance(action, Move):
             return None if action.target in self._rock_set else ()
         return self._beacon_sites[location][action.modality]
+
+    def dynamic_step(self, location, action):
+        """A move onto a rock, as the step kind ``Visit``."""
+        if isinstance(action, Move) and action.target in self._rock_set:
+            return Visit(action.target, self.jitter_floor, self.reward_config.interaction_reward)
+        return None
 
     def updated_memory(self, belief, action, observation):
         if isinstance(action, Move) and action.target in self._rock_set:

@@ -1,14 +1,17 @@
 """The compiled step kernel, built on first use, and the fallback to Python.
 
 ``_kernel.c`` runs ``BeliefWorkspace``'s rank-1 GP updates and whole
-uniform-random rollouts over an MDP's location tables. The first call to
+uniform-random rollouts over an MDP's location tables, static steps and the
+drills and rock visits of ``infopath.mdp``'s step kinds. The first call to
 ``lib()`` compiles it with the machine's C compiler into a private temporary
 directory, against numpy's random library and headers, loads it with
 ``ctypes.PyDLL`` and hands it the ``dgemv``/``ddot`` of the BLAS numpy itself
 loaded. Before use it must match the Python kernel bit for bit on a few
-updates and draws. If anything fails (no compiler, a BLAS other than numpy's
-bundled scipy-openblas, a check that differs), ``lib()`` returns None and the
-Python kernel runs. Importing the package builds nothing.
+updates and draws, and its libm's ``erf`` and ``rint`` must match
+``math.erf`` and ``round``. If anything fails (no compiler, a BLAS other
+than numpy's bundled scipy-openblas, a check that differs), ``lib()``
+returns None and the Python kernel runs. Importing the package builds
+nothing.
 
 ``KERNEL`` is read-only: "compiled", or "python: <reason>". Reading it
 builds the kernel if no update has yet.
@@ -17,6 +20,8 @@ builds the kernel if no update has yet.
 from __future__ import annotations
 
 import ctypes
+import itertools
+import math
 import os
 import sys
 import tempfile
@@ -33,16 +38,19 @@ BLAS = "scipy-openblas"  # numpy's bundled ILP64 OpenBLAS, whose cblas symbols e
 _state = None  # (kernel or None, fallback reason) once tried
 
 
+# an action's step kind in ``StepTables.kind``: the enum of ``tables_t``
+STATIC, DRILL, VISIT = range(3)
+
+
 class StepTables(ctypes.Structure):
     """An MDP's location tables as the compiled rollout reads them:
     ``tables_t`` of ``_kernel.c``."""
 
     _fields_ = (
         [(name, ctypes.c_void_p) for name in (
-            "thresholds", "thr_start", "run_start", "run_steps", "cost", "target",
-            "site_start", "site_count", "site_node", "site_nu")]
-        + [("goal", ctypes.c_int64), ("weight", ctypes.c_double), ("failure", ctypes.c_double),
-           ("actions", ctypes.py_object)]
+            "thresholds", "thr_start", "run_start", "run_steps", "cost", "target", "kind",
+            "param_start", "params", "site_start", "site_count", "site_node", "site_nu")]
+        + [("goal", ctypes.c_int64), ("weight", ctypes.c_double), ("failure", ctypes.c_double)]
     )
 
 
@@ -96,6 +104,7 @@ def _load():
     kernel = types.SimpleNamespace(dll=dll, **dll.functions())
     _check_updates(kernel)
     _check_draws(kernel)
+    _check_libm(kernel)
     return kernel
 
 
@@ -129,6 +138,25 @@ def _check_draws(kernel):
             raise RuntimeError("normal draw differs from numpy's")
     if ours.state != numpys.bit_generator.state:
         raise RuntimeError("draws leave another generator state than numpy's")
+
+
+def _check_libm(kernel):
+    """libm's erf equals ``math.erf`` and its rint equals ``round``, which
+    the drill steps' probabilities and type indices use: erf on a dense grid
+    over [-8, 8], on normal draws, at both zeros and at tiny values; rint at
+    every half in [-20, 20] and on either side of each. Values stream one by
+    one, so the check adds nothing to the peak memory."""
+    grid = (i / 1024 - 8.0 for i in range(2**14 + 1))
+    tiny = (s * 2.0**e for e in range(-1074, -900, 7) for s in (1.0, -1.0))
+    normals = np.random.default_rng(0).normal(0.0, 2.0, 2000)
+    for x in itertools.chain(grid, normals, tiny, (0.0, -0.0, 5e-324, -5e-324, 1e-300)):
+        got, want = kernel.erf(x), math.erf(x)
+        if got != want or math.copysign(1.0, got) != math.copysign(1.0, want):  # or ±0
+            raise RuntimeError("erf differs from math.erf")
+    for k in range(-20, 20):
+        for x in (k + 0.5, math.nextafter(k + 0.5, -math.inf), math.nextafter(k + 0.5, math.inf)):
+            if kernel.rint(x) != round(x):
+                raise RuntimeError("rint differs from round")
 
 
 class _KernelModule(types.ModuleType):

@@ -19,8 +19,7 @@ steps in place; a tree step (``generative_sample``) is one step of a fresh
 ``RolloutState``, frozen into an immutable ``BeliefState`` snapshot. When
 the compiled kernel is built (``infopath.kernel``), ``rollout_state`` hands
 out a ``CompiledRollout`` instead, whose ``run`` takes a whole rollout in C
-over a flat copy of the location tables and calls ``advance`` for dynamic
-steps, with the same bits.
+over a flat copy of the location tables, with the same bits.
 
 Each location has one ``LocationTable``, shared by every MDP on the same
 graph with the same senses: every action's cost and target, and which
@@ -28,8 +27,12 @@ actions are feasible between the budget thresholds where that changes.
 Terminal checks, feasible actions, costs and steps all read it. A step that
 an environment declares static (``static_sites``: fixed sites, no
 interaction reward, memory unchanged) runs without calling the environment
-hooks. Episodes apply the observation they are given through
-``transition``, which calls the hooks as the tree does.
+hooks. An environment may also declare a dynamic action as one of a small
+closed set of step kinds (``dynamic_step``: ``Drill`` or ``Visit``), which
+the compiled kernel runs from that data; the hooks stay the reference, and
+an MDP with a dynamic action of no kind rolls out in Python. Episodes apply
+the observation they are given through ``transition``, which calls the
+hooks as the tree does.
 """
 
 from __future__ import annotations
@@ -124,6 +127,37 @@ class BeliefState(NamedTuple):
     __hash__ = object.__hash__
 
 
+class Drill(NamedTuple):
+    """A step kind: a drill that measures ``node`` at noise variance ``nu``.
+
+    Its interaction reward is ``reward * p - reward * (1 - p)``, where p is
+    the posterior chance that the value at ``node`` lies within ``delta`` of
+    none of the type values ``types[t]`` of the type indices t in the
+    memory. The memory gains the index of the type value nearest the drawn
+    value clipped to [0, 1], ``round(value * (len(types) - 1))``.
+    """
+
+    node: int
+    nu: float
+    reward: float
+    delta: float
+    types: tuple[float, ...]
+
+
+class Visit(NamedTuple):
+    """A step kind: a visit to the rock at ``node``.
+
+    Unless ``node`` is in the memory, it measures ``node`` at noise variance
+    ``nu`` and its interaction reward is ``reward * p - reward * (1 - p)``,
+    where p is the posterior mean there clipped to [0, 1]; a revisit
+    measures nothing and rewards 0. Either way the memory gains ``node``.
+    """
+
+    node: int
+    nu: float
+    reward: float
+
+
 class LocationTable(NamedTuple):
     """The actions at one location and which of them are feasible by budget.
 
@@ -164,7 +198,8 @@ class BeliefMdp:
     Every modality can sense at ``sensing_nodes`` (all nodes when None).
     Subclasses override the three environment hooks (``measurement_sites``,
     ``expected_state_reward``, ``updated_memory``) for planning, and may name
-    the actions those hooks treat as fixed through ``static_sites``. The two
+    the actions those hooks treat as fixed through ``static_sites`` and the
+    step kind of the others through ``dynamic_step``. The two
     ground-truth hooks (``true_reward``, ``true_observation``) serve episode
     execution.
     """
@@ -212,7 +247,8 @@ class BeliefMdp:
 
     def static_sites(self, location: int, action: Action):
         """The fixed (node, noise_variance) sites of an action taken at
-        ``location`` that is static, or None for a dynamic one.
+        ``location`` that is static, or None for a dynamic one, whose step
+        kind, if it has one, ``dynamic_step`` gives.
 
         Static means that at this location, whatever the belief,
         ``measurement_sites`` returns these sites, ``expected_state_reward``
@@ -221,6 +257,18 @@ class BeliefMdp:
         hooks. Every Python tree or rollout step calls this, and the compiled
         kernel's table calls it once per (location, action), so it must stay
         a cheap, pure function of the two.
+        """
+        return None
+
+    def dynamic_step(self, location: int, action: Action):
+        """The step kind (``Drill`` or ``Visit``) of a dynamic action taken
+        at ``location``, or None for one of no kind.
+
+        The kind describes, as data, what the three hooks do for this
+        action at this location, whatever the belief. The compiled kernel's
+        table reads it once per (location, action) and takes such steps
+        without the hooks; Python steps never call it. An MDP with a dynamic
+        action of no kind rolls out in Python.
         """
         return None
 
@@ -339,15 +387,18 @@ class BeliefMdp:
 
     def rollout_state(self, belief: BeliefState) -> "RolloutState":
         """A mutable copy of ``belief`` for an in-place rollout; with the
-        compiled kernel, one that runs the whole rollout there."""
-        return (RolloutState if kernel.lib() is None else CompiledRollout)(self, belief)
+        compiled kernel and a table it can take every step of, one that runs
+        the whole rollout there."""
+        compiled = kernel.lib() is not None and self._kernel_tables() is not None
+        return (CompiledRollout if compiled else RolloutState)(self, belief)
 
-    def _kernel_tables(self) -> int:
+    def _kernel_tables(self) -> int | None:
         """The address of the flat copy of every location's table for the
-        compiled kernel, built on the first compiled rollout."""
+        compiled kernel, built on the first rollout, or None when an action
+        is neither static nor of a step kind."""
         if self._flat_tables is None:
             tables = _kernel_tables(self)
-            self._flat_tables = (tables, ctypes.addressof(tables))
+            self._flat_tables = (tables, None if tables is None else ctypes.addressof(tables))
         return self._flat_tables[1]
 
 
@@ -466,9 +517,10 @@ class CompiledRollout(RolloutState):
     """A ``RolloutState`` whose ``run`` takes a whole rollout in the compiled
     kernel; ``mcts.rollout`` calls it in place of its own loop.
 
-    The kernel takes static steps itself and calls back into Python for the
-    rest: ``advance`` for a dynamic step, and the workspace's ``_reserve``
-    and ``_rebuild`` when it needs rows or a pivot collapses.
+    The kernel takes every step itself: static ones from their sites, and
+    drills and visits from their step kinds. It calls back into Python only
+    for the workspace's ``_reserve`` and ``_rebuild``, when it needs rows or
+    a pivot collapses.
     """
 
     __slots__ = ()
@@ -477,26 +529,44 @@ class CompiledRollout(RolloutState):
         """The discounted return of up to ``depth`` uniform-random feasible
         steps, drawn from ``rng`` as ``mcts.rollout``'s loop draws them."""
         return kernel.lib().rollout(
-            self.mdp._kernel_tables(), self, rng, rng.bit_generator.ctypes.bit_generator.value,
+            self.mdp._kernel_tables(), self, rng.bit_generator.ctypes.bit_generator.value,
             depth, gamma, self.gp._model()[2])
 
 
-def _kernel_tables(mdp: BeliefMdp) -> kernel.StepTables:
+_KINDS = {Drill: kernel.DRILL, Visit: kernel.VISIT}
+
+
+def _kernel_tables(mdp: BeliefMdp) -> kernel.StepTables | None:
     """``mdp``'s location tables as the flat arrays of ``tables_t`` in
-    ``_kernel.c``, with its actions by id and each one's ``static_sites``."""
+    ``_kernel.c``: action ids in the order of every location's costs, each
+    with its ``static_sites`` or its ``dynamic_step``. None when an action
+    has neither."""
     thresholds, thr_start, run_start, run_steps = [], [0], [0], []
-    actions, cost, target, site_start, site_count, site_node, site_nu = [], [], [], [], [], [], []
+    cost, target, kind, param_start, params = [], [], [], [0], []
+    site_start, site_count, site_node, site_nu = [], [], [], []
     for v, (thr, feasible, costs) in enumerate(mdp._tables):
         ids = {}
         for action, (c, to) in costs.items():
-            ids[action] = len(actions)
-            actions.append(action)
+            ids[action] = len(cost)
             cost.append(c)
             target.append(to)
             sites = mdp.static_sites(v, action)
+            if sites is None:
+                step = mdp.dynamic_step(v, action)
+                if step is None:
+                    return None
+                kind.append(_KINDS[type(step)])
+                params.append(step.reward)
+                if isinstance(step, Drill):
+                    params.append(step.delta)
+                    params.extend(step.types)
+                sites = ((step.node, step.nu),)
+            else:
+                kind.append(kernel.STATIC)
+            param_start.append(len(params))
             site_start.append(len(site_node))
-            site_count.append(-1 if sites is None else len(sites))
-            for node, nu in sites or ():
+            site_count.append(len(sites))
+            for node, nu in sites:
                 site_node.append(node)
                 site_nu.append(nu)
         thresholds.extend(thr)
@@ -505,14 +575,13 @@ def _kernel_tables(mdp: BeliefMdp) -> kernel.StepTables:
             run_steps.extend(ids[action] for action in run)
             run_start.append(len(run_steps))
     ints = {"thr_start": thr_start, "run_start": run_start, "run_steps": run_steps,
-            "target": target, "site_start": site_start, "site_count": site_count,
-            "site_node": site_node}
-    floats = {"thresholds": thresholds, "cost": cost, "site_nu": site_nu}
+            "target": target, "kind": kind, "param_start": param_start,
+            "site_start": site_start, "site_count": site_count, "site_node": site_node}
+    floats = {"thresholds": thresholds, "cost": cost, "params": params, "site_nu": site_nu}
     arrays = {**{name: np.array(v, dtype=np.int64) for name, v in ints.items()},
               **{name: np.array(v, dtype=float) for name, v in floats.items()}}
     tables = kernel.StepTables(
         goal=mdp.graph.goal, weight=mdp.reward_config.information_weight,
-        failure=MISSION_FAILURE_REWARD, actions=tuple(actions),
-        **{name: a.ctypes.data for name, a in arrays.items()})
+        failure=MISSION_FAILURE_REWARD, **{name: a.ctypes.data for name, a in arrays.items()})
     tables._arrays = arrays  # the struct points into them
     return tables

@@ -24,6 +24,7 @@ from .graph import LocationGraph
 from .mdp import (
     Action,
     BeliefMdp,
+    Drill,
     Measurement,
     Move,
     RewardConfig,
@@ -254,6 +255,13 @@ class RoverMdp(BeliefMdp):
         rollout step calls this.
         """
         return ((action.target, self._spect_nu),) if isinstance(action, Move) else None
+
+    def dynamic_step(self, location, action):
+        """A drill, as the step kind ``Drill``."""
+        if isinstance(action, Move):
+            return None
+        return Drill(location, self.jitter_floor, self.reward_config.interaction_reward,
+                     self._delta, tuple(self._types.tolist()))
 
     def updated_memory(self, belief, action, observation):
         if isinstance(action, Sense) and observation:

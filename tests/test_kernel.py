@@ -6,16 +6,18 @@ kernel cannot be built, loaded or verified, the Python kernel runs and every
 pinned output stays as it is.
 """
 
+import functools
 import shutil
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from test_outputs import RUNS, _digests
 
 from infopath import gp as gp_module
 from infopath import kernel
+from infopath import mdp as mdp_module
 from infopath.cli import main
 from infopath.gp import BeliefWorkspace, SquaredExponential, _rank1_update
 from infopath.isrs import IsrsMdp, generate_isrs
@@ -24,6 +26,7 @@ from infopath.mdp import (
     MISSION_FAILURE_REWARD,
     CompiledRollout,
     LocationTable,
+    Move,
     RolloutState,
     Sense,
     action_label,
@@ -66,11 +69,19 @@ def unpruned(cls):
     return Unpruned
 
 
+class KindlessRover(RoverMdp):
+    """A rover whose drills have no step kind: it rolls out in Python."""
+
+    def dynamic_step(self, location, action):
+        return None
+
+
 def build_mdp(env, seed, budget, pruned=True):
     if env == "isrs":
         cls, inst = IsrsMdp, generate_isrs(6, 6, 4, 0.5, seed=seed, budget=budget)
     else:
-        cls, inst = RoverMdp, generate_rover(5, 6, 0.1, seed=seed, budget=budget)
+        cls = KindlessRover if env == "kindless rover" else RoverMdp
+        inst = generate_rover(5, 6, 0.1, seed=seed, budget=budget)
     return (cls if pruned else unpruned(cls))(inst)
 
 
@@ -88,8 +99,8 @@ def plan_under(which, env, seed, budget, discount, monkeypatch, pruned=True):
     """Search, then roll out from the first tree nodes, under one kernel.
     Returns the results and what the steps did: rollout step kinds (under the
     Python kernel, where every rollout step is an ``advance``), compiled
-    rollouts and batch rebuilds."""
-    seen = {"rebuilds": 0, "compiled_rollouts": 0}
+    rollouts, ``advance`` calls from a compiled rollout and batch rebuilds."""
+    seen = {"rebuilds": 0, "compiled_rollouts": 0, "callbacks": 0}
     with monkeypatch.context() as m:
         if which == "python":
             m.setattr(kernel, "_state", (None, "forced by a test"))
@@ -104,6 +115,8 @@ def plan_under(which, env, seed, budget, discount, monkeypatch, pruned=True):
             return run(self, *args)
 
         def recording_advance(self, action, rng):
+            if type(self) is CompiledRollout:
+                seen["callbacks"] += 1
             if type(self) is RolloutState:  # a rollout step, not a tree step
                 sites = self.mdp.static_sites(self.location, action)
                 kind = ("drill" if action == Sense("drill") else "beacon"
@@ -147,6 +160,7 @@ def test_compiled_search_equals_python_search(env, seed, budget, discount, colla
     assert ours == reference
     assert seen["rebuilds"] == ref_seen["rebuilds"]
     assert seen["compiled_rollouts"] > 0 and ref_seen["compiled_rollouts"] == 0
+    assert seen["callbacks"] == 0
 
 
 @pytest.mark.parametrize("env", ["isrs", "rover"])
@@ -168,9 +182,155 @@ def test_both_kernels_meet_every_kind_of_step(env, compiled, monkeypatch):
         assert ours == reference
         assert seen["rebuilds"] == ref_seen["rebuilds"]
         assert (ref_seen["rebuilds"] > 0) == collapse
+        assert seen["compiled_rollouts"] > 0 and seen["callbacks"] == 0
         for kind in kinds:
             met[kind] = met.get(kind, 0) + ref_seen.get(kind, 0)
     assert all(met[kind] for kind in kinds), met
+
+
+def test_an_action_of_no_kind_rolls_out_in_python(compiled, monkeypatch):
+    """A dynamic action of no step kind: the MDP's rollouts run in Python,
+    with the compiled rank-1 updates, and find the reference's trees."""
+    mdp = build_mdp("kindless rover", 3, 30.0)
+    assert mdp_module._kernel_tables(mdp) is None
+    assert type(mdp.rollout_state(mdp.initial_belief())) is RolloutState
+    for seed, collapse in ((3, False), (4, True)):
+        with monkeypatch.context() as m:
+            if collapse:
+                m.setattr(gp_module, "PIVOT_MIN_REL", COLLAPSE_REL["rover"])
+            ours, seen = plan_under("compiled", "kindless rover", seed, 30.0, 1.0, monkeypatch)
+            reference, _ = plan_under("python", "rover", seed, 30.0, 1.0, monkeypatch)
+        assert ours == reference
+        assert seen["compiled_rollouts"] == 0 and seen["drill"] > 0
+
+
+def only_action(mdp, location, action):
+    """``mdp`` with ``action`` the one feasible action at ``location``, from
+    its cost on: a compiled rollout of depth 1 takes it, drawing nothing to
+    pick it."""
+    tables = list(mdp._tables)
+    costs = tables[location].costs
+    tables[location] = LocationTable((costs[action][0],), ((), (action,)), costs)
+    mdp._tables = tuple(tables)
+    return mdp
+
+
+def step_bits(reward, state, rng):
+    """A step's reward, the state it reached and the generator state, as
+    exact bits; the memory also in its iteration order."""
+    gp = state.gp
+    return (reward.hex(), state.location, state.remaining_budget.hex(), state.step,
+            state.memory, type(state.memory), list(state.memory), gp._m, gp._trace.hex(),
+            gp.query_mean.tobytes(), gp.query_variance.tobytes(),
+            None if gp._w is None else gp._w[:gp._m].tobytes(),
+            [(int(j), float(v).hex(), float(nu).hex()) for j, v, nu in gp._added],
+            rng.bit_generator.state)
+
+
+def dynamic_case(env, seed, memory=(), measured=(), beacon=False, revisit=False, budget=20.0,
+                 beta=6, rock=0):
+    """(mdp, belief, action) for one dynamic step. Rover: a drill at a cell
+    of a 5 x 5 map of ``beta`` types. ISRS: a move onto rock number ``rock``
+    of a 6 x 6 instance from its first neighbour, which ``revisit`` puts in
+    the memory. ``memory`` items join in order, as steps add them;
+    ``measured`` holds (node, value, noise variance) sites the belief has
+    seen, after a beacon read when ``beacon``."""
+    if env == "rover":
+        mdp = RoverMdp(generate_rover(5, beta, 0.1, seed=seed, budget=budget))
+        location, action = seed % 25, Sense("drill")
+    else:
+        mdp = IsrsMdp(generate_isrs(6, 6, 4, 0.5, seed=seed, budget=budget))
+        target = mdp.instance.rock_nodes[rock % len(mdp.instance.rock_nodes)]
+        location, action = mdp.graph.neighbors(target)[0][0], Move(target)
+        memory = [*memory, target] if revisit else memory
+    gp = mdp.initial_belief().gp
+    if beacon:
+        plans = mdp._beacon_sites[sorted(mdp.instance.beacons)[0]]
+        sites = plans[min(plans)]
+        gp = gp.add_measurements_at([(node, 0.8, nu) for node, nu in sites])
+    if measured:
+        gp = gp.add_measurements_at([(node % mdp.graph.n_nodes, value, nu)
+                                     for node, value, nu in measured])
+    memory = functools.reduce(lambda held, item: held | {item}, memory, frozenset())
+    belief = mdp.initial_belief()._replace(location=location, gp=gp, memory=memory)
+    return only_action(mdp, location, action), belief, action
+
+
+def one_step_both_ways(mdp, belief, action, seed):
+    """A compiled rollout of depth 1 and ``RolloutState.advance``, each from
+    ``belief`` with a generator seeded ``seed``, as ``step_bits``; the
+    reference reward is taken as the rollout's return, 0.0 + reward."""
+    compiled_state, rng = CompiledRollout(mdp, belief), np.random.default_rng(seed)
+    ours = step_bits(compiled_state.run(1, 1.0, rng), compiled_state, rng)
+    state, rng = RolloutState(mdp, belief), np.random.default_rng(seed)
+    reference = step_bits(0.0 + state.advance(action, rng), state, rng)
+    return ours, reference
+
+
+@st.composite
+def dynamic_cases(draw):
+    env = draw(st.sampled_from(["rover", "isrs"]))
+    seed = draw(st.integers(0, 999))
+    beta = draw(st.sampled_from([2, 6, 10, 12]))
+    items = st.integers(0, beta - 1) if env == "rover" else st.sampled_from(range(36))
+    site = st.tuples(st.integers(0, 35), st.floats(-0.5, 1.5),
+                     st.sampled_from([1e-8, 1e-4, 0.01, 0.3]))
+    return dict(env=env, seed=seed, beta=beta, rock=draw(st.integers(0, 5)),
+                memory=draw(st.lists(items, max_size=6)),
+                measured=draw(st.lists(site, max_size=5)), beacon=draw(st.booleans()) and
+                env == "isrs", revisit=draw(st.booleans()) and env == "isrs",
+                budget=draw(st.sampled_from([3.0, 3.5, 20.0])))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=dynamic_cases(), collapse=st.booleans(), draws=st.integers(0, 2**32 - 1))
+@example(case=dict(env="rover", seed=8, beta=10, memory=[8, 0]), collapse=False, draws=1)
+@example(case=dict(env="rover", seed=8, beta=12, memory=[0, 8, 9, 1]), collapse=False, draws=2)
+@example(case=dict(env="rover", seed=3, beta=10, memory=[]), collapse=False, draws=3)
+@example(case=dict(env="rover", seed=7, memory=[3], measured=[(7, 0.2, 1e-8)]), collapse=True,
+         draws=4)
+@example(case=dict(env="isrs", seed=2, memory=[14], revisit=True), collapse=False, draws=5)
+@example(case=dict(env="isrs", seed=2, beacon=True), collapse=False, draws=6)
+def test_a_compiled_dynamic_step_equals_advance(case, collapse, draws, compiled, monkeypatch):
+    with monkeypatch.context() as m:
+        if collapse:
+            m.setattr(gp_module, "PIVOT_MIN_REL", COLLAPSE_REL[case["env"]])
+        ours, reference = one_step_both_ways(*dynamic_case(**case), draws)
+    assert ours == reference
+
+
+def test_dynamic_steps_meet_their_edge_cases(compiled, monkeypatch):
+    """The cases of the property test's examples do what they are there for."""
+    # beta 10: type indices 8 and 0 collide, so their order depends on insertion
+    mdp, belief, action = dynamic_case("rover", 8, beta=10, memory=[8, 0])
+    assert list(belief.memory) == [8, 0] and list(frozenset({0}) | {8}) == [0, 8]
+    # m = 0: the workspace copies the caches on the step's first update
+    mdp, belief, action = dynamic_case("rover", 3, beta=10)
+    assert belief.gp._m == 0 and not belief.memory
+    assert CompiledRollout(mdp, belief).gp._w is None
+    # a drill of a cell drilled before collapses a pivot: a batch rebuild
+    rebuilds = []
+    rebuild = BeliefWorkspace._rebuild
+    monkeypatch.setattr(gp_module, "PIVOT_MIN_REL", COLLAPSE_REL["rover"])
+    monkeypatch.setattr(BeliefWorkspace, "_rebuild",
+                        lambda self: rebuilds.append(1) or rebuild(self))
+    case = dynamic_case("rover", 7, memory=[3], measured=[(7, 0.2, 1e-8)])
+    assert case[1].location == 7
+    ours, reference = one_step_both_ways(*case, 4)
+    assert ours == reference and len(rebuilds) == 2
+    monkeypatch.undo()
+    # a revisit draws nothing, updates nothing and hands out a new memory
+    mdp, belief, action = dynamic_case("isrs", 2, memory=[14], revisit=True)
+    assert action.target in belief.memory
+    state, rng = CompiledRollout(mdp, belief), np.random.default_rng(5)
+    assert state.run(1, 1.0, rng) == 0.0
+    assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
+    assert state.memory == belief.memory and state.memory is not belief.memory
+    assert state.gp._m == belief.gp._m and state.gp._w is None
+    # a visit after a beacon read conditions on the read's sites
+    mdp, belief, action = dynamic_case("isrs", 2, beacon=True)
+    assert belief.gp._m > 0 and action.target not in belief.memory
 
 
 def test_empty_product_is_zeros(compiled):
@@ -190,16 +350,25 @@ def test_empty_product_is_zeros(compiled):
     assert results[0][0] is not None  # no pivot collapsed
 
 
-def perturbed_source(tmp_path):
-    """The kernel source with the trace summed from var[0]: it builds and
-    loads, and the load-time check must refuse it."""
+def perturbed_source(tmp_path, old, new):
+    """The kernel source with ``old`` replaced by ``new``: it builds and
+    loads, and a load-time check must refuse it."""
     source = kernel.SOURCE.read_text()
-    perturbed = source.replace("return 0. + pairwise(g->var, g->q);",
-                               "return g->var[0] + pairwise(g->var + 1, g->q - 1);")
+    perturbed = source.replace(old, new)
     assert perturbed != source
     path = tmp_path / "_kernel.c"
     path.write_text(perturbed)
     return path
+
+
+# the trace summed from var[0]
+SPLIT_TRACE = ("return 0. + pairwise(g->var, g->q);",
+               "return g->var[0] + pairwise(g->var + 1, g->q - 1);")
+# a libm whose erf is one ulp off
+OTHER_ERF = ('#include "numpy/random/distributions.h"\n',
+             '#include "numpy/random/distributions.h"\n'
+             "static double erf_ulp_off(double x) { return nextafter(erf(x), 2.); }\n"
+             "#define erf erf_ulp_off\n")
 
 
 FALLBACKS = {
@@ -207,8 +376,12 @@ FALLBACKS = {
                     "FileNotFoundError"),
     "another BLAS": (lambda m, tmp: m.setattr(kernel, "_blas_name", lambda: "openblas"),
                      "numpy's BLAS is openblas"),
-    "a check differs": (lambda m, tmp: m.setattr(kernel, "SOURCE", perturbed_source(tmp)),
-                        "rank-1 update differs"),
+    "a check differs": (
+        lambda m, tmp: m.setattr(kernel, "SOURCE", perturbed_source(tmp, *SPLIT_TRACE)),
+        "rank-1 update differs"),
+    "erf differs": (
+        lambda m, tmp: m.setattr(kernel, "SOURCE", perturbed_source(tmp, *OTHER_ERF)),
+        "erf differs from math.erf"),
 }
 
 

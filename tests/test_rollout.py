@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infopath import mcts
+from infopath import kernel, mcts
 from infopath import mdp as mdp_module
 from infopath.episodes import STATUS_GOAL, run_episode
 from infopath.gp import SquaredExponential
 from infopath.isrs import DEFAULT_MODALITIES, IsrsMdp, generate_isrs
 from infopath.mcts import SolverConfig, iter_belief_nodes, plan, rollout, search
-from infopath.mdp import BeliefState, Move, RewardConfig, Sense, SensingModality
+from infopath.mdp import BeliefState, Drill, Move, RewardConfig, Sense, SensingModality, Visit
 from infopath.policies import MctsPolicy
 from infopath.rover import RoverMdp, generate_rover
 
@@ -141,20 +141,48 @@ def location_cases(draw):
 
 def kernel_actions(mdp, location, budget):
     """The compiled kernel's flat table at (location, budget): each feasible
-    action with its id's cost, target and static sites (None when dynamic)."""
-    tables = mdp_module._kernel_tables(mdp)
-    a = tables._arrays
+    action with its id's cost, target, step kind, sites and parameters. Ids
+    follow every location's actions in table order."""
+    a = mdp_module._kernel_tables(mdp)._arrays
+    by_id = [action for table in mdp._tables for action in table.costs]
     thr = a["thr_start"]
     x = thr[location] + location + bisect_right(a["thresholds"][thr[location]:thr[location + 1]],
                                                 budget)
     out = []
     for s in a["run_steps"][a["run_start"][x]:a["run_start"][x + 1]]:
         start, count = a["site_start"][s], a["site_count"][s]
-        sites = None if count < 0 else tuple(
-            zip(a["site_node"][start:start + count].tolist(),
-                a["site_nu"][start:start + count].tolist()))
-        out.append((tables.actions[s], float(a["cost"][s]), int(a["target"][s]), sites))
+        sites = tuple(zip(a["site_node"][start:start + count].tolist(),
+                          a["site_nu"][start:start + count].tolist()))
+        params = tuple(a["params"][a["param_start"][s]:a["param_start"][s + 1]].tolist())
+        out.append((by_id[s], float(a["cost"][s]), int(a["target"][s]), int(a["kind"][s]),
+                    sites, params))
     return out
+
+
+def check_step_kind(mdp, belief, action, step, rng):
+    """``step``, the ``dynamic_step`` of ``action`` here, describes what the
+    environment hooks do with it from ``belief``."""
+    observation = mdp.sample_observation(belief, action, rng)
+    r = step.reward
+    assert r == mdp.reward_config.interaction_reward and step.nu == mdp.jitter_floor
+    if isinstance(step, Drill):
+        assert step.node == belief.location
+        assert step.types == tuple(mdp.instance.type_values.tolist())
+        assert step.delta == 0.5 / (len(step.types) - 1)
+        assert mdp.measurement_sites(belief, action) == ((step.node, step.nu),)
+        p = mdp.probability_unseen(belief, step.node)
+        value = min(max(observation[0].value, 0.0), 1.0)
+        gained = round(value * (len(step.types) - 1))
+    else:
+        visited = step.node in belief.memory
+        assert step.node == action.target
+        assert mdp.measurement_sites(belief, action) == \
+            (() if visited else ((step.node, step.nu),))
+        p = min(max(float(belief.gp.query_mean[step.node]), 0.0), 1.0)
+        gained = step.node
+    expected = 0.0 if isinstance(step, Visit) and visited else r * p - r * (1.0 - p)
+    assert mdp.expected_state_reward(belief, action) == expected
+    assert mdp.updated_memory(belief, action, observation) == belief.memory | {gained}
 
 
 @settings(max_examples=300, deadline=None)
@@ -182,15 +210,22 @@ def test_table_actions_match_the_mdp(case):
         return
     assert list(offered) == mdp.feasible_actions(belief) == [a for a, _, _ in feasible]
     assert [c[:3] for c in compiled] == feasible
-    for (action, cost, target), (_, _, _, kernel_sites) in zip(feasible, compiled):
+    for (action, cost, target), (*_, kind, kernel_sites, params) in zip(feasible, compiled):
         assert cost == mdp.action_cost(belief, action)
         assert target == mdp.action_target(belief, action)
         sites = mdp.static_sites(belief.location, action)
-        assert kernel_sites == (None if sites is None else tuple(sites))
+        step = mdp.dynamic_step(belief.location, action)
         dynamic = isinstance(action, Move) and action.target in mdp.instance.rock_nodes \
             if isinstance(mdp, IsrsMdp) else not isinstance(action, Move)
-        assert (sites is None) == dynamic
-        if sites is not None:
+        assert (sites is None) == dynamic and (step is None) != dynamic
+        if sites is None:
+            assert kind == {Drill: kernel.DRILL, Visit: kernel.VISIT}[type(step)]
+            assert kernel_sites == ((step.node, step.nu),)
+            assert params == ((step.reward, step.delta, *step.types) if kind == kernel.DRILL
+                              else (step.reward,))
+            check_step_kind(mdp, belief, action, step, rng)
+        else:
+            assert kind == kernel.STATIC and kernel_sites == tuple(sites) and params == ()
             assert mdp.measurement_sites(belief, action) == sites
             assert mdp.expected_state_reward(belief, action) == 0.0
             observation = mdp.sample_observation(belief, action, rng)
