@@ -33,7 +33,8 @@ from .rover import RoverInstance, RoverMdp, generate_rover
 ENVIRONMENTS = ("isrs", "rover")
 SOLVERS = ("mcts-dpw", "random", "raster")
 
-DEFAULT_LAMBDA = {"isrs": 1.0, "rover": 0.5}
+DEFAULT_LAMBDA = {"isrs": isrs_mod.DEFAULT_INFORMATION_WEIGHT,
+                  "rover": rover_mod.DEFAULT_INFORMATION_WEIGHT}
 DEFAULT_BUDGET = {"isrs": isrs_mod.DEFAULT_BUDGET, "rover": rover_mod.DEFAULT_BUDGET}
 
 # Default sweep grids mirroring the benchmark tables: rocks/beacons x p for the
@@ -85,11 +86,13 @@ class ExperimentConfig:
     solver_config: SolverConfig = field(default_factory=SolverConfig)
 
     def validate(self):
-        for f in fields(self):
-            types, what = _FIELD_TYPES[f.type]
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, types):
-                raise ConfigError(f"{f.name} must be {what}, not {type(value).__name__}")
+        for prefix, cfg in (("", self), ("solver_config.", self.solver_config)):
+            for f in fields(cfg):
+                types, what = _FIELD_TYPES[f.type]
+                value = getattr(cfg, f.name)
+                if isinstance(value, bool) or not isinstance(value, types):
+                    raise ConfigError(
+                        f"{prefix}{f.name} must be {what}, not {type(value).__name__}")
         if self.environment not in ENVIRONMENTS:
             raise ConfigError(f"unknown environment {self.environment!r}")
         if self.solver not in SOLVERS:
@@ -98,6 +101,8 @@ class ExperimentConfig:
             raise ConfigError("the raster policy applies only to the rover environment")
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
+        if self.base_seed < 0:
+            raise ConfigError("base_seed must be non-negative")
         if self.grid_size < 2:
             raise ConfigError("grid size must be >= 2")
         if not 0.0 <= self.p_good <= 1.0:

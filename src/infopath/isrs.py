@@ -28,10 +28,12 @@ from .mdp import (
     Move,
     RewardConfig,
     SensingModality,
+    Static,
     Visit,
 )
 
 ROCK_REWARD = 10.0
+DEFAULT_INFORMATION_WEIGHT = 1.0
 GOOD_VALUE = 1.0
 BAD_VALUE = 0.0
 
@@ -42,6 +44,8 @@ DEFAULT_MODALITIES = (
 DEFAULT_BUDGET = 40.0
 DEFAULT_SENSING_RADIUS = 4.0
 DEFAULT_FIDELITY_DOUBLING = 2.0
+
+_MOVE = Static(())  # the step kind of every move off a rock
 
 
 @dataclass(frozen=True)
@@ -169,7 +173,7 @@ class IsrsMdp(BeliefMdp):
     def __init__(self, inst: IsrsInstance, reward_config=None, *,
                  prior_mean=0.5, kernel=None):
         if reward_config is None:
-            reward_config = RewardConfig(information_weight=1.0, interaction_reward=ROCK_REWARD)
+            reward_config = RewardConfig(DEFAULT_INFORMATION_WEIGHT, ROCK_REWARD)
         super().__init__(inst.graph(), inst.modalities, reward_config,
                          budget=inst.budget, prior_mean=prior_mean, kernel=kernel,
                          sensing_nodes=inst.beacons)
@@ -178,8 +182,10 @@ class IsrsMdp(BeliefMdp):
         self._rock_index = np.array(inst.rock_nodes, dtype=np.intp)
         self._rock_truth = np.array([GOOD_VALUE if r in inst.good_rocks else BAD_VALUE
                                      for r in inst.rock_nodes])
-        # per-(beacon, modality) measurement plans: ((rock, noise variance), ...)
-        self._beacon_sites: dict[int, dict[str, tuple[tuple[int, float], ...]]] = {}
+        # step kinds: a visit per rock, a fixed measurement plan per (beacon, modality)
+        self._visits = {rock: Visit(rock, self.jitter_floor, self.reward_config.interaction_reward)
+                        for rock in inst.rock_nodes}
+        self._beacon_steps: dict[int, dict[str, Static]] = {}
         xy = self.graph.coords.tolist()
         floor = self.jitter_floor
         for beacon in inst.beacons:
@@ -197,8 +203,8 @@ class IsrsMdp(BeliefMdp):
                 for rock, d in in_range:
                     sd = sensing_noise_stddev(mod, d, inst.fidelity_doubling)
                     sites.append((rock, max(sd * sd, floor)))
-                plans[mod.name] = tuple(sites)
-            self._beacon_sites[beacon] = plans
+                plans[mod.name] = Static(tuple(sites))
+            self._beacon_steps[beacon] = plans
 
     # planning side ----------------------------------------------------
 
@@ -207,7 +213,7 @@ class IsrsMdp(BeliefMdp):
             if action.target in self._rock_set and action.target not in belief.memory:
                 return ((action.target, self.jitter_floor),)
             return ()
-        return self._beacon_sites[belief.location][action.modality]
+        return self._beacon_steps[belief.location][action.modality].sites
 
     def expected_state_reward(self, belief, action):
         """10*P(good) - 10*(1-P(good)) for moves onto unvisited rocks, else 0.
@@ -224,21 +230,12 @@ class IsrsMdp(BeliefMdp):
         r = self.reward_config.interaction_reward
         return r * p_good - r * (1.0 - p_good)
 
-    def static_sites(self, location, action):
-        """Moves off rocks measure nothing; a beacon read measures its fixed plan.
-
-        One set or two dict lookups, no allocation: every Python tree and
-        rollout step calls this.
-        """
+    def step_kind(self, location, action):
+        """A rock visit, a move that measures nothing, or a beacon read of its
+        fixed plan: all built once, so a lookup allocates nothing."""
         if isinstance(action, Move):
-            return None if action.target in self._rock_set else ()
-        return self._beacon_sites[location][action.modality]
-
-    def dynamic_step(self, location, action):
-        """A move onto a rock, as the step kind ``Visit``."""
-        if isinstance(action, Move) and action.target in self._rock_set:
-            return Visit(action.target, self.jitter_floor, self.reward_config.interaction_reward)
-        return None
+            return self._visits.get(action.target, _MOVE)
+        return self._beacon_steps[location][action.modality]
 
     def updated_memory(self, belief, action, observation):
         if isinstance(action, Move) and action.target in self._rock_set:

@@ -114,7 +114,7 @@ def _check_updates(kernel):
     from .gp import _rank1_update
 
     rng = np.random.default_rng(0)
-    for q, m, k in ((1, 3, 2), (3, 0, 3), (40, 1, 2), (100, 37, 3), (300, 20, 2)):
+    for q, m, k in ((1, 3, 2), (3, 0, 3), (40, 1, 2), (100, 37, 3), (130, 18, 2)):
         w = rng.normal(size=(m + k, q)) * 0.1
         kqq = rng.normal(size=(q, q))
         mean, var = rng.normal(size=q), 1.0 + rng.random(q)

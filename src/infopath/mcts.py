@@ -61,8 +61,10 @@ class SolverConfig:
     def __post_init__(self):
         if self.iterations < 1 or self.max_depth < 1:
             raise ValueError("iterations and max_depth must be positive")
-        if self.exploration < 0 or self.k_action <= 0 or self.k_state <= 0:
-            raise ValueError("exploration and widening k parameters must be positive")
+        # chained comparisons, so that NaN fails them too
+        if not (0 <= self.exploration < math.inf and 0 < self.k_action < math.inf
+                and 0 < self.k_state < math.inf):
+            raise ValueError("exploration and widening k parameters must be finite and positive")
         if not (0.0 <= self.alpha_action < 1.0 and 0.0 <= self.alpha_state < 1.0):
             raise ValueError("widening alpha parameters must lie in [0, 1)")
         if not 0.0 < self.discount <= 1.0:

@@ -11,7 +11,8 @@ the goal with no affordable action left.
 
 ``BeliefMdp`` carries the machinery shared by every environment; subclasses
 supply what differs: where sensing is possible, what each action measures,
-the expected interaction reward, and how the memory evolves.
+the expected interaction reward, how the memory evolves, and the step kind
+that says all of this as data.
 
 The step kernel is ``RolloutState.advance``. A rollout is a chain that
 never branches, so ``rollout_state`` hands out a ``RolloutState`` that
@@ -24,15 +25,15 @@ over a flat copy of the location tables, with the same bits.
 Each location has one ``LocationTable``, shared by every MDP on the same
 graph with the same senses: every action's cost and target, and which
 actions are feasible between the budget thresholds where that changes.
-Terminal checks, feasible actions, costs and steps all read it. A step that
-an environment declares static (``static_sites``: fixed sites, no
-interaction reward, memory unchanged) runs without calling the environment
-hooks. An environment may also declare a dynamic action as one of a small
-closed set of step kinds (``dynamic_step``: ``Drill`` or ``Visit``), which
-the compiled kernel runs from that data; the hooks stay the reference, and
-an MDP with a dynamic action of no kind rolls out in Python. Episodes apply
-the observation they are given through ``transition``, which calls the
-hooks as the tree does.
+Terminal checks, feasible actions, costs and steps all read it. Every
+environment names the step kind of each action at each location
+(``step_kind``), one of a small closed set: ``Static`` (fixed sites, no
+interaction reward, memory unchanged), ``Drill`` or ``Visit``. A Python
+step takes a static one from its sites without calling the environment
+hooks, and a drill or visit through the hooks, which stay the reference;
+the compiled kernel's table reads the same kinds and runs all three from
+that data. Episodes apply the observation they are given through
+``transition``, which calls the hooks as the tree does.
 """
 
 from __future__ import annotations
@@ -127,6 +128,14 @@ class BeliefState(NamedTuple):
     __hash__ = object.__hash__
 
 
+class Static(NamedTuple):
+    """A step kind: a step that measures the fixed (node, noise variance)
+    ``sites``, in order, with no interaction reward and the memory
+    unchanged."""
+
+    sites: tuple[tuple[int, float], ...]
+
+
 class Drill(NamedTuple):
     """A step kind: a drill that measures ``node`` at noise variance ``nu``.
 
@@ -197,9 +206,8 @@ class BeliefMdp:
 
     Every modality can sense at ``sensing_nodes`` (all nodes when None).
     Subclasses override the three environment hooks (``measurement_sites``,
-    ``expected_state_reward``, ``updated_memory``) for planning, and may name
-    the actions those hooks treat as fixed through ``static_sites`` and the
-    step kind of the others through ``dynamic_step``. The two
+    ``expected_state_reward``, ``updated_memory``) for planning, and name
+    the step kind of every action through ``step_kind``. The two
     ground-truth hooks (``true_reward``, ``true_observation``) serve episode
     execution.
     """
@@ -245,32 +253,18 @@ class BeliefMdp:
     def updated_memory(self, belief: BeliefState, action: Action, observation: Observation):
         return belief.memory
 
-    def static_sites(self, location: int, action: Action):
-        """The fixed (node, noise_variance) sites of an action taken at
-        ``location`` that is static, or None for a dynamic one, whose step
-        kind, if it has one, ``dynamic_step`` gives.
-
-        Static means that at this location, whatever the belief,
-        ``measurement_sites`` returns these sites, ``expected_state_reward``
-        returns 0.0 and ``updated_memory`` returns the memory unchanged.
-        Tree and rollout steps take static actions without calling those
-        hooks. Every Python tree or rollout step calls this, and the compiled
-        kernel's table calls it once per (location, action), so it must stay
-        a cheap, pure function of the two.
-        """
-        return None
-
-    def dynamic_step(self, location: int, action: Action):
-        """The step kind (``Drill`` or ``Visit``) of a dynamic action taken
-        at ``location``, or None for one of no kind.
+    def step_kind(self, location: int, action: Action):
+        """The step kind of ``action`` taken at ``location``: ``Static``,
+        ``Drill`` or ``Visit``.
 
         The kind describes, as data, what the three hooks do for this
-        action at this location, whatever the belief. The compiled kernel's
-        table reads it once per (location, action) and takes such steps
-        without the hooks; Python steps never call it. An MDP with a dynamic
-        action of no kind rolls out in Python.
+        action at this location, whatever the belief. Every Python tree or
+        rollout step calls this, and takes a ``Static`` step without the
+        hooks; the compiled kernel's table calls it once per (location,
+        action) and takes every step from it. It must stay a cheap, pure
+        function of the two.
         """
-        return None
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # ground-truth hooks (episode side)
@@ -387,18 +381,15 @@ class BeliefMdp:
 
     def rollout_state(self, belief: BeliefState) -> "RolloutState":
         """A mutable copy of ``belief`` for an in-place rollout; with the
-        compiled kernel and a table it can take every step of, one that runs
-        the whole rollout there."""
-        compiled = kernel.lib() is not None and self._kernel_tables() is not None
-        return (CompiledRollout if compiled else RolloutState)(self, belief)
+        compiled kernel, one that runs the whole rollout there."""
+        return (RolloutState if kernel.lib() is None else CompiledRollout)(self, belief)
 
-    def _kernel_tables(self) -> int | None:
+    def _kernel_tables(self) -> int:
         """The address of the flat copy of every location's table for the
-        compiled kernel, built on the first rollout, or None when an action
-        is neither static nor of a step kind."""
+        compiled kernel, built on the first compiled rollout."""
         if self._flat_tables is None:
             tables = _kernel_tables(self)
-            self._flat_tables = (tables, None if tables is None else ctypes.addressof(tables))
+            self._flat_tables = (tables, ctypes.addressof(tables))
         return self._flat_tables[1]
 
 
@@ -460,7 +451,8 @@ class RolloutState:
     step), so the environment hooks take it unchanged; its GP is a
     ``BeliefWorkspace``. ``feasible_actions`` hands out the location table's
     feasible actions, and ``advance`` takes one: the draws, GP update, memory
-    and reward of a step. ``freeze`` returns the ``BeliefState``
+    and reward of a step, from its ``Static`` sites or through the hooks for
+    a drill or visit. ``freeze`` returns the ``BeliefState``
     reached, whose GP is the workspace's snapshot. The source belief is never
     touched. ``room`` is the workspace's spare rows: a rollout keeps the
     default, a single tree step takes exactly the rows it needs, and its
@@ -490,17 +482,17 @@ class RolloutState:
         if entry is None or entry[0] > self.remaining_budget:
             mdp._affordable_cost(self, action)  # raises
         cost, target = entry
-        sites = mdp.static_sites(self.location, action)
+        kind = mdp.step_kind(self.location, action)
         gp = self.gp
         trace = gp.trace_of_variance()
-        if sites is None:
+        if type(kind) is Static:  # the hooks' draws, without the hooks
+            observation = _draw_observation(gp, kind.sites, rng)
+            state_reward = 0.0
+        else:
             observation = mdp.sample_observation(self, action, rng)
             # the reward and the memory read the state before the update
             state_reward = mdp.expected_state_reward(self, action)
             self.memory = mdp.updated_memory(self, action, observation)
-        else:  # a static step: the same draws, without the hooks
-            observation = _draw_observation(gp, sites, rng)
-            state_reward = 0.0
         gp.add_measurements_at(observation)
         self.location = target
         self.remaining_budget -= cost
@@ -517,10 +509,10 @@ class CompiledRollout(RolloutState):
     """A ``RolloutState`` whose ``run`` takes a whole rollout in the compiled
     kernel; ``mcts.rollout`` calls it in place of its own loop.
 
-    The kernel takes every step itself: static ones from their sites, and
-    drills and visits from their step kinds. It calls back into Python only
-    for the workspace's ``_reserve`` and ``_rebuild``, when it needs rows or
-    a pivot collapses.
+    The kernel takes every step itself, from its step kind: static ones
+    from their sites, drills and visits from their parameters. It calls
+    back into Python only for the workspace's ``_reserve`` and ``_rebuild``,
+    when it needs rows or a pivot collapses.
     """
 
     __slots__ = ()
@@ -533,14 +525,13 @@ class CompiledRollout(RolloutState):
             depth, gamma, self.gp._model()[2])
 
 
-_KINDS = {Drill: kernel.DRILL, Visit: kernel.VISIT}
+_KINDS = {Static: kernel.STATIC, Drill: kernel.DRILL, Visit: kernel.VISIT}
 
 
-def _kernel_tables(mdp: BeliefMdp) -> kernel.StepTables | None:
+def _kernel_tables(mdp: BeliefMdp) -> kernel.StepTables:
     """``mdp``'s location tables as the flat arrays of ``tables_t`` in
     ``_kernel.c``: action ids in the order of every location's costs, each
-    with its ``static_sites`` or its ``dynamic_step``. None when an action
-    has neither."""
+    with its ``step_kind``'s id, sites and parameters."""
     thresholds, thr_start, run_start, run_steps = [], [0], [0], []
     cost, target, kind, param_start, params = [], [], [], [0], []
     site_start, site_count, site_node, site_nu = [], [], [], []
@@ -550,19 +541,16 @@ def _kernel_tables(mdp: BeliefMdp) -> kernel.StepTables | None:
             ids[action] = len(cost)
             cost.append(c)
             target.append(to)
-            sites = mdp.static_sites(v, action)
-            if sites is None:
-                step = mdp.dynamic_step(v, action)
-                if step is None:
-                    return None
-                kind.append(_KINDS[type(step)])
+            step = mdp.step_kind(v, action)
+            kind.append(_KINDS[type(step)])
+            if type(step) is Static:
+                sites = step.sites
+            else:
                 params.append(step.reward)
-                if isinstance(step, Drill):
+                if type(step) is Drill:
                     params.append(step.delta)
                     params.extend(step.types)
                 sites = ((step.node, step.nu),)
-            else:
-                kind.append(kernel.STATIC)
             param_start.append(len(params))
             site_start.append(len(site_node))
             site_count.append(len(sites))

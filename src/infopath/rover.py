@@ -30,9 +30,11 @@ from .mdp import (
     RewardConfig,
     Sense,
     SensingModality,
+    Static,
 )
 
 DRILL_REWARD = 1.0
+DEFAULT_INFORMATION_WEIGHT = 0.5
 DRILL = "drill"
 SPECTROMETER = "spectrometer"
 
@@ -206,7 +208,7 @@ class RoverMdp(BeliefMdp):
     def __init__(self, inst: RoverInstance, reward_config=None, *,
                  prior_mean=0.5, kernel=None):
         if reward_config is None:
-            reward_config = RewardConfig(information_weight=0.5, interaction_reward=DRILL_REWARD)
+            reward_config = RewardConfig(DEFAULT_INFORMATION_WEIGHT, DRILL_REWARD)
         drill = SensingModality(DRILL, cost=inst.drill_cost, noise_stddev=0.0)
         super().__init__(inst.graph(), (drill,), reward_config,
                          budget=inst.budget, prior_mean=prior_mean, kernel=kernel)
@@ -215,7 +217,7 @@ class RoverMdp(BeliefMdp):
         self._spect_nu = max(inst.spectrometer_sigma ** 2, self.jitter_floor)
         # matching tolerance: half the spacing between adjacent type values
         self._delta = 0.5 / (inst.beta - 1)
-        self._types = inst.type_values
+        self._types = tuple(inst.type_values.tolist())
 
     # planning side ----------------------------------------------------
 
@@ -248,20 +250,12 @@ class RoverMdp(BeliefMdp):
         r = self.reward_config.interaction_reward
         return r * p - r * (1.0 - p)
 
-    def static_sites(self, location, action):
-        """A move takes one spectrometer reading at its target; drills are dynamic.
-
-        A one-site tuple built from the action alone: every Python tree and
-        rollout step calls this.
-        """
-        return ((action.target, self._spect_nu),) if isinstance(action, Move) else None
-
-    def dynamic_step(self, location, action):
-        """A drill, as the step kind ``Drill``."""
+    def step_kind(self, location, action):
+        """A move takes one spectrometer reading at its target; a drill is a ``Drill``."""
         if isinstance(action, Move):
-            return None
+            return Static(((action.target, self._spect_nu),))
         return Drill(location, self.jitter_floor, self.reward_config.interaction_reward,
-                     self._delta, tuple(self._types.tolist()))
+                     self._delta, self._types)
 
     def updated_memory(self, belief, action, observation):
         if isinstance(action, Sense) and observation:

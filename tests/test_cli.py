@@ -107,6 +107,11 @@ def test_bad_numbers_are_config_errors(tmp_path, capsys, flag, value):
     ("runs", 2.0, "runs must be an integer, not float"),
     ("p_good", True, "p_good must be a number, not bool"),
     ("environment", 3, "environment must be a string, not int"),
+    ("solver_config", {"iterations": 2.5, "max_depth": 3},
+     "solver_config.iterations must be an integer, not float"),
+    ("solver_config", {"iterations": 2, "max_depth": 3.5},
+     "solver_config.max_depth must be an integer, not float"),
+    ("solver_config", {"iterations": True}, "solver_config.iterations must be an integer, not bool"),
 ])
 def test_config_value_types_are_config_errors(tmp_path, capsys, key, value, message):
     # a wrong type in a --config file must not get as far as a comparison (exit 3)
@@ -116,6 +121,15 @@ def test_config_value_types_are_config_errors(tmp_path, capsys, key, value, mess
     code = run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
     assert code == 2
     assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, seed", [("run", "-1"), ("gen-instance", "-3")])
+def test_negative_seeds_are_config_errors(tmp_path, capsys, command, seed):
+    code = run_cli(command, "--seed", seed, "--env", "rover", "--solver", "random",
+                   "--runs", "1", "--grid", "4", "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert "error: base_seed must be non-negative" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

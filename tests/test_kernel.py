@@ -17,18 +17,20 @@ from test_outputs import RUNS, _digests
 
 from infopath import gp as gp_module
 from infopath import kernel
-from infopath import mdp as mdp_module
 from infopath.cli import main
 from infopath.gp import BeliefWorkspace, SquaredExponential, _rank1_update
 from infopath.isrs import IsrsMdp, generate_isrs
 from infopath.mcts import SolverConfig, iter_belief_nodes, rollout, search
 from infopath.mdp import (
     MISSION_FAILURE_REWARD,
+    BeliefMdp,
     CompiledRollout,
     LocationTable,
     Move,
     RolloutState,
     Sense,
+    Static,
+    Visit,
     action_label,
 )
 from infopath.rover import RoverMdp, generate_rover
@@ -69,19 +71,11 @@ def unpruned(cls):
     return Unpruned
 
 
-class KindlessRover(RoverMdp):
-    """A rover whose drills have no step kind: it rolls out in Python."""
-
-    def dynamic_step(self, location, action):
-        return None
-
-
 def build_mdp(env, seed, budget, pruned=True):
     if env == "isrs":
         cls, inst = IsrsMdp, generate_isrs(6, 6, 4, 0.5, seed=seed, budget=budget)
     else:
-        cls = KindlessRover if env == "kindless rover" else RoverMdp
-        inst = generate_rover(5, 6, 0.1, seed=seed, budget=budget)
+        cls, inst = RoverMdp, generate_rover(5, 6, 0.1, seed=seed, budget=budget)
     return (cls if pruned else unpruned(cls))(inst)
 
 
@@ -118,12 +112,12 @@ def plan_under(which, env, seed, budget, discount, monkeypatch, pruned=True):
             if type(self) is CompiledRollout:
                 seen["callbacks"] += 1
             if type(self) is RolloutState:  # a rollout step, not a tree step
-                sites = self.mdp.static_sites(self.location, action)
+                step = self.mdp.step_kind(self.location, action)
                 kind = ("drill" if action == Sense("drill") else "beacon"
-                        if isinstance(action, Sense) else "rock" if sites is None
+                        if isinstance(action, Sense) else "rock" if type(step) is Visit
                         else "move")
                 seen[kind] = seen.get(kind, 0) + 1
-                if self.gp._m == 0 and sites:
+                if self.gp._m == 0 and type(step) is Static and step.sites:
                     seen["empty_prior"] = seen.get("empty_prior", 0) + 1
             reward = advance(self, action, rng)
             if reward == MISSION_FAILURE_REWARD:
@@ -188,20 +182,23 @@ def test_both_kernels_meet_every_kind_of_step(env, compiled, monkeypatch):
     assert all(met[kind] for kind in kinds), met
 
 
-def test_an_action_of_no_kind_rolls_out_in_python(compiled, monkeypatch):
-    """A dynamic action of no step kind: the MDP's rollouts run in Python,
-    with the compiled rank-1 updates, and find the reference's trees."""
-    mdp = build_mdp("kindless rover", 3, 30.0)
-    assert mdp_module._kernel_tables(mdp) is None
-    assert type(mdp.rollout_state(mdp.initial_belief())) is RolloutState
-    for seed, collapse in ((3, False), (4, True)):
-        with monkeypatch.context() as m:
-            if collapse:
-                m.setattr(gp_module, "PIVOT_MIN_REL", COLLAPSE_REL["rover"])
-            ours, seen = plan_under("compiled", "kindless rover", seed, 30.0, 1.0, monkeypatch)
-            reference, _ = plan_under("python", "rover", seed, 30.0, 1.0, monkeypatch)
-        assert ours == reference
-        assert seen["compiled_rollouts"] == 0 and seen["drill"] > 0
+@pytest.mark.parametrize("which", ["compiled", "python"])
+def test_an_mdp_must_name_its_step_kinds(which, monkeypatch, request):
+    """Without ``step_kind`` an MDP cannot step, under either kernel."""
+    if which == "compiled":
+        request.getfixturevalue("compiled")
+    else:
+        monkeypatch.setattr(kernel, "_state", (None, "forced by a test"))
+
+    class KindlessRover(RoverMdp):
+        step_kind = BeliefMdp.step_kind
+
+    mdp = KindlessRover(generate_rover(5, 6, 0.1, seed=3, budget=30.0))
+    belief = mdp.initial_belief()
+    with pytest.raises(NotImplementedError):
+        mdp.generative_sample(belief, mdp.feasible_actions(belief)[0], np.random.default_rng(0))
+    with pytest.raises(NotImplementedError):
+        rollout(belief, 12, mdp, SolverConfig(), np.random.default_rng(0))
 
 
 def only_action(mdp, location, action):
@@ -245,8 +242,8 @@ def dynamic_case(env, seed, memory=(), measured=(), beacon=False, revisit=False,
         memory = [*memory, target] if revisit else memory
     gp = mdp.initial_belief().gp
     if beacon:
-        plans = mdp._beacon_sites[sorted(mdp.instance.beacons)[0]]
-        sites = plans[min(plans)]
+        plans = mdp._beacon_steps[sorted(mdp.instance.beacons)[0]]
+        sites = plans[min(plans)].sites
         gp = gp.add_measurements_at([(node, 0.8, nu) for node, nu in sites])
     if measured:
         gp = gp.add_measurements_at([(node % mdp.graph.n_nodes, value, nu)

@@ -299,6 +299,9 @@ def test_solver_config_validation():
         SolverConfig(discount=0.0)
     with pytest.raises(ValueError):
         SolverConfig(k_state=0.0)
+    for bad in ({"exploration": math.nan}, {"k_action": math.inf}, {"k_state": math.nan}):
+        with pytest.raises(ValueError, match="finite"):
+            SolverConfig(**bad)
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,16 @@ from infopath.episodes import STATUS_GOAL, run_episode
 from infopath.gp import SquaredExponential
 from infopath.isrs import DEFAULT_MODALITIES, IsrsMdp, generate_isrs
 from infopath.mcts import SolverConfig, iter_belief_nodes, plan, rollout, search
-from infopath.mdp import BeliefState, Drill, Move, RewardConfig, Sense, SensingModality, Visit
+from infopath.mdp import (
+    BeliefState,
+    Drill,
+    Move,
+    RewardConfig,
+    Sense,
+    SensingModality,
+    Static,
+    Visit,
+)
 from infopath.policies import MctsPolicy
 from infopath.rover import RoverMdp, generate_rover
 
@@ -160,8 +169,8 @@ def kernel_actions(mdp, location, budget):
 
 
 def check_step_kind(mdp, belief, action, step, rng):
-    """``step``, the ``dynamic_step`` of ``action`` here, describes what the
-    environment hooks do with it from ``belief``."""
+    """``step``, the ``Drill`` or ``Visit`` ``step_kind`` of ``action`` here,
+    describes what the environment hooks do with it from ``belief``."""
     observation = mdp.sample_observation(belief, action, rng)
     r = step.reward
     assert r == mdp.reward_config.interaction_reward and step.nu == mdp.jitter_floor
@@ -213,19 +222,19 @@ def test_table_actions_match_the_mdp(case):
     for (action, cost, target), (*_, kind, kernel_sites, params) in zip(feasible, compiled):
         assert cost == mdp.action_cost(belief, action)
         assert target == mdp.action_target(belief, action)
-        sites = mdp.static_sites(belief.location, action)
-        step = mdp.dynamic_step(belief.location, action)
+        step = mdp.step_kind(belief.location, action)
         dynamic = isinstance(action, Move) and action.target in mdp.instance.rock_nodes \
             if isinstance(mdp, IsrsMdp) else not isinstance(action, Move)
-        assert (sites is None) == dynamic and (step is None) != dynamic
-        if sites is None:
+        assert (type(step) is Static) != dynamic
+        if dynamic:
             assert kind == {Drill: kernel.DRILL, Visit: kernel.VISIT}[type(step)]
             assert kernel_sites == ((step.node, step.nu),)
             assert params == ((step.reward, step.delta, *step.types) if kind == kernel.DRILL
                               else (step.reward,))
             check_step_kind(mdp, belief, action, step, rng)
         else:
-            assert kind == kernel.STATIC and kernel_sites == tuple(sites) and params == ()
+            sites = step.sites
+            assert kind == kernel.STATIC and kernel_sites == sites and params == ()
             assert mdp.measurement_sites(belief, action) == sites
             assert mdp.expected_state_reward(belief, action) == 0.0
             observation = mdp.sample_observation(belief, action, rng)

@@ -15,7 +15,7 @@ from infopath import mdp as mdp_mod
 from infopath.gp import SquaredExponential
 from infopath.graph import GRID_CACHE_SIZE, LocationGraph
 from infopath.isrs import DEFAULT_MODALITIES, IsrsMdp, generate_isrs, sensing_noise_stddev
-from infopath.mdp import Move, Sense, SensingModality
+from infopath.mdp import Move, Sense, SensingModality, Static
 from infopath.rover import RoverMdp, generate_rover
 
 KERNELS = (SquaredExponential(), SquaredExponential(signal_variance=2.0, lengthscale=0.8))
@@ -39,7 +39,7 @@ def scratch_mdp(make, inst, cost):
         return make(inst)
 
 
-def beacon_sites_reference(mdp):
+def beacon_steps_reference(mdp):
     """ISRS beacon plans as numpy scalars give them: one distance per
     (beacon, modality, rock)."""
     inst, coords = mdp.instance, mdp.graph.coords
@@ -54,7 +54,7 @@ def beacon_sites_reference(mdp):
                     continue
                 sd = sensing_noise_stddev(mod, d, inst.fidelity_doubling)
                 sites.append((rock, max(sd * sd, mdp.jitter_floor)))
-            plans[beacon][mod.name] = tuple(sites)
+            plans[beacon][mod.name] = Static(tuple(sites))
     return plans
 
 
@@ -100,7 +100,7 @@ def test_shared_mdp_equals_mdp_from_scratch(case, probes):
     assert a.query_variance.tobytes() == b.query_variance.tobytes()
     assert a.trace_of_variance() == b.trace_of_variance()
     if isinstance(shared, IsrsMdp):
-        assert shared._beacon_sites == scratch._beacon_sites == beacon_sites_reference(scratch)
+        assert shared._beacon_steps == scratch._beacon_steps == beacon_steps_reference(scratch)
     for location, budget in probes:
         belief = shared.initial_belief()._replace(location=location % inst.grid_size ** 2,
                                                   remaining_budget=budget)
