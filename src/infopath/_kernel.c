@@ -1,5 +1,5 @@
-/* The compiled step kernel: rank-1 GP updates and whole uniform-random
- * rollouts.
+/* The compiled step kernel: rank-1 GP updates and whole MCTS-DPW searches,
+ * tree steps and uniform-random rollouts alike.
  *
  * infopath/kernel.py builds this file on first use, loads it with
  * ctypes.PyDLL and takes its entry points from functions(): Python builtins
@@ -8,9 +8,10 @@
  * random_normal and the Lemire bounded draw of
  * infopath.mcts._PlanGenerator, the column product is the dgemv of the BLAS
  * numpy loaded with the arguments numpy's matmul passes it, the trace is
- * numpy's pairwise sum, and erf and rint are libm's, checked on load against
- * math.erf and round. Build with -ffp-contract=off: a fused multiply-add
- * rounds once where numpy rounds twice.
+ * numpy's pairwise sum, and erf, rint, log and pow are libm's, checked on
+ * load against math.erf, round, math.log and Python's float ** float. Build
+ * with -ffp-contract=off: a fused multiply-add rounds once where numpy
+ * rounds twice.
  */
 #define NPY_NO_DEPRECATED_API NPY_2_0_API_VERSION
 #include <math.h>
@@ -204,109 +205,183 @@ static int64_t bisect_right(const double *a, int64_t n, double x)
     return lo;
 }
 
-/* attribute names of RolloutState, BeliefWorkspace and its base belief */
-enum { LOCATION, BUDGET, STEP, MEMORY, GP, W, MEAN, VAR, ADDED, M, TRACE, BASE, KQQ, JITTER,
-       RESERVE, REBUILD, NAMES };
-static PyObject *names[NAMES];
-
-static int intern_names(void)
+/* The feasible action ids of location v at a budget: n ids from
+ * run_steps[*first] on; none when the location is terminal. */
+static int64_t feasible(const tables_t *t, int64_t v, double budget, int64_t *first)
 {
-    static const char *const text[NAMES] = {
-        "location", "remaining_budget", "step", "memory", "gp", "_w", "query_mean",
-        "query_variance", "_added", "_m", "_trace", "_base", "_kqq", "_jitter", "_reserve",
-        "_rebuild"};
-    for (int i = 0; i < NAMES; i++)
-        if (names[i] == NULL && (names[i] = PyUnicode_InternFromString(text[i])) == NULL)
-            return -1;
-    return 0;
+    const int64_t lo = t->thr_start[v];
+    const int64_t x = lo + v + bisect_right(t->thresholds + lo, t->thr_start[v + 1] - lo, budget);
+    *first = t->run_start[x];
+    return t->run_start[x + 1] - *first;
 }
 
-static int get_i64(PyObject *o, int name, int64_t *out)
-{
-    PyObject *v = PyObject_GetAttr(o, names[name]);
-    if (v == NULL)
-        return -1;
-    *out = PyLong_AsLongLong(v);
-    Py_DECREF(v);
-    return PyErr_Occurred() ? -1 : 0;
-}
+/* The search.
+ *
+ * infopath.mcts.simulate's recursion, action_prog_widen and rollout, and
+ * BeliefMdp.generative_sample's tree step, over the integer action ids of
+ * the tables. A tree belief's GP record keeps what BeliefWorkspace.freeze
+ * keeps: the k sites its step added and their rows (rows m - k .. m - 1 of
+ * the whitened cross-covariance w), its query mean, variance and trace,
+ * and a link to the record it extends. A step that adds no site shares its
+ * parent's record. The root record holds the root belief's caches, and the
+ * walk holds the root's m rows from the search's start on.
+ *
+ * One walk steps every tree step and rollout of a simulation in place: it
+ * sets out from a belief node and reads that node's record until its first
+ * update copies the rows of the records up to the root into its own rows
+ * and its own query mean and variance. A tree step's new record is taken
+ * from the walk, and the rollout goes on in the same walk.
+ *
+ * Steps return 0, -1 with the Python error set, or COLLAPSED when a pivot
+ * collapsed: the search then stops, and infopath.mcts reruns it in Python,
+ * whose batch rebuild this file does not repeat. All memory comes from
+ * PyMem_*, which tracemalloc sees, and goes when the search's capsule does. */
+enum { COLLAPSED = 1 };
 
-static int get_f64(PyObject *o, int name, double *out)
-{
-    PyObject *v = PyObject_GetAttr(o, names[name]);
-    if (v == NULL)
-        return -1;
-    *out = PyFloat_AsDouble(v);
-    Py_DECREF(v);
-    return PyErr_Occurred() ? -1 : 0;
-}
-
-static int set(PyObject *o, int name, PyObject *v) /* steals v */
-{
-    const int rc = v == NULL ? -1 : PyObject_SetAttr(o, names[name], v);
-    Py_XDECREF(v);
-    return rc;
-}
-
-/* A rollout: the state's scalars and memory, and its workspace's caches,
- * held here from the rollout's start to its end. Only the workspace's
- * _reserve and _rebuild run Python in between. */
 typedef struct {
-    PyObject *ws, *memory, *w, *mean, *var, *kqq, *added; /* owned */
-    gp_t g;
-    int64_t rows, location, steps;
-    double budget, trace, floor;
+    int64_t parent; /* the record this one extends; -1 at the root */
+    int64_t m, k;
+    double trace;
+    double *rows, *mean, *var, *val, *nu; /* k rows of q, q, q, k, k */
+    int64_t *node;                        /* k */
+} record_t;
+
+typedef struct {
+    int64_t location, steps, visits, record;
+    double budget, reward; /* reward: of the tree step that reached the node */
+    PyObject *memory;      /* owned */
+    int64_t first, last, n_children; /* action nodes, in the order they were added */
+    int64_t sibling;                 /* the next successor of the same action node */
+    int64_t untried, n_untried;      /* pool[untried ..]; untried < 0 until first use */
+} belief_t;
+
+typedef struct {
+    int64_t action, visits, next; /* next: the belief node's next action node */
+    double q;
+    int64_t first, last, n_children; /* successor belief nodes */
+} action_t;
+
+typedef struct {
+    gp_t g;                 /* g.w is the walk's rows; g.mean and g.var what it reads */
+    int64_t source;         /* the record of the node the walk set out from */
+    int own;                /* g.mean and g.var are the walk's copies */
+    double *mean, *var;     /* the copies */
+    double trace, budget;
+    int64_t location, steps;
+    PyObject *memory;       /* owned */
+    int64_t added;          /* sites since the walk set out: */
+    int64_t *node;
+    double *val, *nu;
 } walk_t;
 
-static void drop(walk_t *k)
-{
-    Py_CLEAR(k->w);
-    Py_CLEAR(k->mean);
-    Py_CLEAR(k->var);
-    Py_CLEAR(k->kqq);
-    Py_CLEAR(k->added);
-}
+typedef struct {
+    const tables_t *t;
+    bitgen_t *bitgen;
+    int64_t q, max_depth, rows;
+    double exploration, k_action, alpha_action, k_state, alpha_state, gamma;
+    belief_t *beliefs;
+    action_t *actions;
+    int64_t *pool;
+    record_t **records;
+    int64_t n_beliefs, n_actions, n_pool, n_records;
+    int64_t cap_beliefs, cap_actions, cap_pool, cap_records;
+    walk_t walk;
+} search_t;
 
-/* Read the workspace, as Python left it. */
-static int load(walk_t *k)
+/* Room for `need` items in a growing array */
+static int grow(void **array, int64_t *cap, int64_t need, size_t size)
 {
-    PyObject *base = NULL;
-    drop(k);
-    double jitter;
-    int64_t m;
-    if (get_i64(k->ws, M, &m) || get_f64(k->ws, TRACE, &k->trace) ||
-        !(k->w = PyObject_GetAttr(k->ws, names[W])) ||
-        !(k->mean = PyObject_GetAttr(k->ws, names[MEAN])) ||
-        !(k->var = PyObject_GetAttr(k->ws, names[VAR])) ||
-        !(k->added = PyObject_GetAttr(k->ws, names[ADDED])) ||
-        !(base = PyObject_GetAttr(k->ws, names[BASE])) ||
-        !(k->kqq = PyObject_GetAttr(base, names[KQQ])) || get_f64(base, JITTER, &jitter)) {
-        Py_XDECREF(base);
+    if (need <= *cap)
+        return 0;
+    int64_t n = *cap ? 2 * *cap : 64;
+    while (n < need)
+        n *= 2;
+    void *p = PyMem_Realloc(*array, n * size);
+    if (p == NULL) {
+        PyErr_NoMemory();
         return -1;
     }
-    Py_DECREF(base);
-    const int materialized = k->w != Py_None;
-    k->g = (gp_t){materialized ? DATA(k->w) : NULL, DATA(k->mean), DATA(k->var), DATA(k->kqq),
-                  LENGTH(k->var), m, jitter, k->floor};
-    k->rows = materialized ? LENGTH(k->w) : 0;
+    *array = p;
+    *cap = n;
     return 0;
 }
+#define GROW(s, name, need) grow((void **)&(s)->name, &(s)->cap_##name, need, sizeof *(s)->name)
 
-/* Write the workspace's size and trace back for Python. */
-static int store(walk_t *k)
+/* A record of k sites with its arrays, or NULL with the error set */
+static record_t *new_record(search_t *s, int64_t parent, int64_t m, int64_t k)
 {
-    return set(k->ws, M, PyLong_FromLongLong(k->g.m)) ||
-           set(k->ws, TRACE, PyFloat_FromDouble(k->trace));
+    if (GROW(s, records, s->n_records + 1))
+        return NULL;
+    const int64_t q = s->q;
+    record_t *r = PyMem_Malloc(sizeof *r + ((k + 2) * q + 2 * k) * sizeof(double) +
+                               k * sizeof(int64_t));
+    if (r == NULL) {
+        PyErr_NoMemory();
+        return NULL;
+    }
+    r->parent = parent;
+    r->m = m;
+    r->k = k;
+    r->rows = (double *)(r + 1);
+    r->mean = r->rows + k * q;
+    r->var = r->mean + q;
+    r->val = r->var + q;
+    r->nu = r->val + k;
+    r->node = (int64_t *)(r->nu + k);
+    s->records[s->n_records++] = r;
+    return r;
 }
 
-/* method(arg) of the workspace, between a store and a load */
-static int call_back(walk_t *k, int method, PyObject *arg)
+static void free_search(search_t *s)
 {
-    if (store(k))
-        return -1;
-    PyObject *res = PyObject_CallMethodObjArgs(k->ws, names[method], arg, NULL);
-    Py_XDECREF(res);
-    return res == NULL || load(k) ? -1 : 0;
+    for (int64_t i = 0; i < s->n_records; i++)
+        PyMem_Free(s->records[i]);
+    for (int64_t i = 0; i < s->n_beliefs; i++)
+        Py_DECREF(s->beliefs[i].memory);
+    PyMem_Free(s->records);
+    PyMem_Free(s->beliefs);
+    PyMem_Free(s->actions);
+    PyMem_Free(s->pool);
+    Py_XDECREF(s->walk.memory);
+    PyMem_Free(s->walk.g.w);
+    PyMem_Free(s);
+}
+
+/* Set the walk out from belief node b. */
+static void set_out(search_t *s, int64_t b)
+{
+    walk_t *k = &s->walk;
+    const belief_t *node = &s->beliefs[b];
+    const record_t *r = s->records[node->record];
+    k->source = node->record;
+    k->location = node->location;
+    k->budget = node->budget;
+    k->steps = node->steps;
+    Py_INCREF(node->memory);
+    Py_XSETREF(k->memory, node->memory);
+    k->own = 0;
+    k->added = 0;
+    k->g.m = r->m;
+    k->g.mean = r->mean;
+    k->g.var = r->var;
+    k->trace = r->trace;
+}
+
+/* BeliefWorkspace._reserve's first copy: the rows of the records up to the
+ * root, whose rows the walk already holds, and the query mean and variance */
+static void own(search_t *s)
+{
+    walk_t *k = &s->walk;
+    const int64_t q = s->q;
+    if (k->own)
+        return;
+    for (const record_t *r = s->records[k->source]; r->parent >= 0; r = s->records[r->parent])
+        memcpy(k->g.w + (r->m - r->k) * q, r->rows, r->k * q * sizeof(double));
+    memcpy(k->mean, k->g.mean, q * sizeof(double));
+    memcpy(k->var, k->g.var, q * sizeof(double));
+    k->g.mean = k->mean;
+    k->g.var = k->var;
+    k->own = 1;
 }
 
 /* A draw at query point j, as infopath.mdp._draw_observation makes it */
@@ -316,43 +391,39 @@ static double draw(const walk_t *k, bitgen_t *bitgen, int64_t j, double nu)
     return random_normal(bitgen, k->g.mean[j], sqrt((0. > v ? 0. : v) + nu));
 }
 
-/* add_measurements_at for n drawn sites: room for them, the sites on the
- * workspace's list, then their updates, or a batch rebuild when a pivot
- * collapses. */
-static int measure(walk_t *k, const int64_t *node, const double *nu, const double *val,
+/* add_measurements_at for n drawn sites */
+static int measure(search_t *s, const int64_t *node, const double *nu, const double *val,
                    int64_t n)
 {
-    if (k->g.w == NULL || k->g.m + n > k->rows) { /* the first update copies the caches */
-        PyObject *room = PyLong_FromLongLong(n);
-        const int rc = room == NULL ? -1 : call_back(k, RESERVE, room);
-        Py_XDECREF(room);
-        if (rc)
-            return -1;
+    walk_t *k = &s->walk;
+    if (k->g.m + n > s->rows) {
+        PyErr_SetString(PyExc_RuntimeError, "the walk has no room for a step's sites");
+        return -1;
     }
-    for (int64_t i = 0; i < n; i++) {
-        PyObject *site = Py_BuildValue("(Ldd)", (long long)node[i], val[i], nu[i]);
-        const int rc = site == NULL ? -1 : PyList_Append(k->added, site);
-        Py_XDECREF(site);
-        if (rc)
-            return -1;
+    own(s);
+    for (int64_t i = 0; i < n; i++, k->added++) {
+        k->node[k->added] = node[i];
+        k->val[k->added] = val[i];
+        k->nu[k->added] = nu[i];
     }
     for (int64_t i = 0; i < n; i++)
         if (!update(&k->g, node[i], val[i], nu[i]))
-            return call_back(k, REBUILD, NULL);
+            return COLLAPSED;
     k->trace = trace(&k->g);
     return 0;
 }
 
 /* A static step: every draw reads the state before the step */
-static int static_step(walk_t *k, const tables_t *t, int64_t s, bitgen_t *bitgen)
+static int static_step(search_t *s, int64_t a)
 {
-    const int64_t n = t->site_count[s], first = t->site_start[s];
+    const tables_t *t = s->t;
+    const int64_t n = t->site_count[a], first = t->site_start[a];
     if (n == 0)
         return 0;
     double val[n];
     for (int64_t i = 0; i < n; i++)
-        val[i] = draw(k, bitgen, t->site_node[first + i], t->site_nu[first + i]);
-    return measure(k, t->site_node + first, t->site_nu + first, val, n);
+        val[i] = draw(&s->walk, s->bitgen, t->site_node[first + i], t->site_nu[first + i]);
+    return measure(s, t->site_node + first, t->site_nu + first, val, n);
 }
 
 /* min(max(x, lo), hi) with Python's min and max, which keep a NaN */
@@ -403,24 +474,25 @@ static int unseen(const walk_t *k, int64_t j, const double *tau, int64_t n, doub
 /* A drill or a visit, as RolloutState.advance takes it through the
  * environment's hooks: the draw first, then the interaction reward and the
  * new memory from the state before the update, then the update. */
-static int dynamic_step(walk_t *k, const tables_t *t, int64_t s, bitgen_t *bitgen,
-                        double *state_reward)
+static int dynamic_step(search_t *s, int64_t a, double *state_reward)
 {
-    const int64_t j = t->site_node[t->site_start[s]];
-    const double nu = t->site_nu[t->site_start[s]];
-    const double *param = t->params + t->param_start[s];
+    const tables_t *t = s->t;
+    walk_t *k = &s->walk;
+    const int64_t j = t->site_node[t->site_start[a]];
+    const double nu = t->site_nu[t->site_start[a]];
+    const double *param = t->params + t->param_start[a];
     const double r = param[0];
     PyObject *gained = NULL, *set = NULL, *memory = NULL;
     int rc = -1, visited = 0;
     double val = 0., p;
-    if (t->kind[s] == VISIT &&
+    if (t->kind[a] == VISIT &&
         ((gained = PyLong_FromLongLong(j)) == NULL ||
          (visited = PySequence_Contains(k->memory, gained)) < 0))
         goto done;
     if (!visited) {
-        val = draw(k, bitgen, j, nu);
-        if (t->kind[s] == DRILL) {
-            const int64_t n = t->param_start[s + 1] - t->param_start[s] - 2;
+        val = draw(k, s->bitgen, j, nu);
+        if (t->kind[a] == DRILL) {
+            const int64_t n = t->param_start[a + 1] - t->param_start[a] - 2;
             if (unseen(k, j, param + 2, n, param[1], &p))
                 goto done;
             /* round() is half-even; a NaN raises ValueError, as int() does */
@@ -432,12 +504,11 @@ static int dynamic_step(walk_t *k, const tables_t *t, int64_t s, bitgen_t *bitge
         *state_reward = r * p - r * (1. - p);
     }
     if ((set = PySet_New(NULL)) == NULL || PySet_Add(set, gained) ||
-        (memory = PyNumber_Or(k->memory, set)) == NULL ||
-        (!visited && measure(k, &j, &nu, &val, 1)))
+        (memory = PyNumber_Or(k->memory, set)) == NULL)
         goto done;
     Py_SETREF(k->memory, memory);
     memory = NULL;
-    rc = 0;
+    rc = visited ? 0 : measure(s, &j, &nu, &val, 1);
 done:
     Py_XDECREF(gained);
     Py_XDECREF(set);
@@ -445,92 +516,412 @@ done:
     return rc;
 }
 
-/* mcts.rollout's loop for a RolloutState: the discounted return of up to
- * depth uniform-random feasible steps, drawn from rng's bit generator
- * bitgen. Every step draws, updates, rewards and discounts here as
- * RolloutState.advance does; a workspace without room for a step's sites
- * calls its _reserve, and a collapsed pivot its _rebuild. The state is left
- * where the rollout ended. Returns the return as a float, or NULL with the
- * Python error set. */
-static PyObject *rollout(const tables_t *t, PyObject *state, bitgen_t *bitgen, int64_t depth,
-                         double gamma, double floor)
+/* RolloutState.advance of action a in the walk, with its belief_reward */
+static int step(search_t *s, int64_t a, double *reward)
 {
-    walk_t k = {.floor = floor};
-    if (intern_names() || get_i64(state, LOCATION, &k.location) ||
-        get_f64(state, BUDGET, &k.budget) || get_i64(state, STEP, &k.steps) ||
-        !(k.memory = PyObject_GetAttr(state, names[MEMORY])) ||
-        !(k.ws = PyObject_GetAttr(state, names[GP])) || load(&k))
-        goto error;
+    const tables_t *t = s->t;
+    walk_t *k = &s->walk;
+    const double before = k->trace;
+    double state_reward = 0.;
+    const int rc = t->kind[a] == STATIC ? static_step(s, a) : dynamic_step(s, a, &state_reward);
+    if (rc)
+        return rc;
+    const int64_t to = k->location = t->target[a];
+    k->budget -= t->cost[a];
+    k->steps += 1;
+    *reward = to != t->goal && k->budget < t->thresholds[t->thr_start[to]]
+                  ? t->failure
+                  : state_reward + t->weight * (before - k->trace);
+    return 0;
+}
+
+/* mcts.rollout's loop in the walk: the discounted return of up to depth
+ * uniform-random feasible steps */
+static int rollout(search_t *s, int64_t depth, double *value)
+{
+    const tables_t *t = s->t;
     double total = 0., discount = 1.;
     for (; depth > 0; depth--) {
-        const int64_t v = k.location, first_threshold = t->thr_start[v];
-        const int64_t x = first_threshold + v + bisect_right(t->thresholds + first_threshold,
-                                                             t->thr_start[v + 1] - first_threshold,
-                                                             k.budget);
-        const int64_t first = t->run_start[x], n = t->run_start[x + 1] - first;
+        int64_t first;
+        int rc;
+        const int64_t n = feasible(t, s->walk.location, s->walk.budget, &first);
         if (n == 0)
             break;
-        const int64_t s = t->run_steps[first + bounded(bitgen, n)];
-        const double before = k.trace;
-        double state_reward = 0.;
-        if (t->kind[s] == STATIC ? static_step(&k, t, s, bitgen)
-                                 : dynamic_step(&k, t, s, bitgen, &state_reward))
-            goto error;
-        const int64_t to = k.location = t->target[s];
-        k.budget -= t->cost[s];
-        k.steps += 1;
-        const double reward = to != t->goal && k.budget < t->thresholds[t->thr_start[to]]
-                                  ? t->failure
-                                  : state_reward + t->weight * (before - k.trace);
+        double reward;
+        if ((rc = step(s, t->run_steps[first + bounded(s->bitgen, n)], &reward)))
+            return rc;
         total += discount * reward;
-        discount *= gamma;
+        discount *= s->gamma;
     }
-    if (store(&k) || set(state, LOCATION, PyLong_FromLongLong(k.location)) ||
-        set(state, BUDGET, PyFloat_FromDouble(k.budget)) ||
-        set(state, STEP, PyLong_FromLongLong(k.steps)) ||
-        PyObject_SetAttr(state, names[MEMORY], k.memory))
-        goto error;
-    drop(&k);
-    Py_DECREF(k.ws);
-    Py_DECREF(k.memory);
-    return PyFloat_FromDouble(total);
-error:
-    drop(&k);
-    Py_XDECREF(k.ws);
-    Py_XDECREF(k.memory);
-    return NULL;
+    *value = total;
+    return 0;
+}
+
+/* A new belief node, the walk's state reached by a step worth reward, as
+ * the last successor of action node a (a < 0: the root); its record is the
+ * one the walk set out from when the step added no site. Returns its
+ * index, or -1 with the error set. */
+static int64_t add_belief(search_t *s, int64_t a, double reward)
+{
+    const walk_t *k = &s->walk;
+    int64_t record = k->source;
+    if (k->added > 0) {
+        const int64_t q = s->q, m = k->g.m, n = k->added;
+        record_t *r = new_record(s, k->source, m, n);
+        if (r == NULL)
+            return -1;
+        record = s->n_records - 1;
+        memcpy(r->rows, k->g.w + (m - n) * q, n * q * sizeof(double));
+        memcpy(r->mean, k->g.mean, q * sizeof(double));
+        memcpy(r->var, k->g.var, q * sizeof(double));
+        memcpy(r->node, k->node, n * sizeof(int64_t));
+        memcpy(r->val, k->val, n * sizeof(double));
+        memcpy(r->nu, k->nu, n * sizeof(double));
+        r->trace = k->trace;
+    }
+    if (GROW(s, beliefs, s->n_beliefs + 1))
+        return -1;
+    const int64_t b = s->n_beliefs++;
+    Py_INCREF(k->memory);
+    s->beliefs[b] = (belief_t){.location = k->location, .steps = k->steps, .record = record,
+                               .budget = k->budget, .reward = reward, .memory = k->memory,
+                               .first = -1, .last = -1, .sibling = -1, .untried = -1};
+    if (a >= 0) {
+        action_t *an = &s->actions[a];
+        if (an->last >= 0)
+            s->beliefs[an->last].sibling = b;
+        else
+            an->first = b;
+        an->last = b;
+        an->n_children++;
+    }
+    return b;
+}
+
+/* action_prog_widen: a new action drawn from the untried ones while the
+ * widening cap allows, then UCB. Returns the action node, or -1 with the
+ * error set. */
+static int64_t widen(search_t *s, int64_t b)
+{
+    belief_t *node = &s->beliefs[b];
+    if (node->n_untried > 0 &&
+        (double)node->n_children <= s->k_action * pow((double)node->visits, s->alpha_action)) {
+        if (GROW(s, actions, s->n_actions + 1))
+            return -1;
+        int64_t *untried = s->pool + node->untried;
+        const int64_t i = bounded(s->bitgen, node->n_untried);
+        const int64_t a = s->n_actions++;
+        s->actions[a] = (action_t){.action = untried[i], .next = -1, .first = -1, .last = -1};
+        memmove(untried + i, untried + i + 1, (--node->n_untried - i) * sizeof(int64_t));
+        if (node->last >= 0)
+            s->actions[node->last].next = a;
+        else
+            node->first = a;
+        node->last = a;
+        node->n_children++;
+    }
+    const double log_n = node->visits > 0 ? log((double)node->visits) : 0.;
+    int64_t best = -1;
+    double best_score = -INFINITY;
+    for (int64_t a = node->first; a >= 0; a = s->actions[a].next) {
+        const action_t *an = &s->actions[a];
+        if (an->visits == 0)
+            return a;
+        const double score = an->q + s->exploration * sqrt(log_n / (double)an->visits);
+        if (score > best_score) {
+            best_score = score;
+            best = a;
+        }
+    }
+    if (best < 0)
+        PyErr_SetString(PyExc_ValueError, "no action scores above -inf");
+    return best;
+}
+
+/* mcts.simulate from belief node b */
+static int simulate(search_t *s, int64_t b, int64_t depth, double *q)
+{
+    const tables_t *t = s->t;
+    belief_t *node = &s->beliefs[b];
+    *q = 0.;
+    if (depth == 0 || node->budget < t->thresholds[t->thr_start[node->location]])
+        return 0;
+    if (node->n_children == 0) {
+        if (node->untried < 0) { /* the feasible actions, on first use */
+            int64_t first;
+            const int64_t n = feasible(t, node->location, node->budget, &first);
+            if (GROW(s, pool, s->n_pool + n))
+                return -1;
+            memcpy(s->pool + s->n_pool, t->run_steps + first, n * sizeof(int64_t));
+            node->untried = s->n_pool;
+            node->n_untried = n;
+            s->n_pool += n;
+        }
+        if (node->n_untried == 0)
+            return 0;
+    }
+    const int64_t a = widen(s, b);
+    if (a < 0)
+        return -1;
+    const action_t *an = &s->actions[a];
+    double reward, value;
+    int rc;
+    if ((double)an->n_children <= s->k_state * pow((double)an->visits, s->alpha_state)) {
+        set_out(s, b);
+        if ((rc = step(s, an->action, &reward)))
+            return rc;
+        if (add_belief(s, a, reward) < 0)
+            return -1;
+        rc = rollout(s, depth - 1, &value);
+    } else {
+        int64_t c = an->first;
+        for (int64_t i = bounded(s->bitgen, an->n_children); i > 0; i--)
+            c = s->beliefs[c].sibling;
+        reward = s->beliefs[c].reward;
+        rc = simulate(s, c, depth - 1, &value);
+    }
+    if (rc)
+        return rc;
+    *q = reward + s->gamma * value;
+    action_t *updated = &s->actions[a];
+    s->beliefs[b].visits += 1;
+    updated->visits += 1;
+    updated->q += (*q - updated->q) / (double)updated->visits;
+    return 0;
 }
 
 /* The entry points as Python builtins, which skip ctypes' argument
- * conversion; pointers come as integer addresses. */
+ * conversion; pointers come as integer addresses, and a search as the
+ * capsule that owns it. */
+
+#define ARGS(name, count)                                                                    \
+    (void)self;                                                                              \
+    if (n != count)                                                                          \
+        return PyErr_Format(PyExc_TypeError, name " takes " #count " arguments, not %zd", n)
 
 static PyObject *py_rank1_update(PyObject *self, PyObject *const *a, Py_ssize_t n)
 {
-    (void)self;
-    if (n != 8)
-        return PyErr_Format(PyExc_TypeError, "rank1_update takes 8 arguments, not %zd", n);
+    ARGS("rank1_update", 8);
     const double jitter = PyFloat_AsDouble(a[4]), floor = PyFloat_AsDouble(a[5]);
     const int64_t m = PyLong_AsLongLong(a[6]);
     return PyErr_Occurred() ? NULL : rank1_update(a[0], a[1], a[2], a[3], jitter, floor, m, a[7]);
 }
 
-static PyObject *py_rollout(PyObject *self, PyObject *const *a, Py_ssize_t n)
+static const char SEARCH[] = "infopath.search";
+
+static void drop_search(PyObject *capsule)
 {
-    (void)self;
-    if (n != 6)
-        return PyErr_Format(PyExc_TypeError, "rollout takes 6 arguments, not %zd", n);
-    const tables_t *t = PyLong_AsVoidPtr(a[0]);
-    bitgen_t *bitgen = PyLong_AsVoidPtr(a[2]);
-    const int64_t depth = PyLong_AsLongLong(a[3]);
-    const double gamma = PyFloat_AsDouble(a[4]), floor = PyFloat_AsDouble(a[5]);
-    return PyErr_Occurred() ? NULL : rollout(t, a[1], bitgen, depth, gamma, floor);
+    free_search(PyCapsule_GetPointer(capsule, SEARCH));
+}
+
+/* search(tables, bitgen, (location, budget, step, memory), (rows, mean,
+ * var, trace, kqq, jitter, floor), (max_depth, exploration, k_action,
+ * alpha_action, k_state, alpha_state, discount), max_sites): a search from
+ * the root belief's state and GP caches, whose steps measure at most
+ * max_sites sites each. */
+static PyObject *py_search(PyObject *self, PyObject *const *a, Py_ssize_t n)
+{
+    ARGS("search", 6);
+    long long location, steps, max_depth;
+    double budget, trace, jitter, floor;
+    PyObject *memory, *rows, *mean, *var, *kqq;
+    search_t *s = PyMem_Calloc(1, sizeof *s);
+    if (s == NULL)
+        return PyErr_NoMemory();
+    s->t = PyLong_AsVoidPtr(a[0]);
+    s->bitgen = PyLong_AsVoidPtr(a[1]);
+    const int64_t max_sites = PyLong_AsLongLong(a[5]);
+    if (PyErr_Occurred() ||
+        !PyArg_ParseTuple(a[2], "LdLO", &location, &budget, &steps, &memory) ||
+        !PyArg_ParseTuple(a[3], "OOOdOdd", &rows, &mean, &var, &trace, &kqq, &jitter, &floor) ||
+        !PyArg_ParseTuple(a[4], "Ldddddd", &max_depth, &s->exploration, &s->k_action,
+                          &s->alpha_action, &s->k_state, &s->alpha_state, &s->gamma)) {
+        PyMem_Free(s);
+        return NULL;
+    }
+    const int64_t q = LENGTH(var), m = LENGTH(rows);
+    if (PyArray_NDIM((PyArrayObject *)rows) != 2 || PyArray_DIM((PyArrayObject *)rows, 1) != q ||
+        LENGTH(mean) != q || LENGTH(kqq) != q || max_depth < 0) {
+        PyMem_Free(s);
+        return PyErr_Format(PyExc_ValueError, "the root's caches do not fit its query set");
+    }
+    s->q = q;
+    s->max_depth = max_depth;
+    s->rows = m + max_depth * (max_sites > 1 ? max_sites : 1);
+    /* the walk's rows, copies and sites, in one block of 8-byte words */
+    walk_t *k = &s->walk;
+    double *block = PyMem_Malloc(((s->rows + 2) * q + 3 * s->rows) * sizeof(double));
+    k->g = (gp_t){block, NULL, NULL, DATA(kqq), q, m, jitter, floor};
+    record_t *root = block == NULL ? NULL : new_record(s, -1, m, 0);
+    if (root == NULL || GROW(s, beliefs, 1)) {
+        if (!PyErr_Occurred())
+            PyErr_NoMemory();
+        free_search(s);
+        return NULL;
+    }
+    k->mean = block + s->rows * q;
+    k->var = k->mean + q;
+    k->val = k->var + q;
+    k->nu = k->val + s->rows;
+    k->node = (int64_t *)(k->nu + s->rows);
+    memcpy(k->g.w, DATA(rows), m * q * sizeof(double));
+    memcpy(root->mean, DATA(mean), q * sizeof(double));
+    memcpy(root->var, DATA(var), q * sizeof(double));
+    root->trace = trace;
+    s->beliefs[s->n_beliefs++] =
+        (belief_t){.location = location, .steps = steps, .budget = budget,
+                   .memory = Py_NewRef(memory), .first = -1, .last = -1, .sibling = -1,
+                   .untried = -1};
+    PyObject *capsule = PyCapsule_New(s, SEARCH, drop_search);
+    if (capsule == NULL)
+        free_search(s);
+    return capsule;
+}
+
+/* The search of a[0] and the integer a[1] */
+static search_t *search_and(PyObject *const *a, int64_t *i)
+{
+    search_t *s = PyCapsule_GetPointer(a[0], SEARCH);
+    *i = PyLong_AsLongLong(a[1]);
+    return PyErr_Occurred() ? NULL : s;
+}
+
+/* simulate(search, depth): one simulation from the root; its return, or
+ * None when a pivot collapsed */
+static PyObject *py_simulate(PyObject *self, PyObject *const *a, Py_ssize_t n)
+{
+    ARGS("simulate", 2);
+    int64_t depth;
+    double q;
+    search_t *s = search_and(a, &depth);
+    if (s == NULL)
+        return NULL;
+    if (depth < 0 || depth > s->max_depth)
+        return PyErr_Format(PyExc_ValueError, "depth must lie in [0, %lld]",
+                            (long long)s->max_depth);
+    const int rc = simulate(s, 0, depth, &q);
+    if (rc == COLLAPSED)
+        Py_RETURN_NONE;
+    return rc ? NULL : PyFloat_FromDouble(q);
+}
+
+/* node(search, i): belief node i's (visits, untried action ids or None,
+ * action nodes as (index, action id, visits, q), location, budget, memory,
+ * step, GP record) */
+static PyObject *py_node(PyObject *self, PyObject *const *a, Py_ssize_t n)
+{
+    ARGS("node", 2);
+    int64_t i;
+    search_t *s = search_and(a, &i);
+    if (s == NULL)
+        return NULL;
+    if (i < 0 || i >= s->n_beliefs)
+        return PyErr_Format(PyExc_IndexError, "no belief node %lld", (long long)i);
+    const belief_t *node = &s->beliefs[i];
+    PyObject *untried = node->untried < 0 ? Py_NewRef(Py_None) : PyTuple_New(node->n_untried);
+    PyObject *children = PyTuple_New(node->n_children);
+    for (int64_t j = 0; node->untried >= 0 && untried != NULL && j < node->n_untried; j++) {
+        PyObject *action = PyLong_FromLongLong(s->pool[node->untried + j]);
+        if (action == NULL)
+            Py_CLEAR(untried);
+        else
+            PyTuple_SET_ITEM(untried, j, action);
+    }
+    int64_t j = 0;
+    for (int64_t x = node->first; children != NULL && x >= 0; x = s->actions[x].next, j++) {
+        const action_t *an = &s->actions[x];
+        PyObject *child = Py_BuildValue("(LLLd)", (long long)x, (long long)an->action,
+                                        (long long)an->visits, an->q);
+        if (child == NULL)
+            Py_CLEAR(children);
+        else
+            PyTuple_SET_ITEM(children, j, child);
+    }
+    if (untried == NULL || children == NULL) {
+        Py_XDECREF(untried);
+        Py_XDECREF(children);
+        return NULL;
+    }
+    return Py_BuildValue("(LNNLdOLL)", (long long)node->visits, untried, children,
+                         (long long)node->location, node->budget, node->memory,
+                         (long long)node->steps, (long long)node->record);
+}
+
+/* action(search, x): action node x's successors as (belief node index,
+ * reward) */
+static PyObject *py_action(PyObject *self, PyObject *const *a, Py_ssize_t n)
+{
+    ARGS("action", 2);
+    int64_t x;
+    search_t *s = search_and(a, &x);
+    if (s == NULL)
+        return NULL;
+    if (x < 0 || x >= s->n_actions)
+        return PyErr_Format(PyExc_IndexError, "no action node %lld", (long long)x);
+    const action_t *an = &s->actions[x];
+    PyObject *out = PyTuple_New(an->n_children);
+    int64_t j = 0;
+    for (int64_t c = an->first; out != NULL && c >= 0; c = s->beliefs[c].sibling, j++) {
+        PyObject *edge = Py_BuildValue("(Ld)", (long long)c, s->beliefs[c].reward);
+        if (edge == NULL)
+            Py_CLEAR(out);
+        else
+            PyTuple_SET_ITEM(out, j, edge);
+    }
+    return out;
+}
+
+/* The search of a[0] and its GP record a[1] */
+static const record_t *record_of(PyObject *const *a)
+{
+    int64_t r;
+    search_t *s = search_and(a, &r);
+    if (s != NULL && (r < 0 || r >= s->n_records))
+        PyErr_Format(PyExc_IndexError, "no GP record %lld", (long long)r);
+    return PyErr_Occurred() ? NULL : s->records[r];
+}
+
+/* record(search, r): GP record r's (parent record or -1, trace, sites as
+ * (node, value, noise variance) tuples) */
+static PyObject *py_record(PyObject *self, PyObject *const *a, Py_ssize_t n)
+{
+    ARGS("record", 2);
+    const record_t *r = record_of(a);
+    if (r == NULL)
+        return NULL;
+    PyObject *sites = PyTuple_New(r->k);
+    for (int64_t i = 0; sites != NULL && i < r->k; i++) {
+        PyObject *site = Py_BuildValue("(Ldd)", (long long)r->node[i], r->val[i], r->nu[i]);
+        if (site == NULL)
+            Py_CLEAR(sites);
+        else
+            PyTuple_SET_ITEM(sites, i, site);
+    }
+    return sites == NULL ? NULL : Py_BuildValue("(LdN)", (long long)r->parent, r->trace, sites);
+}
+
+/* arrays(search, r, rows, mean, var): copy GP record r's k rows, query mean
+ * and variance into C-contiguous float64 arrays of (k, q), q and q */
+static PyObject *py_arrays(PyObject *self, PyObject *const *a, Py_ssize_t n)
+{
+    ARGS("arrays", 5);
+    const record_t *r = record_of(a);
+    if (r == NULL)
+        return NULL;
+    PyArrayObject *rows = (PyArrayObject *)a[2];
+    const int64_t q = LENGTH(a[3]);
+    if (PyArray_NDIM(rows) != 2 || PyArray_DIM(rows, 0) != r->k || PyArray_DIM(rows, 1) != q ||
+        LENGTH(a[4]) != q)
+        return PyErr_Format(PyExc_ValueError, "the arrays do not fit the GP record");
+    memcpy(PyArray_DATA(rows), r->rows, r->k * q * sizeof(double));
+    memcpy(DATA(a[3]), r->mean, q * sizeof(double));
+    memcpy(DATA(a[4]), r->var, q * sizeof(double));
+    Py_RETURN_NONE;
 }
 
 static PyObject *py_bounded(PyObject *self, PyObject *const *a, Py_ssize_t n)
 {
-    (void)self;
-    if (n != 2)
-        return PyErr_Format(PyExc_TypeError, "bounded takes 2 arguments, not %zd", n);
+    ARGS("bounded", 2);
     bitgen_t *bitgen = PyLong_AsVoidPtr(a[0]);
     const unsigned long long range = PyLong_AsUnsignedLongLong(a[1]);
     if (PyErr_Occurred())
@@ -542,42 +933,54 @@ static PyObject *py_bounded(PyObject *self, PyObject *const *a, Py_ssize_t n)
 
 static PyObject *py_normal(PyObject *self, PyObject *const *a, Py_ssize_t n)
 {
-    (void)self;
-    if (n != 3)
-        return PyErr_Format(PyExc_TypeError, "normal takes 3 arguments, not %zd", n);
+    ARGS("normal", 3);
     bitgen_t *bitgen = PyLong_AsVoidPtr(a[0]);
     const double loc = PyFloat_AsDouble(a[1]), scale = PyFloat_AsDouble(a[2]);
     return PyErr_Occurred() ? NULL : PyFloat_FromDouble(random_normal(bitgen, loc, scale));
 }
 
-static PyObject *py_erf(PyObject *self, PyObject *const *a, Py_ssize_t n)
-{
-    (void)self;
-    if (n != 1)
-        return PyErr_Format(PyExc_TypeError, "erf takes 1 argument, not %zd", n);
-    const double x = PyFloat_AsDouble(a[0]);
-    return PyErr_Occurred() ? NULL : PyFloat_FromDouble(erf(x));
-}
+/* libm's f(x), and pow, for the load checks */
+#define LIBM(f)                                                                              \
+    static PyObject *py_##f(PyObject *self, PyObject *const *a, Py_ssize_t n)                \
+    {                                                                                        \
+        ARGS(#f, 1);                                                                         \
+        const double x = PyFloat_AsDouble(a[0]);                                             \
+        return PyErr_Occurred() ? NULL : PyFloat_FromDouble(f(x));                           \
+    }
+LIBM(erf)
+LIBM(rint)
+LIBM(log)
 
-static PyObject *py_rint(PyObject *self, PyObject *const *a, Py_ssize_t n)
+static PyObject *py_pow(PyObject *self, PyObject *const *a, Py_ssize_t n)
 {
-    (void)self;
-    if (n != 1)
-        return PyErr_Format(PyExc_TypeError, "rint takes 1 argument, not %zd", n);
-    const double x = PyFloat_AsDouble(a[0]);
-    return PyErr_Occurred() ? NULL : PyFloat_FromDouble(rint(x));
+    ARGS("pow", 2);
+    const double x = PyFloat_AsDouble(a[0]), y = PyFloat_AsDouble(a[1]);
+    return PyErr_Occurred() ? NULL : PyFloat_FromDouble(pow(x, y));
 }
 
 #define FASTCALL(f) (PyCFunction)(void (*)(void))(f), METH_FASTCALL
 static PyMethodDef methods[] = {
     {"rank1_update", FASTCALL(py_rank1_update),
      "rank1_update(w, mean, var, kqq, jitter, floor, m, sites) -> trace or None"},
-    {"rollout", FASTCALL(py_rollout),
-     "rollout(tables, state, bitgen, depth, gamma, floor) -> discounted return"},
+    {"search", FASTCALL(py_search),
+     "search(tables, bitgen, state, gp, config, max_sites) -> a search"},
+    {"simulate", FASTCALL(py_simulate),
+     "simulate(search, depth) -> the simulation's return, or None when a pivot collapsed"},
+    {"node", FASTCALL(py_node),
+     "node(search, i) -> (visits, untried, actions, location, budget, memory, step, record) "
+     "of belief node i"},
+    {"action", FASTCALL(py_action),
+     "action(search, x) -> ((belief node, reward), ...) of action node x"},
+    {"record", FASTCALL(py_record),
+     "record(search, r) -> (parent record or -1, trace, sites) of GP record r"},
+    {"arrays", FASTCALL(py_arrays),
+     "arrays(search, r, rows, mean, var): copy GP record r's rows, query mean and variance"},
     {"bounded", FASTCALL(py_bounded), "bounded(bitgen, n): Generator.integers(n)"},
     {"normal", FASTCALL(py_normal), "normal(bitgen, loc, scale): Generator.normal(loc, scale)"},
     {"erf", FASTCALL(py_erf), "erf(x): the erf of the kernel's libm"},
     {"rint", FASTCALL(py_rint), "rint(x): the rint of the kernel's libm"},
+    {"log", FASTCALL(py_log), "log(x): the log of the kernel's libm"},
+    {"pow", FASTCALL(py_pow), "pow(x, y): the pow of the kernel's libm"},
     {NULL, NULL, 0, NULL}};
 
 /* {name: builtin} of every entry point */

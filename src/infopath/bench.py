@@ -69,6 +69,18 @@ _FIELD_TYPES = {
 }
 
 
+def _check_types(prefix: str, cls, values: dict):
+    """Raise a ``ConfigError`` naming the first field of dataclass ``cls``
+    whose value in ``values`` is not of the field's type; bools are not
+    numbers here."""
+    for f in fields(cls):
+        if f.name in values:
+            types, what = _FIELD_TYPES[f.type]
+            value = values[f.name]
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ConfigError(f"{prefix}{f.name} must be {what}, not {type(value).__name__}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     environment: str = "isrs"
@@ -86,13 +98,8 @@ class ExperimentConfig:
     solver_config: SolverConfig = field(default_factory=SolverConfig)
 
     def validate(self):
-        for prefix, cfg in (("", self), ("solver_config.", self.solver_config)):
-            for f in fields(cfg):
-                types, what = _FIELD_TYPES[f.type]
-                value = getattr(cfg, f.name)
-                if isinstance(value, bool) or not isinstance(value, types):
-                    raise ConfigError(
-                        f"{prefix}{f.name} must be {what}, not {type(value).__name__}")
+        _check_types("", ExperimentConfig, vars(self))
+        _check_types("solver_config.", SolverConfig, vars(self.solver_config))
         if self.environment not in ENVIRONMENTS:
             raise ConfigError(f"unknown environment {self.environment!r}")
         if self.solver not in SOLVERS:
@@ -157,6 +164,8 @@ class ExperimentConfig:
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        if isinstance(solver_dict, dict):  # before SolverConfig compares them
+            _check_types("solver_config.", SolverConfig, solver_dict)
         try:
             solver_config = SolverConfig(**solver_dict)
             cfg = cls(solver_config=solver_config, **data)
@@ -403,9 +412,14 @@ def _encode_json(obj, write) -> None:
             value(v, inner)
         close(nl + "]")
 
-    value(obj, "\n")
-    append("\n")
-    write("".join(parts))
+    try:
+        value(obj, "\n")
+        append("\n")
+        write("".join(parts))
+    finally:
+        # the nested functions hold each other through their cells: unbind
+        # them, so that ``write``'s file goes now, not at a cyclic collection
+        del value, mapping, sequence, close
 
 
 def write_json(obj, path: Path) -> Path:

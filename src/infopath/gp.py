@@ -408,6 +408,11 @@ class GaussianProcessBelief:
         """Total posterior variance over the query set (trace of the posterior cov)."""
         return self._trace
 
+    def _model(self):
+        """The prior covariance, jitter and pivot floor of the factor, which
+        an update of this belief extends."""
+        return self._kqq, self._jitter, PIVOT_MIN_REL * self.kernel.signal_variance
+
     # ------------------------------------------------------------------
     # updates
 
@@ -521,18 +526,13 @@ class BeliefWorkspace:
         self._reserve(len(sites))
         compiled = kernel.lib()
         update = _rank1_update if compiled is None else compiled.rank1_update
-        trace = update(self._w, self.query_mean, self.query_variance, *self._model(), m, sites)
+        trace = update(self._w, self.query_mean, self.query_variance, *self._base._model(), m,
+                       sites)
         if trace is None:
             self._rebuild()
             return
         self._m = m + len(sites)
         self._trace = trace
-
-    def _model(self):
-        """The prior covariance, jitter and pivot floor of the factor the
-        rows extend."""
-        base = self._base
-        return base._kqq, base._jitter, PIVOT_MIN_REL * base.kernel.signal_variance
 
     def _reserve(self, k: int):
         """Room for k more rows, copying the source's caches on first use."""
@@ -554,26 +554,6 @@ class BeliefWorkspace:
         self._start(GaussianProcessBelief(base.prior_mean, base.kernel, base.query_set,
                                           x, y, nu))
 
-    def _snapshot(self, base: GaussianProcessBelief) -> GaussianProcessBelief:
-        """A snapshot of these caches on ``base``'s model, taking the query
-        buffers; the caller sets its conditioning set and rows."""
-        new = object.__new__(GaussianProcessBelief)
-        new.prior_mean = base.prior_mean
-        new.kernel = base.kernel
-        new.query_set = base.query_set
-        new._kqq = base._kqq
-        new._qindex = base._qindex
-        new._jitter = base._jitter
-        new._m = self._m
-        new._mean_q = self.query_mean
-        new._var_q = self.query_variance
-        new.query_mean = _read_only(self.query_mean)
-        new.query_variance = _read_only(self.query_variance)
-        new._trace = self._trace
-        new._chol = None  # rebuilt on demand by posterior()
-        new._alpha = None
-        return new
-
     def freeze(self) -> GaussianProcessBelief:
         """The belief these caches hold, as a linked snapshot: it keeps the
         sites added since the source (or the last batch rebuild) and their
@@ -585,10 +565,8 @@ class BeliefWorkspace:
         base, added = self._base, self._added
         if not added:
             return base
-        new = self._snapshot(base)
-        new._parent, new._sites = base, added
-        new._w = self._w[base._m:self._m].copy()
-        new._x = new._y = new._nu = None
+        new = _linked(base, added, self._w[base._m:self._m].copy(), self.query_mean,
+                     self.query_variance, self._trace)
         self._start(new)
         return new
 
@@ -603,9 +581,44 @@ class BeliefWorkspace:
         if not added:
             return base
         m, w = self._m, self._w
-        new = self._snapshot(base)
+        new = _snapshot(base, m, self.query_mean, self.query_variance, self._trace)
         new._parent = new._sites = None
         new._x, new._y, new._nu = _appended(*base._conditioning(), base.query_set, added)
         new._w = w if len(w) == m else w[:m].copy()
         self._start(new)
         return new
+
+
+def _snapshot(base: GaussianProcessBelief, m: int, mean: np.ndarray, var: np.ndarray,
+              trace: float) -> GaussianProcessBelief:
+    """A belief of conditioning size ``m`` on ``base``'s model, taking the
+    query mean and variance buffers; the caller sets its conditioning set
+    and rows."""
+    new = object.__new__(GaussianProcessBelief)
+    new.prior_mean = base.prior_mean
+    new.kernel = base.kernel
+    new.query_set = base.query_set
+    new._kqq = base._kqq
+    new._qindex = base._qindex
+    new._jitter = base._jitter
+    new._m = m
+    new._mean_q = mean
+    new._var_q = var
+    new.query_mean = _read_only(mean)
+    new.query_variance = _read_only(var)
+    new._trace = trace
+    new._chol = None  # rebuilt on demand by posterior()
+    new._alpha = None
+    return new
+
+
+def _linked(base: GaussianProcessBelief, sites: list, rows: np.ndarray, mean: np.ndarray,
+           var: np.ndarray, trace: float) -> GaussianProcessBelief:
+    """The linked snapshot ``BeliefWorkspace.freeze`` makes: ``base`` with
+    the (query index, value, noise variance) ``sites`` appended, holding
+    their ``rows`` of the whitened cross-covariance, and taking the query
+    ``mean`` and ``var`` buffers and the ``trace``."""
+    new = _snapshot(base, base._m + len(sites), mean, var, trace)
+    new._parent, new._sites, new._w = base, sites, rows
+    new._x = new._y = new._nu = None
+    return new

@@ -1,17 +1,19 @@
 """The compiled step kernel, built on first use, and the fallback to Python.
 
 ``_kernel.c`` runs ``BeliefWorkspace``'s rank-1 GP updates and whole
-uniform-random rollouts over an MDP's location tables, static steps and the
-drills and rock visits of ``infopath.mdp``'s step kinds. The first call to
-``lib()`` compiles it with the machine's C compiler into a private temporary
-directory, against numpy's random library and headers, loads it with
-``ctypes.PyDLL`` and hands it the ``dgemv``/``ddot`` of the BLAS numpy itself
-loaded. Before use it must match the Python kernel bit for bit on a few
-updates and draws, and its libm's ``erf`` and ``rint`` must match
-``math.erf`` and ``round``. If anything fails (no compiler, a BLAS other
-than numpy's bundled scipy-openblas, a check that differs), ``lib()``
-returns None and the Python kernel runs. Importing the package builds
-nothing.
+MCTS-DPW searches over an MDP's location tables by integer action id: the
+widening caps, UCB selection, tree steps and uniform-random rollouts, with
+static steps and the drills and rock visits of ``infopath.mdp``'s step
+kinds. The first call to ``lib()`` compiles it with the machine's C
+compiler into a private temporary directory, against numpy's random library
+and headers, loads it with ``ctypes.PyDLL`` and hands it the
+``dgemv``/``ddot`` of the BLAS numpy itself loaded. Before use it must match
+the Python kernel bit for bit on a few updates and draws, and its libm's
+``erf``, ``rint``, ``log`` and ``pow`` must match ``math.erf``, ``round``,
+``math.log`` and Python's ``float ** float``. If anything fails (no
+compiler, a BLAS other than numpy's bundled scipy-openblas, a check that
+differs), ``lib()`` returns None and the Python kernel runs. Importing the
+package builds nothing.
 
 ``KERNEL`` is read-only: "compiled", or "python: <reason>". Reading it
 builds the kernel if no update has yet.
@@ -40,10 +42,12 @@ _state = None  # (kernel or None, fallback reason) once tried
 
 # an action's step kind in ``StepTables.kind``: the enum of ``tables_t``
 STATIC, DRILL, VISIT = range(3)
+# widening exponents at which the load check compares libm's pow with Python's
+ALPHAS = (0.0, 0.1, 0.25, 1 / 3, 0.5, 0.75, 0.9)
 
 
 class StepTables(ctypes.Structure):
-    """An MDP's location tables as the compiled rollout reads them:
+    """An MDP's location tables as the compiled search reads them:
     ``tables_t`` of ``_kernel.c``."""
 
     _fields_ = (
@@ -81,16 +85,22 @@ def _numpy_blas() -> ctypes.CDLL:
     return ctypes.CDLL(str(found[0]), mode=os.RTLD_NOLOAD)  # raises unless already loaded
 
 
+def _includes() -> list[str]:
+    """The compiler's include flags: Python's headers and numpy's."""
+    import sysconfig  # the build's own import, kept out of the package's
+
+    return [f"-I{sysconfig.get_paths()['include']}", f"-I{np.get_include()}"]
+
+
 def _load():
-    import subprocess  # the build's own imports, kept out of the package's
-    import sysconfig
+    import subprocess  # the build's own import, kept out of the package's
 
     blas = _numpy_blas()
     numpy_dir = Path(np.__file__).parent
     with tempfile.TemporaryDirectory(prefix="infopath-kernel-") as tmp:
         path = Path(tmp) / "_kernel.so"
         done = subprocess.run(
-            [COMPILER, *FLAGS, f"-I{sysconfig.get_paths()['include']}", f"-I{np.get_include()}",
+            [COMPILER, *FLAGS, *_includes(),
              str(SOURCE), str(numpy_dir / "random" / "lib" / "libnpyrandom.a"), "-lm",
              "-o", str(path)],
             capture_output=True, text=True, timeout=120)
@@ -144,8 +154,12 @@ def _check_libm(kernel):
     """libm's erf equals ``math.erf`` and its rint equals ``round``, which
     the drill steps' probabilities and type indices use: erf on a dense grid
     over [-8, 8], on normal draws, at both zeros and at tiny values; rint at
-    every half in [-20, 20] and on either side of each. Values stream one by
-    one, so the check adds nothing to the peak memory."""
+    every half in [-20, 20] and on either side of each. Its log equals
+    ``math.log`` and its pow Python's ``float ** float``, which UCB and the
+    widening caps ``k * N ** alpha`` use, at the visit counts N a search
+    reaches (every count to 4096, then either side of each power of two to
+    2**40) and at the usual alphas. Values stream one by one, so the check
+    adds nothing to the peak memory."""
     grid = (i / 1024 - 8.0 for i in range(2**14 + 1))
     tiny = (s * 2.0**e for e in range(-1074, -900, 7) for s in (1.0, -1.0))
     normals = np.random.default_rng(0).normal(0.0, 2.0, 2000)
@@ -157,6 +171,13 @@ def _check_libm(kernel):
         for x in (k + 0.5, math.nextafter(k + 0.5, -math.inf), math.nextafter(k + 0.5, math.inf)):
             if kernel.rint(x) != round(x):
                 raise RuntimeError("rint differs from round")
+    wide = (float(2**e + d) for e in range(13, 41) for d in (-1, 0, 1))
+    for n in itertools.chain(map(float, range(4097)), wide):
+        if n and kernel.log(n) != math.log(n):
+            raise RuntimeError("log differs from math.log")
+        for alpha in ALPHAS:
+            if kernel.pow(n, alpha) != n ** alpha:
+                raise RuntimeError("pow differs from float ** float")
 
 
 class _KernelModule(types.ModuleType):

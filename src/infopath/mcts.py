@@ -9,7 +9,8 @@ uniformly from the node's untried feasibility-pruned actions, so the tree
 never contains an action that could strand the agent. Leaf values come from
 uniform-random feasible rollouts through the generative model; a rollout
 never branches, so an MDP may offer a state that it steps in place (see
-``rollout``).
+``rollout``). An MDP may also offer to run whole simulations itself, with
+the same draws and tree (see ``search``).
 
 The planner owns nothing between calls: every plan builds a fresh tree from
 the root belief and a seeded generator, so results are reproducible.
@@ -197,16 +198,11 @@ def rollout(belief, depth, mdp, config: SolverConfig, rng) -> float:
     the state it returns, which offers ``feasible_actions()`` (a sequence of
     actions, empty when terminal) and ``advance(action, rng) -> reward``, as
     ``_SnapshotRollout`` does for any other MDP through ``is_terminal``/
-    ``feasible_actions``/``generative_sample``. Both ways draw from ``rng`` in the same order and
-    return the same value. A state that also offers ``run(depth, discount,
-    rng)`` (the compiled kernel's) runs this whole loop itself, with the same
-    draws and value.
+    ``feasible_actions``/``generative_sample``. Both ways draw from ``rng``
+    in the same order and return the same value.
     """
     hook = getattr(mdp, "rollout_state", None)
     state = hook(belief) if hook is not None else _SnapshotRollout(mdp, belief)
-    run = getattr(state, "run", None)
-    if run is not None:
-        return run(depth, config.discount, rng)
     feasible, advance, integers = state.feasible_actions, state.advance, rng.integers
     gamma = config.discount
     total = 0.0
@@ -222,6 +218,8 @@ def rollout(belief, depth, mdp, config: SolverConfig, rng) -> float:
 
 def simulate(node: BeliefNode, depth, mdp, config: SolverConfig, rng) -> float:
     """One tree simulation; returns the sampled return and updates statistics."""
+    if type(node) is _CompiledRoot:
+        return node.simulate(depth, mdp, config, rng)
     if depth == 0:
         return 0.0
     if mdp.is_terminal(node.belief) or not (node.children or _untried(node, mdp)):
@@ -241,18 +239,61 @@ def simulate(node: BeliefNode, depth, mdp, config: SolverConfig, rng) -> float:
     return q
 
 
+class _CompiledRoot:
+    """The root of a search that an MDP's ``compiled_search`` hook runs:
+    ``simulate`` takes each simulation there.
+
+    When a simulation meets a collapsed pivot (the compiled search returns
+    None), the search restores the generator state it started from and
+    reruns every simulation so far in Python, from a fresh root, which then
+    takes the rest; ``tree`` returns that root, or the compiled tree.
+    """
+
+    __slots__ = ("belief", "compiled", "state", "done", "fallback")
+
+    def __init__(self, belief, compiled, rng):
+        self.belief = belief
+        self.compiled = compiled
+        self.state = rng.bit_generator.state
+        self.done = 0  # simulations run in the compiled search
+        self.fallback: BeliefNode | None = None
+
+    def simulate(self, depth, mdp, config: SolverConfig, rng) -> float:
+        if self.fallback is None:
+            q = self.compiled.simulate(depth)
+            if q is not None:
+                self.done += 1
+                return q
+            rng.bit_generator.state = self.state
+            self.fallback = BeliefNode(self.belief)
+            for _ in range(self.done):
+                simulate(self.fallback, depth, mdp, config, rng)
+        return simulate(self.fallback, depth, mdp, config, rng)
+
+    def tree(self) -> BeliefNode:
+        return self.fallback if self.fallback is not None else self.compiled.tree()
+
+
 def search(belief, mdp, config: SolverConfig, rng=None) -> BeliefNode:
     """Run the configured number of simulations from a fresh root; returns it.
-    Draws advance ``rng`` (a ``Generator``) exactly as numpy's methods would."""
+    Draws advance ``rng`` (a ``Generator``) exactly as numpy's methods would.
+
+    An MDP with a ``compiled_search(belief, config, rng)`` hook that returns
+    a search (``infopath.mdp.CompiledSearch``) runs every simulation there,
+    with the same draws and the same tree; ``simulate`` is still entered
+    once per simulation.
+    """
     if rng is None:
         rng = np.random.default_rng(config.seed)
     rng = _PlanGenerator(rng.bit_generator)
     if mdp.is_terminal(belief):
         raise ValueError("cannot plan from a terminal belief")
-    root = BeliefNode(belief)
+    hook = getattr(mdp, "compiled_search", None)
+    compiled = hook(belief, config, rng) if hook is not None else None
+    root = BeliefNode(belief) if compiled is None else _CompiledRoot(belief, compiled, rng)
     for _ in range(config.iterations):
         simulate(root, config.max_depth, mdp, config, rng)
-    return root
+    return root if compiled is None else root.tree()
 
 
 def plan(belief, mdp, config: SolverConfig, rng=None):

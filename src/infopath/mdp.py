@@ -14,13 +14,15 @@ supply what differs: where sensing is possible, what each action measures,
 the expected interaction reward, how the memory evolves, and the step kind
 that says all of this as data.
 
-The step kernel is ``RolloutState.advance``. A rollout is a chain that
-never branches, so ``rollout_state`` hands out a ``RolloutState`` that
+The Python step kernel is ``RolloutState.advance``. A rollout is a chain
+that never branches, so ``rollout_state`` hands out a ``RolloutState`` that
 steps in place; a tree step (``generative_sample``) is one step of a fresh
 ``RolloutState``, frozen into an immutable ``BeliefState`` snapshot. When
-the compiled kernel is built (``infopath.kernel``), ``rollout_state`` hands
-out a ``CompiledRollout`` instead, whose ``run`` takes a whole rollout in C
-over a flat copy of the location tables, with the same bits.
+the compiled kernel is built (``infopath.kernel``), ``compiled_search``
+hands ``mcts.search`` a ``CompiledSearch`` instead, which runs whole
+simulations in C over a flat copy of the location tables by integer action
+id, tree steps and rollouts alike, with the same bits; its tree's beliefs
+are built on first read.
 
 Each location has one ``LocationTable``, shared by every MDP on the same
 graph with the same senses: every action's cost and target, and which
@@ -49,8 +51,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernel
-from .gp import JITTER_REL, WORKSPACE_ROOM, GaussianProcessBelief, SquaredExponential
+from .gp import JITTER_REL, WORKSPACE_ROOM, GaussianProcessBelief, SquaredExponential, _linked
 from .graph import GRID_CACHE_SIZE, LocationGraph
+from .mcts import ActionNode, BeliefNode
 
 # Numeric stand-in for the minus-infinity mission-failure reward; episode logs
 # record the failure flag separately so averages stay interpretable.
@@ -237,7 +240,7 @@ class BeliefMdp:
         senses = tuple((Sense(name), mod.cost) for name, mod in self.modalities.items())
         self._tables = _action_tables(graph, senses, sensing_nodes)
         self._empty_gp = GaussianProcessBelief(prior_mean, self.kernel, graph.coords)
-        self._flat_tables = None  # every location's, for the compiled kernel: (struct, address)
+        self._flat_tables = None  # every location's, for the compiled kernel
 
     # ------------------------------------------------------------------
     # environment hooks (planning side)
@@ -380,17 +383,26 @@ class BeliefMdp:
         return state.freeze(), reward
 
     def rollout_state(self, belief: BeliefState) -> "RolloutState":
-        """A mutable copy of ``belief`` for an in-place rollout; with the
-        compiled kernel, one that runs the whole rollout there."""
-        return (RolloutState if kernel.lib() is None else CompiledRollout)(self, belief)
+        """A mutable copy of ``belief`` for an in-place Python rollout."""
+        return RolloutState(self, belief)
 
-    def _kernel_tables(self) -> int:
-        """The address of the flat copy of every location's table for the
-        compiled kernel, built on the first compiled rollout."""
+    def compiled_search(self, belief: BeliefState, config, rng) -> "CompiledSearch | None":
+        """``mcts.search``'s hook: a search from ``belief`` in the compiled
+        kernel, or None when the Python kernel runs. The search reads the
+        location tables and the step kinds, so a subclass that changes a
+        step some other way must set this hook to None."""
+        return None if kernel.lib() is None else CompiledSearch(self, belief, config, rng)
+
+    def _kernel_tables(self):
+        """The flat copy of every location's table for the compiled kernel,
+        the actions by id, and the most sites one step measures; built on the
+        first compiled search."""
         if self._flat_tables is None:
             tables = _kernel_tables(self)
-            self._flat_tables = (tables, ctypes.addressof(tables))
-        return self._flat_tables[1]
+            actions = tuple(action for table in self._tables for action in table.costs)
+            self._flat_tables = (tables, actions,
+                                 int(tables._arrays["site_count"].max(initial=1)))
+        return self._flat_tables
 
 
 def _action_tables(graph: LocationGraph, senses, sensing_nodes) -> tuple[LocationTable, ...]:
@@ -505,24 +517,112 @@ class RolloutState:
                            self.memory, self.step)
 
 
-class CompiledRollout(RolloutState):
-    """A ``RolloutState`` whose ``run`` takes a whole rollout in the compiled
-    kernel; ``mcts.rollout`` calls it in place of its own loop.
+class _TreeNode(BeliefNode):
+    """A belief node of a compiled search's tree, node ``_index`` of
+    ``_search``, filled on first read: its visits, children and untried
+    actions together, its belief on its own."""
 
-    The kernel takes every step itself, from its step kind: static ones
-    from their sites, drills and visits from their parameters. It calls
-    back into Python only for the workspace's ``_reserve`` and ``_rebuild``,
-    when it needs rows or a pivot collapses.
+    __slots__ = ("_search", "_index")
+
+    def __getattr__(self, name):  # a slot not filled yet
+        if name == "belief":
+            self.belief = self._search.belief(self._index)
+        elif name in ("visits", "children", "untried"):
+            self._search.fill(self)
+        return object.__getattribute__(self, name)
+
+
+class _TreeAction(ActionNode):
+    """An action node of a compiled search's tree, node ``_index`` of
+    ``_search``; its successors are filled on first read."""
+
+    __slots__ = ("_search", "_index")
+
+    def __getattr__(self, name):  # a slot not filled yet
+        if name == "children":
+            self._search.successors(self)
+        return object.__getattribute__(self, name)
+
+
+class CompiledSearch:
+    """An MCTS-DPW search from ``belief`` whose tree lives in the compiled
+    kernel, for ``mcts.search``.
+
+    ``simulate`` runs one whole simulation there, drawing from ``rng``'s
+    bit generator exactly as ``mcts.simulate`` would; it returns None when a
+    pivot collapses, and the search is then void. ``tree`` returns the root
+    of the tree as ``BeliefNode``/``ActionNode`` objects with the MDP's
+    actions, each node built from the search when first reached. The root
+    holds ``belief``; every other node builds its belief on first read, the
+    snapshot a tree step's ``freeze`` would have made: same sites, rows,
+    query mean, variance and trace, and a link to its parent's GP.
     """
 
-    __slots__ = ()
+    __slots__ = ("_lib", "_actions", "_belief", "_bits", "_search", "_gps")
 
-    def run(self, depth: int, gamma: float, rng) -> float:
-        """The discounted return of up to ``depth`` uniform-random feasible
-        steps, drawn from ``rng`` as ``mcts.rollout``'s loop draws them."""
-        return kernel.lib().rollout(
-            self.mdp._kernel_tables(), self, rng.bit_generator.ctypes.bit_generator.value,
-            depth, gamma, self.gp._model()[2])
+    def __init__(self, mdp: BeliefMdp, belief: BeliefState, config, rng):
+        self._lib = lib = kernel.lib()
+        tables, self._actions, max_sites = mdp._kernel_tables()
+        gp = belief.gp
+        # the bit generator, whose state the search's C pointer reaches
+        self._belief, self._bits = belief, rng.bit_generator
+        self._gps = {0: gp}  # GP record -> its snapshot
+        self._search = lib.search(
+            ctypes.addressof(tables), rng.bit_generator.ctypes.bit_generator.value,
+            (belief.location, belief.remaining_budget, belief.step, belief.memory),
+            (gp._fill_rows(np.empty((gp._m, len(gp.query_set)))), gp._mean_q, gp._var_q,
+             gp._trace, *gp._model()),
+            (config.max_depth, config.exploration, config.k_action, config.alpha_action,
+             config.k_state, config.alpha_state, config.discount), max_sites)
+
+    def simulate(self, depth: int) -> float | None:
+        return self._lib.simulate(self._search, depth)
+
+    def tree(self) -> BeliefNode:
+        """The root of the tree."""
+        root = self._node(0)
+        root.belief = self._belief
+        return root
+
+    def _node(self, i: int) -> _TreeNode:
+        node = _TreeNode.__new__(_TreeNode)
+        node._search, node._index = self, i
+        return node
+
+    def fill(self, node: _TreeNode):
+        """Set ``node``'s visits, untried actions and children."""
+        actions = self._actions
+        node.visits, untried, children = self._lib.node(self._search, node._index)[:3]
+        node.untried = None if untried is None else [actions[a] for a in untried]
+        node.children = []
+        for x, action, visits, q in children:
+            an = _TreeAction.__new__(_TreeAction)
+            an._search, an._index = self, x
+            an.action, an.visits, an.q = actions[action], visits, q
+            node.children.append(an)
+
+    def successors(self, an: _TreeAction):
+        """Set ``an``'s children, (belief node, reward) pairs."""
+        an.children = [(self._node(i), reward)
+                       for i, reward in self._lib.action(self._search, an._index)]
+
+    def belief(self, i: int) -> BeliefState:
+        """Belief node ``i``'s state."""
+        location, budget, memory, step, record = self._lib.node(self._search, i)[3:]
+        return BeliefState(location, budget, self._gp(record), memory, step)
+
+    def _gp(self, record: int) -> GaussianProcessBelief:
+        """GP record ``record``'s linked snapshot, built once."""
+        gp = self._gps.get(record)
+        if gp is None:
+            parent, trace, sites = self._lib.record(self._search, record)
+            base = self._gp(parent)
+            q = len(base.query_set)
+            rows, mean, var = np.empty((len(sites), q)), np.empty(q), np.empty(q)
+            self._lib.arrays(self._search, record, rows, mean, var)
+            gp = _linked(base, [Measurement(*site) for site in sites], rows, mean, var, trace)
+            self._gps[record] = gp
+        return gp
 
 
 _KINDS = {Static: kernel.STATIC, Drill: kernel.DRILL, Visit: kernel.VISIT}

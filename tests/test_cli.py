@@ -112,6 +112,8 @@ def test_bad_numbers_are_config_errors(tmp_path, capsys, flag, value):
     ("solver_config", {"iterations": 2, "max_depth": 3.5},
      "solver_config.max_depth must be an integer, not float"),
     ("solver_config", {"iterations": True}, "solver_config.iterations must be an integer, not bool"),
+    ("solver_config", {"discount": "0.9"}, "solver_config.discount must be a number, not str"),
+    ("solver_config", {"iterations": "5"}, "solver_config.iterations must be an integer, not str"),
 ])
 def test_config_value_types_are_config_errors(tmp_path, capsys, key, value, message):
     # a wrong type in a --config file must not get as far as a comparison (exit 3)

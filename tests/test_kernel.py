@@ -7,7 +7,10 @@ pinned output stays as it is.
 """
 
 import functools
+import gc
 import shutil
+import subprocess
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +27,7 @@ from infopath.mcts import SolverConfig, iter_belief_nodes, rollout, search
 from infopath.mdp import (
     MISSION_FAILURE_REWARD,
     BeliefMdp,
-    CompiledRollout,
+    CompiledSearch,
     LocationTable,
     Move,
     RolloutState,
@@ -79,39 +82,71 @@ def build_mdp(env, seed, budget, pruned=True):
     return (cls if pruned else unpruned(cls))(inst)
 
 
+def gp_link(parent, gp):
+    """How a tree step's GP stands to its parent's: the same belief, a
+    linked snapshot of it, or a compact batch rebuild."""
+    return "same" if gp is parent else "linked" if gp._parent is parent else \
+        "compact" if gp._parent is None else "other"
+
+
 def tree_table(root):
-    """Every belief node's visits and state, and its actions' (visits, q) and
-    sampled rewards, as exact bits."""
-    return [(node.visits, node.belief.location, node.belief.remaining_budget.hex(),
-             node.belief.gp.trace_of_variance().hex(),
-             [(action_label(an.action), an.visits, an.q.hex(), [r.hex() for _, r in an.children])
-              for an in node.children])
-            for node in iter_belief_nodes(root)]
+    """Every belief node's visits and state, its GP's caches and rows, and
+    its actions' (visits, q) and sampled rewards with how each successor's
+    GP stands to the node's, as exact bits."""
+    table = []
+    for node in iter_belief_nodes(root):
+        belief, gp = node.belief, node.belief.gp
+        table.append((
+            node.visits, belief.location, belief.remaining_budget.hex(), belief.memory,
+            list(belief.memory), belief.step, gp._m, gp.trace_of_variance().hex(),
+            gp._jitter.hex(), gp.query_mean.tobytes(), gp.query_variance.tobytes(),
+            gp._w.tobytes(), None if gp._sites is None else
+            [(j, float(v).hex(), float(nu).hex()) for j, v, nu in gp._sites],
+            [(action_label(an.action), an.visits, an.q.hex(),
+              [(r.hex(), gp_link(gp, child.belief.gp)) for child, r in an.children])
+             for an in node.children],
+            None if node.untried is None else [action_label(a) for a in node.untried]))
+    return table
 
 
-def plan_under(which, env, seed, budget, discount, monkeypatch, pruned=True):
+def posterior_bits(root, count=3):
+    """The posterior mean and covariance of the first non-root nodes that
+    measured something, as bytes."""
+    out = []
+    for node in iter_belief_nodes(root):
+        if node is not root and node.belief.gp._m and len(out) < count:
+            post = node.belief.gp.posterior()
+            out.append((post.mean.tobytes(), post.covariance.tobytes()))
+    return out
+
+
+def plan_under(which, env, seed, budget, discount, monkeypatch, pruned=True, deep=False):
     """Search, then roll out from the first tree nodes, under one kernel.
-    Returns the results and what the steps did: rollout step kinds (under the
-    Python kernel, where every rollout step is an ``advance``), compiled
-    rollouts, ``advance`` calls from a compiled rollout and batch rebuilds."""
-    seen = {"rebuilds": 0, "compiled_rollouts": 0, "callbacks": 0}
+    Returns the results and what the steps did: Python rollout step kinds
+    (every step of the Python kernel's searches is an ``advance``), the
+    compiled search's simulations and reruns (a simulation that met a
+    collapsed pivot), ``advance`` calls during the search, and batch
+    rebuilds. ``deep``: more simulations and fewer successors, so the tree
+    grows measured chains several steps deep."""
+    seen = {"rebuilds": 0, "compiled": 0, "reruns": 0, "advances": 0}
     with monkeypatch.context() as m:
         if which == "python":
             m.setattr(kernel, "_state", (None, "forced by a test"))
-        rebuild, run, advance = BeliefWorkspace._rebuild, CompiledRollout.run, RolloutState.advance
+        rebuild, simulate = BeliefWorkspace._rebuild, CompiledSearch.simulate
+        advance = RolloutState.advance
 
         def counting_rebuild(self):
             seen["rebuilds"] += 1
             rebuild(self)
 
-        def counting_run(self, *args):
-            seen["compiled_rollouts"] += 1
-            return run(self, *args)
+        def counting_simulate(self, depth):
+            q = simulate(self, depth)
+            seen["compiled" if q is not None else "reruns"] += 1
+            return q
 
         def recording_advance(self, action, rng):
-            if type(self) is CompiledRollout:
-                seen["callbacks"] += 1
-            if type(self) is RolloutState:  # a rollout step, not a tree step
+            seen["advances"] += 1
+            if type(self) is RolloutState:
                 step = self.mdp.step_kind(self.location, action)
                 kind = ("drill" if action == Sense("drill") else "beacon"
                         if isinstance(action, Sense) else "rock" if type(step) is Visit
@@ -125,36 +160,47 @@ def plan_under(which, env, seed, budget, discount, monkeypatch, pruned=True):
             return reward
 
         m.setattr(BeliefWorkspace, "_rebuild", counting_rebuild)
-        m.setattr(CompiledRollout, "run", counting_run)
+        m.setattr(CompiledSearch, "simulate", counting_simulate)
         m.setattr(RolloutState, "advance", recording_advance)
         mdp = build_mdp(env, seed, budget, pruned)
-        cfg = SolverConfig(iterations=40, max_depth=12, discount=discount)
+        cfg = SolverConfig(iterations=200 if deep else 40, max_depth=12, discount=discount,
+                           k_state=0.5 if deep else 2.0)
         rng = np.random.default_rng(seed)
         root = search(mdp.initial_belief(), mdp, cfg, rng)
+        seen["search_advances"] = seen["advances"]
         nodes = [node for node in iter_belief_nodes(root)
                  if not mdp.is_terminal(node.belief)][:6]
         returns = [rollout(node.belief, 12, mdp, cfg, rng).hex() for node in nodes]
-    return (tree_table(root), returns, rng.bit_generator.state), seen
+        posterior = posterior_bits(root)
+    return (tree_table(root), returns, posterior, rng.bit_generator.state), seen
+
+
+def ran_compiled(seen, ref_seen):
+    """The compiled search ran every simulation, with no Python step unless
+    a collapsed pivot made it rerun in Python, at most once; the Python
+    kernel's search never did."""
+    assert seen["compiled"] + seen["reruns"] > 0 and seen["reruns"] <= 1
+    assert (seen["search_advances"] > 0) == (seen["reruns"] > 0)
+    assert ref_seen["compiled"] == ref_seen["reruns"] == 0
 
 
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(env=st.sampled_from(["isrs", "rover"]), seed=st.integers(0, 2**32 - 1),
        budget=st.sampled_from([8.0, 15.0, 30.0]), discount=st.sampled_from([1.0, 0.9]),
-       collapse=st.booleans(), pruned=st.booleans())
+       collapse=st.booleans(), pruned=st.booleans(), deep=st.booleans())
 def test_compiled_search_equals_python_search(env, seed, budget, discount, collapse, pruned,
-                                              compiled, monkeypatch):
+                                              deep, compiled, monkeypatch):
     with monkeypatch.context() as m:
         if collapse:
             m.setattr(gp_module, "PIVOT_MIN_REL", COLLAPSE_REL[env])
         ours, seen = plan_under("compiled", env, seed % 1000, budget, discount, monkeypatch,
-                                pruned)
+                                pruned, deep)
         reference, ref_seen = plan_under("python", env, seed % 1000, budget, discount,
-                                         monkeypatch, pruned)
+                                         monkeypatch, pruned, deep)
     assert ours == reference
     assert seen["rebuilds"] == ref_seen["rebuilds"]
-    assert seen["compiled_rollouts"] > 0 and ref_seen["compiled_rollouts"] == 0
-    assert seen["callbacks"] == 0
+    ran_compiled(seen, ref_seen)
 
 
 @pytest.mark.parametrize("env", ["isrs", "rover"])
@@ -176,7 +222,8 @@ def test_both_kernels_meet_every_kind_of_step(env, compiled, monkeypatch):
         assert ours == reference
         assert seen["rebuilds"] == ref_seen["rebuilds"]
         assert (ref_seen["rebuilds"] > 0) == collapse
-        assert seen["compiled_rollouts"] > 0 and seen["callbacks"] == 0
+        ran_compiled(seen, ref_seen)
+        assert (seen["reruns"] > 0) == collapse  # the collapse fallback ran
         for kind in kinds:
             met[kind] = met.get(kind, 0) + ref_seen.get(kind, 0)
     assert all(met[kind] for kind in kinds), met
@@ -199,12 +246,39 @@ def test_an_mdp_must_name_its_step_kinds(which, monkeypatch, request):
         mdp.generative_sample(belief, mdp.feasible_actions(belief)[0], np.random.default_rng(0))
     with pytest.raises(NotImplementedError):
         rollout(belief, 12, mdp, SolverConfig(), np.random.default_rng(0))
+    with pytest.raises(NotImplementedError):
+        search(belief, mdp, SolverConfig(), np.random.default_rng(0))
+
+
+def test_a_compiled_search_frees_its_memory_with_its_tree(compiled):
+    """The tree's nodes and GP records live in memory the compiled search
+    owns (traced by tracemalloc), and it all goes when the tree does, lazily
+    built beliefs included: searches one after another hold no more than
+    the first. (Free lists keep a few small objects of the first, and
+    numpy's generators leave cycles for the collector.)"""
+    mdp = RoverMdp(generate_rover(5, 6, 0.1, seed=3, budget=30.0))
+    cfg = SolverConfig(iterations=100, max_depth=12)
+    search(mdp.initial_belief(), mdp, cfg, np.random.default_rng(0))  # builds the tables
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        held, left = [], []
+        for seed in range(4):
+            root = search(mdp.initial_belief(), mdp, cfg, np.random.default_rng(seed))
+            beliefs = [node.belief for node in iter_belief_nodes(root)]
+            held.append(tracemalloc.get_traced_memory()[0] - before)
+            del root, beliefs
+            gc.collect()
+            left.append(tracemalloc.get_traced_memory()[0] - before)
+    finally:
+        tracemalloc.stop()
+    assert min(held) > 100_000 and max(left) - left[0] < 1_000, (held, left)
 
 
 def only_action(mdp, location, action):
     """``mdp`` with ``action`` the one feasible action at ``location``, from
-    its cost on: a compiled rollout of depth 1 takes it, drawing nothing to
-    pick it."""
+    its cost on: a search of one simulation of depth 1 takes it in a tree
+    step, drawing nothing to pick it."""
     tables = list(mdp._tables)
     costs = tables[location].costs
     tables[location] = LocationTable((costs[action][0],), ((), (action,)), costs)
@@ -212,15 +286,18 @@ def only_action(mdp, location, action):
     return mdp
 
 
-def step_bits(reward, state, rng):
-    """A step's reward, the state it reached and the generator state, as
-    exact bits; the memory also in its iteration order."""
-    gp = state.gp
-    return (reward.hex(), state.location, state.remaining_budget.hex(), state.step,
-            state.memory, type(state.memory), list(state.memory), gp._m, gp._trace.hex(),
-            gp.query_mean.tobytes(), gp.query_variance.tobytes(),
-            None if gp._w is None else gp._w[:gp._m].tobytes(),
-            [(int(j), float(v).hex(), float(nu).hex()) for j, v, nu in gp._added],
+def step_bits(reward, before, after, rng):
+    """A tree step's reward, the belief it reached from ``before`` (with how
+    its GP stands to the one before) and the generator state, as exact bits;
+    the memory also in its iteration order."""
+    gp = after.gp
+    return (reward.hex(), after.location, after.remaining_budget.hex(), after.step,
+            after.memory, type(after.memory), list(after.memory), gp._m, gp._trace.hex(),
+            gp._jitter.hex(), gp.query_mean.tobytes(), gp.query_variance.tobytes(),
+            gp._w.tobytes(), gp_link(before.gp, gp),
+            gp._fill_rows(np.empty((gp._m, len(gp.query_set)))).tobytes(),
+            None if gp._sites is None else
+            [(int(j), float(v).hex(), float(nu).hex()) for j, v, nu in gp._sites],
             rng.bit_generator.state)
 
 
@@ -254,13 +331,16 @@ def dynamic_case(env, seed, memory=(), measured=(), beacon=False, revisit=False,
 
 
 def one_step_both_ways(mdp, belief, action, seed):
-    """A compiled rollout of depth 1 and ``RolloutState.advance``, each from
-    ``belief`` with a generator seeded ``seed``, as ``step_bits``; the
-    reference reward is taken as the rollout's return, 0.0 + reward."""
-    compiled_state, rng = CompiledRollout(mdp, belief), np.random.default_rng(seed)
-    ours = step_bits(compiled_state.run(1, 1.0, rng), compiled_state, rng)
-    state, rng = RolloutState(mdp, belief), np.random.default_rng(seed)
-    reference = step_bits(0.0 + state.advance(action, rng), state, rng)
+    """The tree step of a search of one simulation of depth 1, and
+    ``generative_sample``'s ``RolloutState.advance``, frozen, each from
+    ``belief`` with a generator seeded ``seed``, as ``step_bits``."""
+    rng = np.random.default_rng(seed)
+    root = search(belief, mdp, SolverConfig(iterations=1, max_depth=1), rng)
+    ((child, reward),) = root.children[0].children
+    ours = step_bits(reward, belief, child.belief, rng)
+    state, rng = RolloutState(mdp, belief, 0), np.random.default_rng(seed)
+    reward = state.advance(action, rng)
+    reference = step_bits(reward, belief, state.freeze(), rng)
     return ours, reference
 
 
@@ -302,11 +382,14 @@ def test_dynamic_steps_meet_their_edge_cases(compiled, monkeypatch):
     # beta 10: type indices 8 and 0 collide, so their order depends on insertion
     mdp, belief, action = dynamic_case("rover", 8, beta=10, memory=[8, 0])
     assert list(belief.memory) == [8, 0] and list(frozenset({0}) | {8}) == [0, 8]
-    # m = 0: the workspace copies the caches on the step's first update
+    # m = 0: the walk copies the caches on the step's first update
     mdp, belief, action = dynamic_case("rover", 3, beta=10)
     assert belief.gp._m == 0 and not belief.memory
-    assert CompiledRollout(mdp, belief).gp._w is None
-    # a drill of a cell drilled before collapses a pivot: a batch rebuild
+    ours, reference = one_step_both_ways(mdp, belief, action, 3)
+    assert ours == reference and ours[7] == 1
+    # a drill of a cell drilled before collapses a pivot: the compiled search
+    # reruns in Python, whose batch rebuild runs once there and once in the
+    # reference
     rebuilds = []
     rebuild = BeliefWorkspace._rebuild
     monkeypatch.setattr(gp_module, "PIVOT_MIN_REL", COLLAPSE_REL["rover"])
@@ -320,11 +403,13 @@ def test_dynamic_steps_meet_their_edge_cases(compiled, monkeypatch):
     # a revisit draws nothing, updates nothing and hands out a new memory
     mdp, belief, action = dynamic_case("isrs", 2, memory=[14], revisit=True)
     assert action.target in belief.memory
-    state, rng = CompiledRollout(mdp, belief), np.random.default_rng(5)
-    assert state.run(1, 1.0, rng) == 0.0
+    rng = np.random.default_rng(5)
+    root = search(belief, mdp, SolverConfig(iterations=1, max_depth=1), rng)
+    ((child, reward),) = root.children[0].children
+    assert reward == 0.0
     assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
-    assert state.memory == belief.memory and state.memory is not belief.memory
-    assert state.gp._m == belief.gp._m and state.gp._w is None
+    assert child.belief.memory == belief.memory and child.belief.memory is not belief.memory
+    assert child.belief.gp is belief.gp  # no site: the child shares its parent's GP
     # a visit after a beacon read conditions on the read's sites
     mdp, belief, action = dynamic_case("isrs", 2, beacon=True)
     assert belief.gp._m > 0 and action.target not in belief.memory
@@ -366,6 +451,11 @@ OTHER_ERF = ('#include "numpy/random/distributions.h"\n',
              '#include "numpy/random/distributions.h"\n'
              "static double erf_ulp_off(double x) { return nextafter(erf(x), 2.); }\n"
              "#define erf erf_ulp_off\n")
+# a libm whose pow is one ulp off, which the widening caps use
+OTHER_POW = ('#include "numpy/random/distributions.h"\n',
+             '#include "numpy/random/distributions.h"\n'
+             "static double pow_ulp_off(double x, double y) { return nextafter(pow(x, y), 2.); }\n"
+             "#define pow pow_ulp_off\n")
 
 
 FALLBACKS = {
@@ -379,6 +469,9 @@ FALLBACKS = {
     "erf differs": (
         lambda m, tmp: m.setattr(kernel, "SOURCE", perturbed_source(tmp, *OTHER_ERF)),
         "erf differs from math.erf"),
+    "pow differs": (
+        lambda m, tmp: m.setattr(kernel, "SOURCE", perturbed_source(tmp, *OTHER_POW)),
+        "pow differs from float ** float"),
 }
 
 
@@ -393,6 +486,17 @@ def test_python_kernel_runs_when_the_compiled_one_cannot(cause, monkeypatch, tmp
         out = tmp_path / name
         assert main([*argv, "--out", str(out)]) == 0
         assert _digests(out) == expected, name
+
+
+def test_kernel_source_compiles_without_warnings():
+    """``_kernel.c`` stays clean under -Wall -Wextra, as errors, with the
+    include paths the build uses."""
+    if shutil.which(kernel.COMPILER) is None:
+        pytest.skip(f"no {kernel.COMPILER}")
+    done = subprocess.run(
+        [kernel.COMPILER, "-Wall", "-Wextra", "-Werror", "-fsyntax-only", *kernel._includes(),
+         str(kernel.SOURCE)], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_kernel_attribute_is_read_only():
