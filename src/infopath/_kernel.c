@@ -11,7 +11,9 @@
  * numpy's pairwise sum, and erf, rint, log and pow are libm's, checked on
  * load against math.erf, round, math.log and Python's float ** float. Build
  * with -ffp-contract=off: a fused multiply-add rounds once where numpy
- * rounds twice.
+ * rounds twice. -O3 vectorises update's loop over the query points and
+ * pairwise's eight accumulators; without -ffast-math gcc never reassociates,
+ * so each vector lane makes the scalar loop's IEEE operations, in its order.
  */
 #define NPY_NO_DEPRECATED_API NPY_2_0_API_VERSION
 #include <math.h>
@@ -233,9 +235,10 @@ static int64_t feasible(const tables_t *t, int64_t v, double budget, int64_t *fi
  * from the walk, and the rollout goes on in the same walk.
  *
  * Steps return 0, -1 with the Python error set, or COLLAPSED when a pivot
- * collapsed: the search then stops, and infopath.mcts reruns it in Python,
- * whose batch rebuild this file does not repeat. All memory comes from
- * PyMem_*, which tracemalloc sees, and goes when the search's capsule does. */
+ * collapsed: the search is then void, and infopath.mcts reruns the plan in
+ * Python, whose batch rebuild this file does not repeat. All memory comes
+ * from PyMem_*, which tracemalloc sees, and goes when the search's capsule
+ * does. */
 enum { COLLAPSED = 1 };
 
 typedef struct {
@@ -286,6 +289,7 @@ typedef struct {
     int64_t n_beliefs, n_actions, n_pool, n_records;
     int64_t cap_beliefs, cap_actions, cap_pool, cap_records;
     walk_t walk;
+    int is_void; /* a run stopped early, perhaps inside a simulation */
 } search_t;
 
 /* Room for `need` items in a growing array */
@@ -786,23 +790,33 @@ static search_t *search_and(PyObject *const *a, int64_t *i)
     return PyErr_Occurred() ? NULL : s;
 }
 
-/* simulate(search, depth): one simulation from the root; its return, or
- * None when a pivot collapsed */
-static PyObject *py_simulate(PyObject *self, PyObject *const *a, Py_ssize_t n)
+/* run(search, iterations): that many simulations of the search's max_depth
+ * from the root, one after another, as infopath.mcts.search runs them in
+ * Python. True when all ran; False when a pivot collapsed. Signals are
+ * handled after every simulation, so a long run stops on Ctrl-C. A run that
+ * does not finish voids the search, and a run of a void search raises. */
+static PyObject *py_run(PyObject *self, PyObject *const *a, Py_ssize_t n)
 {
-    ARGS("simulate", 2);
-    int64_t depth;
-    double q;
-    search_t *s = search_and(a, &depth);
+    ARGS("run", 2);
+    int64_t iterations;
+    search_t *s = search_and(a, &iterations);
     if (s == NULL)
         return NULL;
-    if (depth < 0 || depth > s->max_depth)
-        return PyErr_Format(PyExc_ValueError, "depth must lie in [0, %lld]",
-                            (long long)s->max_depth);
-    const int rc = simulate(s, 0, depth, &q);
-    if (rc == COLLAPSED)
-        Py_RETURN_NONE;
-    return rc ? NULL : PyFloat_FromDouble(q);
+    if (s->is_void)
+        return PyErr_Format(PyExc_RuntimeError, "the search is void: a run of it stopped early");
+    if (iterations < 0)
+        return PyErr_Format(PyExc_ValueError, "iterations must not be negative");
+    for (int64_t i = 0; i < iterations; i++) {
+        double q;
+        const int rc = simulate(s, 0, s->max_depth, &q);
+        if (rc || PyErr_CheckSignals()) {
+            s->is_void = 1;
+            if (rc == COLLAPSED)
+                Py_RETURN_FALSE;
+            return NULL;
+        }
+    }
+    Py_RETURN_TRUE;
 }
 
 /* node(search, i): belief node i's (visits, untried action ids or None,
@@ -964,8 +978,9 @@ static PyMethodDef methods[] = {
      "rank1_update(w, mean, var, kqq, jitter, floor, m, sites) -> trace or None"},
     {"search", FASTCALL(py_search),
      "search(tables, bitgen, state, gp, config, max_sites) -> a search"},
-    {"simulate", FASTCALL(py_simulate),
-     "simulate(search, depth) -> the simulation's return, or None when a pivot collapsed"},
+    {"run", FASTCALL(py_run),
+     "run(search, iterations) -> True when every simulation ran, False when a pivot "
+     "collapsed"},
     {"node", FASTCALL(py_node),
      "node(search, i) -> (visits, untried, actions, location, budget, memory, step, record) "
      "of belief node i"},

@@ -1,13 +1,17 @@
 """The compiled step kernel, built on first use, and the fallback to Python.
 
 ``_kernel.c`` runs ``BeliefWorkspace``'s rank-1 GP updates and whole
-MCTS-DPW searches over an MDP's location tables by integer action id: the
-widening caps, UCB selection, tree steps and uniform-random rollouts, with
-static steps and the drills and rock visits of ``infopath.mdp``'s step
-kinds. The first call to ``lib()`` compiles it with the machine's C
-compiler into a private temporary directory, against numpy's random library
-and headers, loads it with ``ctypes.PyDLL`` and hands it the
-``dgemv``/``ddot`` of the BLAS numpy itself loaded. Before use it must match
+MCTS-DPW searches over an MDP's location tables by integer action id, every
+simulation of a plan in one call: the widening caps, UCB selection, tree
+steps and uniform-random rollouts, with static steps and the drills and rock
+visits of ``infopath.mdp``'s step kinds. The first call to ``lib()``
+compiles it with the machine's C compiler into a private temporary
+directory, against numpy's random library and headers, loads it with
+``ctypes.PyDLL`` and hands it the ``dgemv``/``ddot`` of the BLAS numpy
+itself loaded. ``FLAGS`` build it at -O3, which vectorises the rank-1
+update's loop over the query points and the pairwise trace sum, and with
+-ffp-contract=off and no -ffast-math, so that every operation rounds as
+numpy's does. Before use it must match
 the Python kernel bit for bit on a few updates and draws, and its libm's
 ``erf``, ``rint``, ``log`` and ``pow`` must match ``math.erf``, ``round``,
 ``math.log`` and Python's ``float ** float``. If anything fails (no
@@ -33,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 COMPILER = "gcc"
-FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared", "-Wl,--exclude-libs,ALL")
+FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared", "-Wl,--exclude-libs,ALL")
 SOURCE = Path(__file__).with_name("_kernel.c")
 BLAS = "scipy-openblas"  # numpy's bundled ILP64 OpenBLAS, whose cblas symbols end in 64_
 
@@ -120,11 +124,15 @@ def _load():
 
 def _check_updates(kernel):
     """Rank-1 updates equal the Python kernel's at the shapes where numpy's
-    product changes form: m = 0, q = 1 (a dot), q > 128 (a split sum)."""
+    product changes form: m = 0, q = 1 (a dot), q > 128 (a split sum); and
+    where the vectorised loops leave remainders: an odd q (9, 131: a last
+    lane over the query points, a tail after the pairwise sum's blocks of
+    eight), and m >= 64."""
     from .gp import _rank1_update
 
     rng = np.random.default_rng(0)
-    for q, m, k in ((1, 3, 2), (3, 0, 3), (40, 1, 2), (100, 37, 3), (130, 18, 2)):
+    for q, m, k in ((1, 3, 2), (3, 0, 3), (9, 70, 2), (40, 1, 2), (100, 37, 3), (130, 18, 2),
+                    (131, 5, 3)):
         w = rng.normal(size=(m + k, q)) * 0.1
         kqq = rng.normal(size=(q, q))
         mean, var = rng.normal(size=q), 1.0 + rng.random(q)

@@ -9,8 +9,8 @@ uniformly from the node's untried feasibility-pruned actions, so the tree
 never contains an action that could strand the agent. Leaf values come from
 uniform-random feasible rollouts through the generative model; a rollout
 never branches, so an MDP may offer a state that it steps in place (see
-``rollout``). An MDP may also offer to run whole simulations itself, with
-the same draws and tree (see ``search``).
+``rollout``). An MDP may also offer to run a whole plan's simulations
+itself, in one call, with the same draws and tree (see ``search``).
 
 The planner owns nothing between calls: every plan builds a fresh tree from
 the root belief and a seeded generator, so results are reproducible.
@@ -218,8 +218,6 @@ def rollout(belief, depth, mdp, config: SolverConfig, rng) -> float:
 
 def simulate(node: BeliefNode, depth, mdp, config: SolverConfig, rng) -> float:
     """One tree simulation; returns the sampled return and updates statistics."""
-    if type(node) is _CompiledRoot:
-        return node.simulate(depth, mdp, config, rng)
     if depth == 0:
         return 0.0
     if mdp.is_terminal(node.belief) or not (node.children or _untried(node, mdp)):
@@ -239,49 +237,16 @@ def simulate(node: BeliefNode, depth, mdp, config: SolverConfig, rng) -> float:
     return q
 
 
-class _CompiledRoot:
-    """The root of a search that an MDP's ``compiled_search`` hook runs:
-    ``simulate`` takes each simulation there.
-
-    When a simulation meets a collapsed pivot (the compiled search returns
-    None), the search restores the generator state it started from and
-    reruns every simulation so far in Python, from a fresh root, which then
-    takes the rest; ``tree`` returns that root, or the compiled tree.
-    """
-
-    __slots__ = ("belief", "compiled", "state", "done", "fallback")
-
-    def __init__(self, belief, compiled, rng):
-        self.belief = belief
-        self.compiled = compiled
-        self.state = rng.bit_generator.state
-        self.done = 0  # simulations run in the compiled search
-        self.fallback: BeliefNode | None = None
-
-    def simulate(self, depth, mdp, config: SolverConfig, rng) -> float:
-        if self.fallback is None:
-            q = self.compiled.simulate(depth)
-            if q is not None:
-                self.done += 1
-                return q
-            rng.bit_generator.state = self.state
-            self.fallback = BeliefNode(self.belief)
-            for _ in range(self.done):
-                simulate(self.fallback, depth, mdp, config, rng)
-        return simulate(self.fallback, depth, mdp, config, rng)
-
-    def tree(self) -> BeliefNode:
-        return self.fallback if self.fallback is not None else self.compiled.tree()
-
-
 def search(belief, mdp, config: SolverConfig, rng=None) -> BeliefNode:
     """Run the configured number of simulations from a fresh root; returns it.
     Draws advance ``rng`` (a ``Generator``) exactly as numpy's methods would.
 
     An MDP with a ``compiled_search(belief, config, rng)`` hook that returns
     a search (``infopath.mdp.CompiledSearch``) runs every simulation there,
-    with the same draws and the same tree; ``simulate`` is still entered
-    once per simulation.
+    in one call to its ``run``, with the same draws and the same tree;
+    ``simulate`` is not entered. When a pivot collapses there, the search
+    restores the generator state it saved and runs the whole plan in Python
+    from a fresh root.
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
@@ -290,10 +255,15 @@ def search(belief, mdp, config: SolverConfig, rng=None) -> BeliefNode:
         raise ValueError("cannot plan from a terminal belief")
     hook = getattr(mdp, "compiled_search", None)
     compiled = hook(belief, config, rng) if hook is not None else None
-    root = BeliefNode(belief) if compiled is None else _CompiledRoot(belief, compiled, rng)
+    if compiled is not None:
+        state = rng.bit_generator.state
+        if compiled.run(config.iterations):
+            return compiled.tree()
+        rng.bit_generator.state = state
+    root = BeliefNode(belief)
     for _ in range(config.iterations):
         simulate(root, config.max_depth, mdp, config, rng)
-    return root if compiled is None else root.tree()
+    return root
 
 
 def plan(belief, mdp, config: SolverConfig, rng=None):

@@ -19,10 +19,10 @@ that never branches, so ``rollout_state`` hands out a ``RolloutState`` that
 steps in place; a tree step (``generative_sample``) is one step of a fresh
 ``RolloutState``, frozen into an immutable ``BeliefState`` snapshot. When
 the compiled kernel is built (``infopath.kernel``), ``compiled_search``
-hands ``mcts.search`` a ``CompiledSearch`` instead, which runs whole
-simulations in C over a flat copy of the location tables by integer action
-id, tree steps and rollouts alike, with the same bits; its tree's beliefs
-are built on first read.
+hands ``mcts.search`` a ``CompiledSearch`` instead, which runs every
+simulation of a plan in C, in one call, over a flat copy of the location
+tables by integer action id, tree steps and rollouts alike, with the same
+bits; its tree's beliefs are built on first read.
 
 Each location has one ``LocationTable``, shared by every MDP on the same
 graph with the same senses: every action's cost and target, and which
@@ -548,8 +548,8 @@ class CompiledSearch:
     """An MCTS-DPW search from ``belief`` whose tree lives in the compiled
     kernel, for ``mcts.search``.
 
-    ``simulate`` runs one whole simulation there, drawing from ``rng``'s
-    bit generator exactly as ``mcts.simulate`` would; it returns None when a
+    ``run`` runs a plan's simulations there, drawing from ``rng``'s bit
+    generator exactly as ``mcts.simulate`` would; it returns False when a
     pivot collapses, and the search is then void. ``tree`` returns the root
     of the tree as ``BeliefNode``/``ActionNode`` objects with the MDP's
     actions, each node built from the search when first reached. The root
@@ -575,8 +575,12 @@ class CompiledSearch:
             (config.max_depth, config.exploration, config.k_action, config.alpha_action,
              config.k_state, config.alpha_state, config.discount), max_sites)
 
-    def simulate(self, depth: int) -> float | None:
-        return self._lib.simulate(self._search, depth)
+    def run(self, iterations: int) -> bool:
+        """``iterations`` simulations of ``config.max_depth`` from the root:
+        True when all ran, False when a pivot collapsed. Signals are handled
+        after every simulation; a run that stops early voids the search,
+        whose next run raises."""
+        return self._lib.run(self._search, iterations)
 
     def tree(self) -> BeliefNode:
         """The root of the tree."""

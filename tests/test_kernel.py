@@ -9,7 +9,9 @@ pinned output stays as it is.
 import functools
 import gc
 import shutil
+import signal
 import subprocess
+import time
 import tracemalloc
 
 import numpy as np
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 from test_outputs import RUNS, _digests
 
 from infopath import gp as gp_module
-from infopath import kernel
+from infopath import kernel, mcts
 from infopath.cli import main
 from infopath.gp import BeliefWorkspace, SquaredExponential, _rank1_update
 from infopath.isrs import IsrsMdp, generate_isrs
@@ -124,7 +126,7 @@ def plan_under(which, env, seed, budget, discount, monkeypatch, pruned=True, dee
     """Search, then roll out from the first tree nodes, under one kernel.
     Returns the results and what the steps did: Python rollout step kinds
     (every step of the Python kernel's searches is an ``advance``), the
-    compiled search's simulations and reruns (a simulation that met a
+    compiled search's runs that finished and reruns (a run that met a
     collapsed pivot), ``advance`` calls during the search, and batch
     rebuilds. ``deep``: more simulations and fewer successors, so the tree
     grows measured chains several steps deep."""
@@ -132,17 +134,17 @@ def plan_under(which, env, seed, budget, discount, monkeypatch, pruned=True, dee
     with monkeypatch.context() as m:
         if which == "python":
             m.setattr(kernel, "_state", (None, "forced by a test"))
-        rebuild, simulate = BeliefWorkspace._rebuild, CompiledSearch.simulate
+        rebuild, run = BeliefWorkspace._rebuild, CompiledSearch.run
         advance = RolloutState.advance
 
         def counting_rebuild(self):
             seen["rebuilds"] += 1
             rebuild(self)
 
-        def counting_simulate(self, depth):
-            q = simulate(self, depth)
-            seen["compiled" if q is not None else "reruns"] += 1
-            return q
+        def counting_run(self, iterations):
+            finished = run(self, iterations)
+            seen["compiled" if finished else "reruns"] += 1
+            return finished
 
         def recording_advance(self, action, rng):
             seen["advances"] += 1
@@ -160,7 +162,7 @@ def plan_under(which, env, seed, budget, discount, monkeypatch, pruned=True, dee
             return reward
 
         m.setattr(BeliefWorkspace, "_rebuild", counting_rebuild)
-        m.setattr(CompiledSearch, "simulate", counting_simulate)
+        m.setattr(CompiledSearch, "run", counting_run)
         m.setattr(RolloutState, "advance", recording_advance)
         mdp = build_mdp(env, seed, budget, pruned)
         cfg = SolverConfig(iterations=200 if deep else 40, max_depth=12, discount=discount,
@@ -176,10 +178,10 @@ def plan_under(which, env, seed, budget, discount, monkeypatch, pruned=True, dee
 
 
 def ran_compiled(seen, ref_seen):
-    """The compiled search ran every simulation, with no Python step unless
-    a collapsed pivot made it rerun in Python, at most once; the Python
-    kernel's search never did."""
-    assert seen["compiled"] + seen["reruns"] > 0 and seen["reruns"] <= 1
+    """The compiled search ran every simulation in one call, with no Python
+    step unless a collapsed pivot made the plan rerun in Python; the Python
+    kernel's search never ran it."""
+    assert seen["compiled"] + seen["reruns"] == 1
     assert (seen["search_advances"] > 0) == (seen["reruns"] > 0)
     assert ref_seen["compiled"] == ref_seen["reruns"] == 0
 
@@ -273,6 +275,76 @@ def test_a_compiled_search_frees_its_memory_with_its_tree(compiled):
     finally:
         tracemalloc.stop()
     assert min(held) > 100_000 and max(left) - left[0] < 1_000, (held, left)
+
+
+@pytest.mark.parametrize("which", ["compiled", "python"])
+def test_a_compiled_plan_is_one_call(which, monkeypatch, request):
+    """A compiled plan runs every simulation in one ``CompiledSearch.run``
+    and enters ``mcts.simulate`` never; the Python kernel's plan enters it
+    at least once per simulation."""
+    request.getfixturevalue(which if which == "compiled" else "python_kernel")
+    calls = {"simulate": 0, "run": 0}
+    simulate, run = mcts.simulate, CompiledSearch.run
+
+    def counting_simulate(*args):
+        calls["simulate"] += 1
+        return simulate(*args)
+
+    def counting_run(self, iterations):
+        calls["run"] += 1
+        return run(self, iterations)
+
+    monkeypatch.setattr(mcts, "simulate", counting_simulate)
+    monkeypatch.setattr(CompiledSearch, "run", counting_run)
+    mdp = build_mdp("isrs", 3, 30.0)
+    cfg = SolverConfig(iterations=50, max_depth=12)
+    root = search(mdp.initial_belief(), mdp, cfg, np.random.default_rng(3))
+    assert root.visits == cfg.iterations
+    if which == "compiled":
+        assert calls == {"simulate": 0, "run": 1}
+    else:
+        assert calls["simulate"] >= cfg.iterations and calls["run"] == 0
+
+
+class Interrupted(Exception):
+    """What the test's alarm handler raises."""
+
+
+def test_a_long_compiled_plan_stops_on_a_signal(compiled):
+    """A signal handler's exception ends a compiled plan of a million
+    simulations at the next simulation, not at the end of the plan."""
+    mdp = build_mdp("isrs", 3, 30.0)
+    belief = mdp.initial_belief()
+    search(belief, mdp, SolverConfig(iterations=10), np.random.default_rng(0))  # the tables
+
+    def alarm(signum, frame):
+        raise Interrupted
+
+    previous = signal.signal(signal.SIGALRM, alarm)
+    try:
+        start = time.perf_counter()
+        signal.setitimer(signal.ITIMER_REAL, 0.05)
+        with pytest.raises(Interrupted):
+            search(belief, mdp, SolverConfig(iterations=10**6), np.random.default_rng(0))
+        elapsed = time.perf_counter() - start
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert elapsed < 2.0
+
+
+def test_a_void_search_cannot_run(compiled, monkeypatch):
+    """A run of a negative count raises; a run that meets a collapsed pivot
+    returns False and voids the search: a second run raises."""
+    monkeypatch.setattr(gp_module, "PIVOT_MIN_REL", COLLAPSE_REL["rover"])
+    mdp = build_mdp("rover", 4, 30.0)
+    cfg = SolverConfig(iterations=40, max_depth=12)
+    compiled_search = mdp.compiled_search(mdp.initial_belief(), cfg, np.random.default_rng(4))
+    with pytest.raises(ValueError, match="negative"):
+        compiled_search.run(-1)
+    assert compiled_search.run(cfg.iterations) is False
+    with pytest.raises(RuntimeError, match="void"):
+        compiled_search.run(1)
 
 
 def only_action(mdp, location, action):
