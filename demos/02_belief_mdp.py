@@ -36,7 +36,7 @@ rng = np.random.default_rng(0)
 b_next, reward = mdp.generative_sample(belief, Sense("cheap"), rng)
 gain = belief.gp.trace_of_variance() - b_next.gp.trace_of_variance()
 print(f"\nsense:cheap  reward={reward:.3f} = lambda*{gain:.3f} "
-      f"(lambda={mdp.reward_config.information_weight})")
+      f"(lambda={mdp.information_weight})")
 
 # March onto the good rock at node 5 = (1, 1), step off, and step back on:
 # the first visit pays +10 and spends the rock, the revisit costs -10.

@@ -29,7 +29,6 @@ from .mdp import (
     Measurement,
     MISSION_FAILURE_REWARD,
     Move,
-    RewardConfig,
     Sense,
     SensingModality,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "PosteriorSummary",
     "RasterPlan",
     "RasterPolicy",
-    "RewardConfig",
     "RoverInstance",
     "RoverMdp",
     "Sense",

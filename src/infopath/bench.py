@@ -26,7 +26,7 @@ from . import rover as rover_mod
 from .episodes import STATUS_GOAL, EpisodeLog, run_episode
 from .isrs import IsrsInstance, IsrsMdp, generate_isrs
 from .mcts import SolverConfig
-from .mdp import RewardConfig, SensingModality
+from .mdp import SensingModality
 from .policies import MctsPolicy, RasterPolicy, random_policy
 from .rover import RoverInstance, RoverMdp, generate_rover
 
@@ -187,10 +187,8 @@ def build_instance(cfg: ExperimentConfig, seed: int):
 
 
 def build_mdp(cfg: ExperimentConfig, inst):
-    lam = cfg.resolved_information_weight()
-    if cfg.environment == "isrs":
-        return IsrsMdp(inst, RewardConfig(lam, isrs_mod.ROCK_REWARD))
-    return RoverMdp(inst, RewardConfig(lam, rover_mod.DRILL_REWARD))
+    cls = IsrsMdp if cfg.environment == "isrs" else RoverMdp
+    return cls(inst, information_weight=cfg.resolved_information_weight())
 
 
 def build_policy(cfg: ExperimentConfig, inst):

@@ -99,7 +99,7 @@ def run_episode(mdp, policy, seed, config=None) -> EpisodeLog:
         if action is None:
             break
         try:
-            mdp._affordable_cost(belief, action)
+            mdp._affordable_step(belief, action)
         except ValueError:  # inapplicable or unaffordable
             status = STATUS_ABORTED
             break

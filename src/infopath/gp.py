@@ -13,8 +13,8 @@ case: all environment locations are query points), extending the Cholesky
 factor of the measurement system reuses the cached whitened cross-covariance,
 so an update costs O(m q) instead of the O(m^3 + m^2 q) of a refactorization.
 
-There is one update path. ``workspace()`` hands out a mutable copy of a
-belief's caches that takes updates in place, into preallocated rows. A chain
+There is one update path. ``BeliefWorkspace(belief)`` is a mutable copy of
+a belief's caches that takes updates in place, into preallocated rows. A chain
 of updates that never branches (a tree-search rollout) stays in one
 workspace; a snapshot update is a workspace updated once and frozen. The
 rank-1 arithmetic runs in the compiled kernel when it is built
@@ -443,11 +443,6 @@ class GaussianProcessBelief:
         ws = BeliefWorkspace(self, 0)
         ws.add_measurements_at(sites)
         return ws.freeze_compact()
-
-    def workspace(self, room: int = WORKSPACE_ROOM) -> "BeliefWorkspace":
-        """A mutable copy of this belief for a chain of in-place updates; its
-        first update allocates ``room`` spare rows."""
-        return BeliefWorkspace(self, room)
 
     # ------------------------------------------------------------------
     # posterior queries

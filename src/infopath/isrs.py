@@ -26,7 +26,6 @@ from .mdp import (
     BeliefMdp,
     Measurement,
     Move,
-    RewardConfig,
     SensingModality,
     Static,
     Visit,
@@ -44,8 +43,6 @@ DEFAULT_MODALITIES = (
 DEFAULT_BUDGET = 40.0
 DEFAULT_SENSING_RADIUS = 4.0
 DEFAULT_FIDELITY_DOUBLING = 2.0
-
-_MOVE = Static(())  # the step kind of every move off a rock
 
 
 @dataclass(frozen=True)
@@ -170,11 +167,9 @@ class IsrsMdp(BeliefMdp):
     ground-truth hooks used when executing episodes.
     """
 
-    def __init__(self, inst: IsrsInstance, reward_config=None, *,
+    def __init__(self, inst: IsrsInstance, *, information_weight=DEFAULT_INFORMATION_WEIGHT,
                  prior_mean=0.5, kernel=None):
-        if reward_config is None:
-            reward_config = RewardConfig(DEFAULT_INFORMATION_WEIGHT, ROCK_REWARD)
-        super().__init__(inst.graph(), inst.modalities, reward_config,
+        super().__init__(inst.graph(), inst.modalities, information_weight=information_weight,
                          budget=inst.budget, prior_mean=prior_mean, kernel=kernel,
                          sensing_nodes=inst.beacons)
         self.instance = inst
@@ -182,9 +177,7 @@ class IsrsMdp(BeliefMdp):
         self._rock_index = np.array(inst.rock_nodes, dtype=np.intp)
         self._rock_truth = np.array([GOOD_VALUE if r in inst.good_rocks else BAD_VALUE
                                      for r in inst.rock_nodes])
-        # step kinds: a visit per rock, a fixed measurement plan per (beacon, modality)
-        self._visits = {rock: Visit(rock, self.jitter_floor, self.reward_config.interaction_reward)
-                        for rock in inst.rock_nodes}
+        # a fixed measurement plan per (beacon, modality)
         self._beacon_steps: dict[int, dict[str, Static]] = {}
         xy = self.graph.coords.tolist()
         floor = self.jitter_floor
@@ -227,14 +220,15 @@ class IsrsMdp(BeliefMdp):
         if target not in self._rock_set or target in belief.memory:
             return 0.0
         p_good = min(max(float(belief.gp.query_mean[target]), 0.0), 1.0)
-        r = self.reward_config.interaction_reward
-        return r * p_good - r * (1.0 - p_good)
+        return ROCK_REWARD * p_good - ROCK_REWARD * (1.0 - p_good)
 
     def step_kind(self, location, action):
-        """A rock visit, a move that measures nothing, or a beacon read of its
-        fixed plan: all built once, so a lookup allocates nothing."""
+        """A visit for a move onto a rock, a move that measures nothing
+        elsewhere, and a beacon read of its fixed plan."""
         if isinstance(action, Move):
-            return self._visits.get(action.target, _MOVE)
+            if action.target in self._rock_set:
+                return Visit(action.target, self.jitter_floor, ROCK_REWARD)
+            return Static(())
         return self._beacon_steps[location][action.modality]
 
     def updated_memory(self, belief, action, observation):

@@ -5,9 +5,10 @@ A belief state bundles the agent location, the remaining cost budget, the GP
 belief over the world, and a small discrete memory (visited rocks, collected
 sample types). Transitions are deterministic in location and budget; sensing
 appends measurements to the GP. The reward adds the expected interaction
-reward under the current belief to a weighted total-variance drop, and a
-large negative sentinel replaces it when a transition strands the agent off
-the goal with no affordable action left.
+reward under the current belief (the environment's payoff) to the
+total-variance drop weighted by ``information_weight``, and a large negative
+sentinel replaces it when a transition strands the agent off the goal with
+no affordable action left.
 
 ``BeliefMdp`` carries the machinery shared by every environment; subclasses
 supply what differs: where sensing is possible, what each action measures,
@@ -27,15 +28,14 @@ bits; its tree's beliefs are built on first read.
 Each location has one ``LocationTable``, shared by every MDP on the same
 graph with the same senses: every action's cost and target, and which
 actions are feasible between the budget thresholds where that changes.
-Terminal checks, feasible actions, costs and steps all read it. Every
-environment names the step kind of each action at each location
-(``step_kind``), one of a small closed set: ``Static`` (fixed sites, no
-interaction reward, memory unchanged), ``Drill`` or ``Visit``. A Python
-step takes a static one from its sites without calling the environment
-hooks, and a drill or visit through the hooks, which stay the reference;
-the compiled kernel's table reads the same kinds and runs all three from
-that data. Episodes apply the observation they are given through
-``transition``, which calls the hooks as the tree does.
+Terminal checks, feasible actions, costs, targets and steps all read it.
+Each kernel states what a step does once. A Python step, and an episode's
+``transition``, take it from the environment hooks. The compiled kernel's
+table takes it from ``step_kind``, which every environment implements for
+each action at each location; its kind is one of a small closed set:
+``Static`` (fixed sites, no interaction reward, memory unchanged),
+``Drill`` or ``Visit``. The equality tests of the two kernels hold the kinds
+against the hooks.
 """
 
 from __future__ import annotations
@@ -51,7 +51,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernel
-from .gp import JITTER_REL, WORKSPACE_ROOM, GaussianProcessBelief, SquaredExponential, _linked
+from .gp import (
+    JITTER_REL,
+    WORKSPACE_ROOM,
+    BeliefWorkspace,
+    GaussianProcessBelief,
+    SquaredExponential,
+    _linked,
+)
 from .graph import GRID_CACHE_SIZE, LocationGraph
 from .mcts import ActionNode, BeliefNode
 
@@ -187,39 +194,26 @@ class LocationTable(NamedTuple):
     costs: MappingProxyType  # Action -> (cost, target)
 
 
-@dataclass(frozen=True)
-class RewardConfig:
-    """Weights of the belief-dependent reward.
-
-    ``information_weight`` scales the total-variance drop; ``interaction_reward``
-    is the magnitude of the environment interaction payoff (10 for rock visits,
-    1 for drills).
-    """
-
-    information_weight: float = 1.0
-    interaction_reward: float = 10.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.information_weight) and self.information_weight >= 0):
-            raise ValueError("information_weight must be finite and non-negative")
-
-
 class BeliefMdp:
     """Shared belief-MDP mechanics over a location graph.
 
     Every modality can sense at ``sensing_nodes`` (all nodes when None).
-    Subclasses override the three environment hooks (``measurement_sites``,
-    ``expected_state_reward``, ``updated_memory``) for planning, and name
-    the step kind of every action through ``step_kind``. The two
-    ground-truth hooks (``true_reward``, ``true_observation``) serve episode
-    execution.
+    ``information_weight`` scales the total-variance drop in the reward; the
+    interaction payoff belongs to the environment. Subclasses override the
+    three environment hooks (``measurement_sites``,
+    ``expected_state_reward``, ``updated_memory``) for planning, and state
+    the same steps as data for the compiled kernel through ``step_kind``.
+    The two ground-truth hooks (``true_reward``, ``true_observation``) serve
+    episode execution.
     """
 
-    def __init__(self, graph: LocationGraph, modalities, reward_config=None, *,
+    def __init__(self, graph: LocationGraph, modalities, *, information_weight=1.0,
                  budget, prior_mean=0.5, kernel=None, sensing_nodes=None):
         self.graph = graph
         self.kernel = kernel if kernel is not None else SquaredExponential()
-        self.reward_config = reward_config if reward_config is not None else RewardConfig()
+        if not (math.isfinite(information_weight) and information_weight >= 0):
+            raise ValueError("information_weight must be finite and non-negative")
+        self.information_weight = information_weight
         if not (math.isfinite(budget) and budget >= 0):
             raise ValueError("budget must be finite and non-negative")
         self.initial_budget = float(budget)
@@ -261,13 +255,13 @@ class BeliefMdp:
         ``Drill`` or ``Visit``.
 
         The kind describes, as data, what the three hooks do for this
-        action at this location, whatever the belief. Every Python tree or
-        rollout step calls this, and takes a ``Static`` step without the
-        hooks; the compiled kernel's table calls it once per (location,
-        action) and takes every step from it. It must stay a cheap, pure
-        function of the two.
+        action at this location, whatever the belief. Only the compiled
+        kernel reads it: its table calls this once per (location, action)
+        when the MDP's first compiled search builds it, and takes every step
+        from it. It must be a pure function of the two.
         """
-        raise NotImplementedError
+        raise NotImplementedError(
+            f"{type(self).__name__} names no step_kind, which the compiled kernel needs")
 
     # ------------------------------------------------------------------
     # ground-truth hooks (episode side)
@@ -304,9 +298,6 @@ class BeliefMdp:
             raise ValueError(f"node {action.target} is not adjacent to {belief.location}")
         raise ValueError(f"{action_label(action)} is not available at node {belief.location}")
 
-    def action_target(self, belief: BeliefState, action: Action) -> int:
-        return action.target if isinstance(action, Move) else belief.location
-
     def is_terminal(self, belief: BeliefState) -> bool:
         """True iff the remaining budget cannot pay for any action."""
         return belief.remaining_budget < self._tables[belief.location].thresholds[0]
@@ -324,23 +315,26 @@ class BeliefMdp:
             raise ValueError("feasible_actions called on a terminal belief")
         return list(feasible[i])
 
-    def _affordable_cost(self, belief: BeliefState, action: Action) -> float:
-        """``action_cost``, raising also when the budget cannot pay it."""
-        cost = self.action_cost(belief, action)
-        if cost > belief.remaining_budget:
+    def _affordable_step(self, belief: BeliefState, action: Action) -> tuple[float, int]:
+        """The location table's (cost, target) of ``action``; raises as
+        ``action_cost`` does, and also when the budget cannot pay the cost."""
+        entry = self._tables[belief.location].costs.get(action)
+        if entry is None:
+            self.action_cost(belief, action)  # raises
+        if entry[0] > belief.remaining_budget:
             raise ValueError(
-                f"{action_label(action)} costs {cost} but only "
+                f"{action_label(action)} costs {entry[0]} but only "
                 f"{belief.remaining_budget} budget remains")
-        return cost
+        return entry
 
     def transition(self, belief: BeliefState, action: Action,
                    observation: Observation = ()) -> BeliefState:
         """Apply an action deterministically; never mutates the input belief."""
-        cost = self._affordable_cost(belief, action)
+        cost, target = self._affordable_step(belief, action)
         # the graph's nodes are the GP's query points, in order
         gp = belief.gp.add_measurements_at(observation)
         return BeliefState(
-            location=self.action_target(belief, action),
+            location=target,
             remaining_budget=belief.remaining_budget - cost,
             gp=gp,
             memory=self.updated_memory(belief, action, observation),
@@ -363,7 +357,7 @@ class BeliefMdp:
         if after.location != self.graph.goal and self.is_terminal(after):
             return MISSION_FAILURE_REWARD
         info = trace_before - after.gp.trace_of_variance()
-        return state_reward + self.reward_config.information_weight * info
+        return state_reward + self.information_weight * info
 
     def sample_observation(self, belief: BeliefState, action: Action, rng) -> Observation:
         """Draw what the action would observe from the *current* belief.
@@ -372,7 +366,13 @@ class BeliefMdp:
         posterior variance + measurement noise variance), independently per
         measured site, drawn in site order.
         """
-        return _draw_observation(belief.gp, self.measurement_sites(belief, action), rng)
+        sites = self.measurement_sites(belief, action)
+        if not sites:
+            return ()
+        mean_q, var_q = belief.gp.query_mean, belief.gp.query_variance
+        return tuple(
+            Measurement(node, rng.normal(mean_q[node], math.sqrt(max(var_q[node], 0.0) + nu)), nu)
+            for node, nu in sites)
 
     def generative_sample(self, belief: BeliefState, action: Action, rng):
         """Sample (next belief, reward) for the tree search: one ``advance``
@@ -390,7 +390,7 @@ class BeliefMdp:
         """``mcts.search``'s hook: a search from ``belief`` in the compiled
         kernel, or None when the Python kernel runs. The search reads the
         location tables and the step kinds, so a subclass that changes a
-        step some other way must set this hook to None."""
+        step some other way than through them must set this hook to None."""
         return None if kernel.lib() is None else CompiledSearch(self, belief, config, rng)
 
     def _kernel_tables(self):
@@ -433,18 +433,6 @@ def _shared_tables(graph: LocationGraph, senses) -> tuple[LocationTable, ...]:
     return tuple(tables)
 
 
-def _draw_observation(gp, sites, rng) -> Observation:
-    """y ~ Normal(posterior mean, posterior variance + noise variance) at each
-    (node, noise variance) site, independently, in site order."""
-    if not sites:
-        return ()
-    mean_q = gp.query_mean
-    var_q = gp.query_variance
-    return tuple(
-        Measurement(node, rng.normal(mean_q[node], math.sqrt(max(var_q[node], 0.0) + nu)), nu)
-        for node, nu in sites)
-
-
 def _least_budget(cost: float, back: float) -> float:
     """The least float budget with ``budget - cost >= back``, as computed in
     floating point (the difference never falls as the budget grows)."""
@@ -462,9 +450,9 @@ class RolloutState:
     It reads like a ``BeliefState`` (location, remaining budget, GP, memory,
     step), so the environment hooks take it unchanged; its GP is a
     ``BeliefWorkspace``. ``feasible_actions`` hands out the location table's
-    feasible actions, and ``advance`` takes one: the draws, GP update, memory
-    and reward of a step, from its ``Static`` sites or through the hooks for
-    a drill or visit. ``freeze`` returns the ``BeliefState``
+    feasible actions, and ``advance`` takes one: its cost and target from
+    the table, and the draws, GP update, memory and reward of the step
+    through the environment hooks. ``freeze`` returns the ``BeliefState``
     reached, whose GP is the workspace's snapshot. The source belief is never
     touched. ``room`` is the workspace's spare rows: a rollout keeps the
     default, a single tree step takes exactly the rows it needs, and its
@@ -477,7 +465,7 @@ class RolloutState:
         self.mdp = mdp
         self.location = belief.location
         self.remaining_budget = belief.remaining_budget
-        self.gp = belief.gp.workspace(room)
+        self.gp = BeliefWorkspace(belief.gp, room)
         self.memory = belief.memory
         self.step = belief.step
 
@@ -490,21 +478,13 @@ class RolloutState:
         """Take ``action`` in place and return its ``belief_reward``; raises
         as ``transition`` does when it is inapplicable or unaffordable."""
         mdp = self.mdp
-        entry = mdp._tables[self.location].costs.get(action)
-        if entry is None or entry[0] > self.remaining_budget:
-            mdp._affordable_cost(self, action)  # raises
-        cost, target = entry
-        kind = mdp.step_kind(self.location, action)
+        cost, target = mdp._affordable_step(self, action)
         gp = self.gp
         trace = gp.trace_of_variance()
-        if type(kind) is Static:  # the hooks' draws, without the hooks
-            observation = _draw_observation(gp, kind.sites, rng)
-            state_reward = 0.0
-        else:
-            observation = mdp.sample_observation(self, action, rng)
-            # the reward and the memory read the state before the update
-            state_reward = mdp.expected_state_reward(self, action)
-            self.memory = mdp.updated_memory(self, action, observation)
+        observation = mdp.sample_observation(self, action, rng)
+        # the reward and the memory read the state before the update
+        state_reward = mdp.expected_state_reward(self, action)
+        self.memory = mdp.updated_memory(self, action, observation)
         gp.add_measurements_at(observation)
         self.location = target
         self.remaining_budget -= cost
@@ -673,7 +653,7 @@ def _kernel_tables(mdp: BeliefMdp) -> kernel.StepTables:
     arrays = {**{name: np.array(v, dtype=np.int64) for name, v in ints.items()},
               **{name: np.array(v, dtype=float) for name, v in floats.items()}}
     tables = kernel.StepTables(
-        goal=mdp.graph.goal, weight=mdp.reward_config.information_weight,
+        goal=mdp.graph.goal, weight=mdp.information_weight,
         failure=MISSION_FAILURE_REWARD, **{name: a.ctypes.data for name, a in arrays.items()})
     tables._arrays = arrays  # the struct points into them
     return tables

@@ -27,7 +27,6 @@ from .mdp import (
     Drill,
     Measurement,
     Move,
-    RewardConfig,
     Sense,
     SensingModality,
     Static,
@@ -205,12 +204,10 @@ class RoverMdp(BeliefMdp):
     plan is one noisy reading at the destination cell.
     """
 
-    def __init__(self, inst: RoverInstance, reward_config=None, *,
+    def __init__(self, inst: RoverInstance, *, information_weight=DEFAULT_INFORMATION_WEIGHT,
                  prior_mean=0.5, kernel=None):
-        if reward_config is None:
-            reward_config = RewardConfig(DEFAULT_INFORMATION_WEIGHT, DRILL_REWARD)
         drill = SensingModality(DRILL, cost=inst.drill_cost, noise_stddev=0.0)
-        super().__init__(inst.graph(), (drill,), reward_config,
+        super().__init__(inst.graph(), (drill,), information_weight=information_weight,
                          budget=inst.budget, prior_mean=prior_mean, kernel=kernel)
         self.instance = inst
         self._truth = inst.true_map.T.ravel()  # node order, as in ``rmse``
@@ -247,15 +244,13 @@ class RoverMdp(BeliefMdp):
         if isinstance(action, Move):
             return 0.0
         p = self.probability_unseen(belief, belief.location)
-        r = self.reward_config.interaction_reward
-        return r * p - r * (1.0 - p)
+        return DRILL_REWARD * p - DRILL_REWARD * (1.0 - p)
 
     def step_kind(self, location, action):
         """A move takes one spectrometer reading at its target; a drill is a ``Drill``."""
         if isinstance(action, Move):
             return Static(((action.target, self._spect_nu),))
-        return Drill(location, self.jitter_floor, self.reward_config.interaction_reward,
-                     self._delta, self._types)
+        return Drill(location, self.jitter_floor, DRILL_REWARD, self._delta, self._types)
 
     def updated_memory(self, belief, action, observation):
         if isinstance(action, Sense) and observation:

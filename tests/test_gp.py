@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from infopath.gp import (
     JITTER_REL,
+    BeliefWorkspace,
     GaussianProcessBelief,
     PosteriorSummary,
     SingularCovarianceError,
@@ -423,7 +424,7 @@ def test_workspace_chain_equals_snapshot_chain(seed, s2, ell, batches):
     coords = grid_coords(4)
     gp = GaussianProcessBelief(0.5, SquaredExponential(s2, ell), coords)
     source, prior_variance = gp, gp.query_variance.copy()
-    ws = gp.workspace()
+    ws = BeliefWorkspace(gp)
     for k in batches:
         sites = [(int(rng.integers(len(coords))), float(rng.normal(0.5, 1.0)),
                   float(10 ** rng.uniform(-8, 0))) for _ in range(k)]
@@ -462,7 +463,7 @@ def test_workspace_pivot_collapse_rebuilds_like_add_measurements():
     coords = grid_coords(3)
     kernel = SquaredExponential()
     gp = GaussianProcessBelief(0.5, kernel, coords).add_measurement(coords[4], 0.7, 0.01)
-    ws = gp.workspace()
+    ws = BeliefWorkspace(gp)
     ws.add_measurements_at([(1, 0.3, 0.05)])
     chain = gp.add_measurement(coords[1], 0.3, 0.05)
     # a cached variance below -(noise + jitter) collapses the next pivot there
@@ -482,7 +483,7 @@ def test_workspace_pivot_collapse_rebuilds_like_add_measurements():
 
 def test_workspace_is_read_only_until_updated():
     gp = GaussianProcessBelief(0.5, SquaredExponential(), grid_coords(2))
-    ws = gp.workspace()
+    ws = BeliefWorkspace(gp)
     with pytest.raises(ValueError):
         ws.query_variance[0] = 0.0
     with pytest.raises(ValueError):
@@ -496,7 +497,7 @@ def test_workspace_freezes_to_a_snapshot_with_exactly_its_rows():
         coords[4], 0.7, 0.01)
     sites = [(1, 0.3, 0.05), (2, 0.6, 0.02)]
     for linked in (False, True):
-        ws = gp.workspace()
+        ws = BeliefWorkspace(gp)
         freeze = ws.freeze if linked else ws.freeze_compact
         assert freeze() is gp  # nothing added: the source belief itself
         ws.add_measurements_at(())

@@ -233,23 +233,47 @@ def test_both_kernels_meet_every_kind_of_step(env, compiled, monkeypatch):
 
 @pytest.mark.parametrize("which", ["compiled", "python"])
 def test_an_mdp_must_name_its_step_kinds(which, monkeypatch, request):
-    """Without ``step_kind`` an MDP cannot step, under either kernel."""
-    if which == "compiled":
-        request.getfixturevalue("compiled")
-    else:
-        monkeypatch.setattr(kernel, "_state", (None, "forced by a test"))
+    """The compiled kernel needs ``step_kind``, and reads it once per
+    (location, action) as its first search builds the tables and never
+    while a plan runs; the Python kernel steps through the hooks alone."""
+    request.getfixturevalue(which if which == "compiled" else "python_kernel")
 
     class KindlessRover(RoverMdp):
         step_kind = BeliefMdp.step_kind
 
-    mdp = KindlessRover(generate_rover(5, 6, 0.1, seed=3, budget=30.0))
-    belief = mdp.initial_belief()
-    with pytest.raises(NotImplementedError):
-        mdp.generative_sample(belief, mdp.feasible_actions(belief)[0], np.random.default_rng(0))
-    with pytest.raises(NotImplementedError):
-        rollout(belief, 12, mdp, SolverConfig(), np.random.default_rng(0))
-    with pytest.raises(NotImplementedError):
-        search(belief, mdp, SolverConfig(), np.random.default_rng(0))
+    inst = generate_rover(5, 6, 0.1, seed=3, budget=30.0)
+    mdp, kindless = RoverMdp(inst), KindlessRover(inst)
+    cfg = SolverConfig(iterations=40, max_depth=12)
+    if which == "python":
+        planned = []
+        for each in (mdp, kindless):
+            rng = np.random.default_rng(3)
+            planned.append((tree_table(search(each.initial_belief(), each, cfg, rng)),
+                            rng.bit_generator.state))
+        assert planned[0] == planned[1]
+        return
+    with pytest.raises(NotImplementedError, match="step_kind"):
+        search(kindless.initial_belief(), kindless, cfg, np.random.default_rng(3))
+    read, runs = [], []
+    step_kind, run = RoverMdp.step_kind, CompiledSearch.run
+
+    def counting_step_kind(self, location, action):
+        read.append((location, action))
+        return step_kind(self, location, action)
+
+    def counting_run(self, iterations):
+        before = len(read)
+        finished = run(self, iterations)
+        runs.append((before, len(read)))
+        return finished
+
+    monkeypatch.setattr(RoverMdp, "step_kind", counting_step_kind)
+    monkeypatch.setattr(CompiledSearch, "run", counting_run)
+    for seed in range(2):
+        search(mdp.initial_belief(), mdp, cfg, np.random.default_rng(seed))
+    pairs = sum(len(table.costs) for table in mdp._tables)
+    assert len(read) == len(set(read)) == pairs
+    assert runs == [(pairs, pairs)] * 2
 
 
 def test_a_compiled_search_frees_its_memory_with_its_tree(compiled):

@@ -5,16 +5,17 @@ import pytest
 
 from infopath.episodes import STATUS_GOAL, run_episode
 from infopath.gp import SquaredExponential
-from infopath.isrs import DEFAULT_MODALITIES, IsrsInstance, IsrsMdp, generate_isrs
+from infopath.isrs import DEFAULT_MODALITIES, ROCK_REWARD, IsrsInstance, IsrsMdp, generate_isrs
 from infopath.mdp import (
     MISSION_FAILURE_REWARD,
+    Drill,
     Move,
-    RewardConfig,
     Sense,
     SensingModality,
+    Visit,
 )
 from infopath.policies import random_policy
-from infopath.rover import DRILL, RoverInstance, RoverMdp, generate_rover
+from infopath.rover import DRILL, DRILL_REWARD, RoverInstance, RoverMdp, generate_rover
 
 
 def small_instance(budget=10.0, beacons=(0,), rocks=(7,), good=(7,), n=3):
@@ -42,12 +43,14 @@ def test_modality_cost_accuracy_ordering_enforced():
 def test_non_finite_or_negative_weight_and_budget_are_rejected(value):
     # NaN passes a plain "< 0" check and would reach every reward and terminal test
     with pytest.raises(ValueError, match="information_weight must be finite"):
-        RewardConfig(value)
+        RoverMdp(generate_rover(4, 3, 0.1, seed=0), information_weight=value)
+    with pytest.raises(ValueError, match="information_weight must be finite"):
+        IsrsMdp(small_instance(), information_weight=value)
     with pytest.raises(ValueError, match="budget must be finite"):
         RoverMdp(generate_rover(4, 3, 0.1, seed=0, budget=value))
     with pytest.raises(ValueError, match="budget must be finite"):
         IsrsMdp(small_instance(budget=value))
-    assert RewardConfig(0.0).information_weight == 0.0
+    assert IsrsMdp(small_instance(), information_weight=0.0).information_weight == 0.0
     assert RoverMdp(generate_rover(4, 3, 0.1, seed=0, budget=0.0)).initial_budget == 0.0
 
 
@@ -210,10 +213,34 @@ def test_expected_state_reward_cases():
     assert mdp.expected_state_reward(visited, Move(7)) == 0.0
 
 
+def test_the_payoff_is_the_environments_at_any_weight():
+    """The information weight scales only the variance drop: every drill or
+    visit kind pays the environment's payoff, and where the outcome is
+    certain the expected reward is the true one."""
+    rover = RoverMdp(generate_rover(4, 3, 0.1, seed=0), information_weight=0.3)
+    isrs = IsrsMdp(small_instance(budget=20.0), information_weight=0.3)
+    for mdp, kind, payoff in ((rover, Drill, DRILL_REWARD), (isrs, Visit, ROCK_REWARD)):
+        steps = [mdp.step_kind(v, action) for v in range(mdp.graph.n_nodes)
+                 for action in mdp._tables[v].costs]
+        rewards = {step.reward for step in steps if type(step) is kind}
+        assert rewards == {payoff}
+    # the first drill: nothing collected yet, so the type is new for sure
+    b = rover.initial_belief()
+    assert rover.expected_state_reward(b, Sense(DRILL)) == DRILL_REWARD
+    assert rover.true_reward(b, Sense(DRILL)) == DRILL_REWARD
+    # a good rock whose posterior mean is at least 1
+    b = isrs.initial_belief()
+    sure = b.gp.add_measurement(isrs.graph.coord(7), 1.5, 1e-9)
+    at4 = b._replace(location=4, gp=sure)
+    assert sure.query_mean[7] >= 1.0
+    assert isrs.expected_state_reward(at4, Move(7)) == ROCK_REWARD
+    assert isrs.true_reward(at4, Move(7)) == ROCK_REWARD
+
+
 def test_belief_reward_decomposition():
     inst = small_instance(budget=20.0)
-    zero_lam = IsrsMdp(inst, RewardConfig(information_weight=0.0))
-    unit_lam = IsrsMdp(inst, RewardConfig(information_weight=1.0))
+    zero_lam = IsrsMdp(inst, information_weight=0.0)
+    unit_lam = IsrsMdp(inst, information_weight=1.0)
     rng = np.random.default_rng(1)
     b = zero_lam.initial_belief()
 

@@ -12,21 +12,20 @@ from hypothesis import strategies as st
 from infopath import kernel, mcts
 from infopath import mdp as mdp_module
 from infopath.episodes import STATUS_GOAL, run_episode
-from infopath.gp import SquaredExponential
-from infopath.isrs import DEFAULT_MODALITIES, IsrsMdp, generate_isrs
+from infopath.gp import BeliefWorkspace, SquaredExponential
+from infopath.isrs import DEFAULT_MODALITIES, ROCK_REWARD, IsrsMdp, generate_isrs
 from infopath.mcts import SolverConfig, iter_belief_nodes, plan, rollout, search
 from infopath.mdp import (
     BeliefState,
     Drill,
     Move,
-    RewardConfig,
     Sense,
     SensingModality,
     Static,
     Visit,
 )
 from infopath.policies import MctsPolicy
-from infopath.rover import RoverMdp, generate_rover
+from infopath.rover import DRILL_REWARD, RoverMdp, generate_rover
 
 
 class ProtocolOnly:
@@ -92,16 +91,15 @@ def build_odd_mdp(env, seed, *, odd_costs=False, weight=None, signal_variance=1.
     """An MDP away from the defaults. ``variant``: an ISRS instance without
     beacons, or a rover with an exact (zero-sigma) spectrometer."""
     kernel = SquaredExponential(signal_variance=signal_variance)
+    weights = {} if weight is None else {"information_weight": weight}
     if env == "isrs":
         inst = generate_isrs(6, 6, 0 if variant else 4, 0.5, seed=seed, budget=40.0,
                              modalities=ODD_MODALITIES if odd_costs else DEFAULT_MODALITIES,
                              movement_cost=0.3 if odd_costs else 1.0)
-        rewards = None if weight is None else RewardConfig(weight, 10.0)
-        return IsrsMdp(inst, rewards, kernel=kernel)
+        return IsrsMdp(inst, kernel=kernel, **weights)
     costs = {"step_cost": 0.7, "drill_cost": 2.2} if odd_costs else {}
     inst = generate_rover(5, 6, 0.0 if variant else 0.1, seed=seed, budget=40.0, **costs)
-    rewards = None if weight is None else RewardConfig(weight, 1.0)
-    return RoverMdp(inst, rewards, kernel=kernel)
+    return RoverMdp(inst, kernel=kernel, **weights)
 
 
 def literal_actions(mdp, location):
@@ -173,7 +171,8 @@ def check_step_kind(mdp, belief, action, step, rng):
     describes what the environment hooks do with it from ``belief``."""
     observation = mdp.sample_observation(belief, action, rng)
     r = step.reward
-    assert r == mdp.reward_config.interaction_reward and step.nu == mdp.jitter_floor
+    assert r == (DRILL_REWARD if isinstance(step, Drill) else ROCK_REWARD)
+    assert step.nu == mdp.jitter_floor
     if isinstance(step, Drill):
         assert step.node == belief.location
         assert step.types == tuple(mdp.instance.type_values.tolist())
@@ -221,7 +220,7 @@ def test_table_actions_match_the_mdp(case):
     assert [c[:3] for c in compiled] == feasible
     for (action, cost, target), (*_, kind, kernel_sites, params) in zip(feasible, compiled):
         assert cost == mdp.action_cost(belief, action)
-        assert target == mdp.action_target(belief, action)
+        assert target == mdp.transition(belief, action).location
         step = mdp.step_kind(belief.location, action)
         dynamic = isinstance(action, Move) and action.target in mdp.instance.rock_nodes \
             if isinstance(mdp, IsrsMdp) else not isinstance(action, Move)
@@ -281,9 +280,9 @@ def full_fingerprint(belief):
        budget=st.one_of(st.none(), st.floats(0.0, 8.0)))
 def test_tree_step_equals_the_hook_composition(env, seed, weight, variant, odd_costs, walk,
                                                location, budget):
-    # a tree step is one RolloutState step, frozen, and skips the hooks on
-    # static actions; for every affordable action it must still give the
-    # bits of sample_observation -> transition -> belief_reward
+    # a tree step is one RolloutState step, frozen; for every affordable
+    # action it must give the bits of sample_observation -> transition ->
+    # belief_reward
     mdp = build_odd_mdp(env, seed % 1000, odd_costs=odd_costs, weight=weight, variant=variant)
     rng = np.random.default_rng(seed)
     belief = mdp.initial_belief()
@@ -375,7 +374,7 @@ def test_linked_snapshots_equal_compact_chains(env, seed, steps, collapse_at):
         assert_same_gp(child.gp, child_twin)
         # a workspace from either continues alike, and so does a rollout
         extra = [(int(rng.integers(mdp.graph.n_nodes)), float(rng.normal(0.5, 1.0)), 0.01)]
-        ws, ws_twin = child.gp.workspace(), child_twin.workspace()
+        ws, ws_twin = BeliefWorkspace(child.gp), BeliefWorkspace(child_twin)
         ws.add_measurements_at(extra)
         ws_twin.add_measurements_at(extra)
         assert_same_gp(ws.freeze(), ws_twin.freeze())
