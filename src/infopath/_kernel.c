@@ -5,8 +5,8 @@
  * ctypes.PyDLL and takes its entry points from functions(): Python builtins
  * that run holding the GIL and take numpy arrays as Python objects. Every
  * result equals the Python kernel's bit for bit: draws are numpy's own
- * random_normal and the Lemire bounded draw of
- * infopath.mcts._PlanGenerator, the column product is the dgemv of the BLAS
+ * random_normal and the Lemire bounded draw of numpy's
+ * Generator.integers, the column product is the dgemv of the BLAS
  * numpy loaded with the arguments numpy's matmul passes it, the trace is
  * numpy's pairwise sum, and erf, rint, log and pow are libm's, checked on
  * load against math.erf, round, math.log and Python's float ** float. Build
@@ -43,7 +43,7 @@ void set_blas(void *gemv, void *dot)
 #define DATA(a) ((double *)PyArray_DATA((PyArrayObject *)(a)))
 #define LENGTH(a) PyArray_DIM((PyArrayObject *)(a), 0)
 
-/* A workspace's caches: rows 0..m-1 of the whitened cross-covariance w
+/* A GP's caches in an update: rows 0..m-1 of the whitened cross-covariance w
  * (q columns), the query mean and variance, and the factor's model. */
 typedef struct {
     double *w, *mean, *var;
@@ -111,9 +111,9 @@ static int update(gp_t *g, int64_t j, double val, double nu)
 /* The trace as numpy's np.add.reduce gives it: the identity plus the sum */
 static double trace(const gp_t *g) { return 0. + pairwise(g->var, g->q); }
 
-/* BeliefWorkspace.add_measurements_at's updates for a sequence of (query
- * index, value, noise variance) sites, in place from row m of w, which has
- * room for them. Returns the new trace, or None when a pivot collapsed. */
+/* gp._rank1_update's updates for a sequence of (query index, value, noise
+ * variance) sites, in place from row m of w, which has room for them.
+ * Returns the new trace, or None when a pivot collapsed. */
 static PyObject *rank1_update(PyObject *w, PyObject *mean, PyObject *var, PyObject *kqq,
                               double jitter, double floor, int64_t m, PyObject *sites)
 {
@@ -156,8 +156,8 @@ static PyObject *rank1_update(PyObject *w, PyObject *mean, PyObject *var, PyObje
     return PyFloat_FromDouble(trace(&g));
 }
 
-/* integers(n) of infopath.mcts._PlanGenerator: numpy's Lemire rule on
- * next_uint32, for 1 <= n < 2**32 */
+/* Generator.integers(n) for 1 <= n < 2**32: numpy's Lemire rule on
+ * next_uint32 */
 static int64_t bounded(bitgen_t *b, uint64_t n)
 {
     if (n == 1)
@@ -221,10 +221,10 @@ static int64_t feasible(const tables_t *t, int64_t v, double budget, int64_t *fi
  *
  * infopath.mcts.simulate's recursion, action_prog_widen and rollout, and
  * BeliefMdp.generative_sample's tree step, over the integer action ids of
- * the tables. A tree belief's GP record keeps what BeliefWorkspace.freeze
- * keeps: the k sites its step added and their rows (rows m - k .. m - 1 of
- * the whitened cross-covariance w), its query mean, variance and trace,
- * and a link to the record it extends. A step that adds no site shares its
+ * the tables. A tree belief's GP record keeps what its linked GP keeps
+ * (gp._linked): the k sites its step added and their rows (rows m - k ..
+ * m - 1 of the whitened cross-covariance w), its query mean, variance and
+ * trace, and a link to the record it extends. A step that adds no site shares its
  * parent's record. The root record holds the root belief's caches, and the
  * walk holds the root's m rows from the search's start on.
  *
@@ -371,8 +371,9 @@ static void set_out(search_t *s, int64_t b)
     k->trace = r->trace;
 }
 
-/* BeliefWorkspace._reserve's first copy: the rows of the records up to the
- * root, whose rows the walk already holds, and the query mean and variance */
+/* The walk's first copy, as GaussianProcessBelief._fill_rows makes it for
+ * an update: the rows of the records up to the root, whose rows the walk
+ * already holds, and the query mean and variance */
 static void own(search_t *s)
 {
     walk_t *k = &s->walk;
@@ -388,7 +389,7 @@ static void own(search_t *s)
     k->own = 1;
 }
 
-/* A draw at query point j, as infopath.mdp._draw_observation makes it */
+/* A draw at query point j, as BeliefMdp.sample_observation makes it */
 static double draw(const walk_t *k, bitgen_t *bitgen, int64_t j, double nu)
 {
     const double v = k->g.var[j];
@@ -475,7 +476,7 @@ static int unseen(const walk_t *k, int64_t j, const double *tau, int64_t n, doub
     return PyErr_Occurred() ? -1 : 0;
 }
 
-/* A drill or a visit, as RolloutState.advance takes it through the
+/* A drill or a visit, as BeliefMdp.generative_sample takes it through the
  * environment's hooks: the draw first, then the interaction reward and the
  * new memory from the state before the update, then the update. */
 static int dynamic_step(search_t *s, int64_t a, double *state_reward)
@@ -520,7 +521,8 @@ done:
     return rc;
 }
 
-/* RolloutState.advance of action a in the walk, with its belief_reward */
+/* BeliefMdp.generative_sample of action a in the walk, with its
+ * belief_reward */
 static int step(search_t *s, int64_t a, double *reward)
 {
     const tables_t *t = s->t;
@@ -793,8 +795,12 @@ static search_t *search_and(PyObject *const *a, int64_t *i)
 /* run(search, iterations): that many simulations of the search's max_depth
  * from the root, one after another, as infopath.mcts.search runs them in
  * Python. True when all ran; False when a pivot collapsed. Signals are
- * handled after every simulation, so a long run stops on Ctrl-C. A run that
- * does not finish voids the search, and a run of a void search raises. */
+ * handled after every simulation, so a long run stops on Ctrl-C. The cyclic
+ * collector is off for the run: the ISRS memory sets it allocates would
+ * otherwise start collections inside it, whose finalizers run Python code,
+ * and a signal handled there raises in a finalizer, where the exception is
+ * reported and dropped. A run that does not finish voids the search, and a
+ * run of a void search raises. */
 static PyObject *py_run(PyObject *self, PyObject *const *a, Py_ssize_t n)
 {
     ARGS("run", 2);
@@ -806,17 +812,22 @@ static PyObject *py_run(PyObject *self, PyObject *const *a, Py_ssize_t n)
         return PyErr_Format(PyExc_RuntimeError, "the search is void: a run of it stopped early");
     if (iterations < 0)
         return PyErr_Format(PyExc_ValueError, "iterations must not be negative");
-    for (int64_t i = 0; i < iterations; i++) {
+    const int collecting = PyGC_Disable();
+    int rc = 0;
+    for (int64_t i = 0; i < iterations && !rc; i++) {
         double q;
-        const int rc = simulate(s, 0, s->max_depth, &q);
-        if (rc || PyErr_CheckSignals()) {
-            s->is_void = 1;
-            if (rc == COLLAPSED)
-                Py_RETURN_FALSE;
-            return NULL;
-        }
+        rc = simulate(s, 0, s->max_depth, &q);
+        if (!rc && PyErr_CheckSignals())
+            rc = -1;
     }
-    Py_RETURN_TRUE;
+    if (collecting)
+        PyGC_Enable();
+    if (!rc)
+        Py_RETURN_TRUE;
+    s->is_void = 1;
+    if (rc == COLLAPSED)
+        Py_RETURN_FALSE;
+    return NULL;
 }
 
 /* node(search, i): belief node i's (visits, untried action ids or None,

@@ -158,14 +158,19 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ConfigError(f"a config must be a JSON object, not {type(data).__name__}")
         data = dict(data)
         solver_dict = data.pop("solver_config", {})
         known = {f for f in cls.__dataclass_fields__ if f != "solver_config"}
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if isinstance(solver_dict, dict):  # before SolverConfig compares them
-            _check_types("solver_config.", SolverConfig, solver_dict)
+        if not isinstance(solver_dict, dict):
+            raise ConfigError(
+                f"solver_config must be a JSON object, not {type(solver_dict).__name__}")
+        # the types first, before SolverConfig compares the values
+        _check_types("solver_config.", SolverConfig, solver_dict)
         try:
             solver_config = SolverConfig(**solver_dict)
             cfg = cls(solver_config=solver_config, **data)

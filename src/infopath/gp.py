@@ -13,21 +13,21 @@ case: all environment locations are query points), extending the Cholesky
 factor of the measurement system reuses the cached whitened cross-covariance,
 so an update costs O(m q) instead of the O(m^3 + m^2 q) of a refactorization.
 
-There is one update path. ``BeliefWorkspace(belief)`` is a mutable copy of
-a belief's caches that takes updates in place, into preallocated rows. A chain
-of updates that never branches (a tree-search rollout) stays in one
-workspace; a snapshot update is a workspace updated once and frozen. The
-rank-1 arithmetic runs in the compiled kernel when it is built
-(``infopath.kernel``) and in numpy (``_rank1_update``, the reference)
-otherwise, with the same bits.
+There is one update path, ``add_measurements_at``: it copies the m rows
+of the whitened cross-covariance into a buffer with room for the k new
+sites, and each site gives a rank-1 update there. The rank-1 arithmetic runs
+in the compiled kernel when it is built (``infopath.kernel``) and in numpy
+(``_rank1_update``, the reference) otherwise, with the same bits. A
+collapsed pivot falls back to a batch build of the whole conditioning set
+(``_batch_rebuild``).
 
-A snapshot comes in one of two layouts. A compact one (``freeze_compact()``,
-the layout of every ``add_measurements_at`` result) holds its whole
-conditioning set and all m rows of the whitened cross-covariance. A linked
-one (``freeze()``, a tree-search step) holds only the k sites and k rows its
-update added, plus a link to the snapshot it extends, and rebuilds the rest
-on demand by one walk up to the nearest compact ancestor. Both hold their
-own query mean, query variance and trace, and both give the same bits.
+A belief comes in one of two layouts. A compact one (every
+``add_measurements_at`` result) holds its whole conditioning set and all m
+rows. A linked one (a tree-search step, ``_updated(sites, linked=True)``)
+holds only the k sites and a copy of the k rows its update added, plus a
+link to the belief it extends, and rebuilds the rest on demand by one walk
+up to the nearest compact ancestor. Both hold their own query mean, query
+variance and trace, and both give the same bits.
 
 Beliefs share what depends only on the kernel and the query set: the prior
 covariance of the query set and its index by location are built once per
@@ -60,9 +60,6 @@ JITTER_MAX_REL = 1e-4
 PIVOT_MIN_REL = 1e-14
 # Distinct (kernel, query set) pairs whose prior covariance the process keeps.
 QUERY_CACHE_SIZE = 8
-# Spare rows a rollout's workspace allocates beyond its conditioning set; it
-# doubles its buffer when they run out.
-WORKSPACE_ROOM = 16
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -219,7 +216,7 @@ def _appended(x, y, nu, query_set, sites):
 
 
 def _rank1_update(w, mean_q, var_q, kqq, jitter, floor, m, sites):
-    """The Python kernel of ``BeliefWorkspace.add_measurements_at``: each
+    """The Python kernel of ``GaussianProcessBelief._updated``: each
     (query index, value, noise variance) site becomes row m + i of ``w``, which
     has room for it, and updates the query mean and variance in place. Returns
     the new trace, or None when a pivot collapsed (at or below ``floor``)."""
@@ -439,10 +436,38 @@ class GaussianProcessBelief:
     def add_measurements_at(self, sites) -> "GaussianProcessBelief":
         """Return a new belief with measurements at query points appended, as
         (query index, value, noise variance); self is unchanged. The result
-        is compact."""
-        ws = BeliefWorkspace(self, 0)
-        ws.add_measurements_at(sites)
-        return ws.freeze_compact()
+        is compact, or self when ``sites`` is empty."""
+        return self._updated(sites, linked=False)
+
+    def _updated(self, sites, linked: bool) -> "GaussianProcessBelief":
+        """``add_measurements_at``, whose result is linked when ``linked``.
+
+        Site i becomes row m + i of the whitened cross-covariance, and the
+        query mean and variance take its rank-1 update. A linked result keeps
+        ``sites`` and a copy of their k rows, never a view of the m + k rows
+        of the update. When a pivot collapses, the result is
+        ``_batch_rebuild``'s, compact either way.
+        """
+        if not sites:
+            return self
+        for _, _, nu in sites:
+            if nu <= 0:
+                raise ValueError("noise variances must be positive")
+        m = self._m
+        w = self._fill_rows(np.empty((m + len(sites), len(self.query_set))))
+        mean, var = self._mean_q.copy(), self._var_q.copy()
+        compiled = kernel.lib()
+        update = _rank1_update if compiled is None else compiled.rank1_update
+        trace = update(w, mean, var, *self._model(), m, sites)
+        if trace is None:
+            return _batch_rebuild(self, sites)
+        if linked:
+            return _linked(self, sites, w[m:].copy(), mean, var, trace)
+        new = _snapshot(self, len(w), mean, var, trace)
+        new._parent = new._sites = None
+        new._x, new._y, new._nu = _appended(*self._conditioning(), self.query_set, sites)
+        new._w = w
+        return new
 
     # ------------------------------------------------------------------
     # posterior queries
@@ -470,118 +495,12 @@ class GaussianProcessBelief:
         return PosteriorSummary(mean=mean, covariance=cov, dimension=t.shape[0])
 
 
-class BeliefWorkspace:
-    """Query-set caches of a belief, updated in place by a chain of measurements.
-
-    ``add_measurements_at`` takes measurements at query points, named by
-    their index in the query set, and gives each a rank-1 update of the
-    factor: measurement i becomes row m+i of the whitened cross-covariance,
-    and the query mean and variance take its update. A collapsed pivot falls
-    back to a batch rebuild of the whole conditioning set. The source belief
-    is never written: the caches are copied on the first update, so a
-    workspace that is only read costs nothing. ``query_mean`` and
-    ``query_variance`` are the live buffers. ``freeze()`` and
-    ``freeze_compact()`` hand them to a snapshot.
-    """
-
-    __slots__ = ("_room", "_base", "_added", "_w", "_m", "query_mean", "query_variance",
-                 "_trace")
-
-    def __init__(self, belief: GaussianProcessBelief, room: int = WORKSPACE_ROOM):
-        self._room = room
-        self._start(belief)
-
-    def _start(self, belief: GaussianProcessBelief):
-        """Read ``belief``'s caches until the next update copies them.
-
-        ``_base`` is the belief whose factor the rows extend and whose jitter
-        applies; ``_added`` the sites appended since.
-        """
-        self._base = belief
-        self._added = []
-        self._w = None
-        self._m = belief._m
-        self.query_mean = belief.query_mean  # read-only until the first update
-        self.query_variance = belief.query_variance
-        self._trace = belief._trace
-
-    def trace_of_variance(self) -> float:
-        """Total posterior variance over the query set."""
-        return self._trace
-
-    def add_measurements_at(self, sites):
-        """Append measurements in place, as (query index, value, noise variance)."""
-        if not sites:
-            return
-        for _, _, nu in sites:
-            if nu <= 0:
-                raise ValueError("noise variances must be positive")
-        m = self._m
-        self._added.extend(sites)
-        self._reserve(len(sites))
-        compiled = kernel.lib()
-        update = _rank1_update if compiled is None else compiled.rank1_update
-        trace = update(self._w, self.query_mean, self.query_variance, *self._base._model(), m,
-                       sites)
-        if trace is None:
-            self._rebuild()
-            return
-        self._m = m + len(sites)
-        self._trace = trace
-
-    def _reserve(self, k: int):
-        """Room for k more rows, copying the source's caches on first use."""
-        m = self._m
-        if self._w is None:
-            base = self._base
-            self._w = base._fill_rows(np.empty((m + max(k, self._room), len(base.query_set))))
-            self.query_mean = base._mean_q.copy()
-            self.query_variance = base._var_q.copy()
-        elif m + k > len(self._w):
-            w = np.empty((max(2 * len(self._w), m + k), self._w.shape[1]))
-            w[:m] = self._w[:m]
-            self._w = w
-
-    def _rebuild(self):
-        """Batch-build the whole conditioning set and go on from it."""
-        base = self._base
-        x, y, nu = _appended(*base._conditioning(), base.query_set, self._added)
-        self._start(GaussianProcessBelief(base.prior_mean, base.kernel, base.query_set,
-                                          x, y, nu))
-
-    def freeze(self) -> GaussianProcessBelief:
-        """The belief these caches hold, as a linked snapshot: it keeps the
-        sites added since the source (or the last batch rebuild) and their
-        rows, and links to the source for the rest.
-
-        With nothing added, that is the source belief itself. The workspace
-        reads the snapshot until its next update copies the buffers.
-        """
-        base, added = self._base, self._added
-        if not added:
-            return base
-        new = _linked(base, added, self._w[base._m:self._m].copy(), self.query_mean,
-                     self.query_variance, self._trace)
-        self._start(new)
-        return new
-
-    def freeze_compact(self) -> GaussianProcessBelief:
-        """The belief these caches hold, as a compact snapshot with its whole
-        conditioning set and exactly its m rows.
-
-        With nothing added, that is the source belief itself. The workspace
-        reads the snapshot until its next update copies the buffers.
-        """
-        base, added = self._base, self._added
-        if not added:
-            return base
-        m, w = self._m, self._w
-        new = _snapshot(base, m, self.query_mean, self.query_variance, self._trace)
-        new._parent = new._sites = None
-        new._x, new._y, new._nu = _appended(*base._conditioning(), base.query_set, added)
-        new._w = w if len(w) == m else w[:m].copy()
-        self._start(new)
-        return new
+def _batch_rebuild(belief: GaussianProcessBelief, sites) -> GaussianProcessBelief:
+    """``belief`` with the (query index, value, noise variance) ``sites``
+    appended, built in batch from the whole conditioning set: the fallback
+    of an update whose pivot collapsed, which escalates the jitter anew."""
+    x, y, nu = _appended(*belief._conditioning(), belief.query_set, sites)
+    return GaussianProcessBelief(belief.prior_mean, belief.kernel, belief.query_set, x, y, nu)
 
 
 def _snapshot(base: GaussianProcessBelief, m: int, mean: np.ndarray, var: np.ndarray,
@@ -609,10 +528,10 @@ def _snapshot(base: GaussianProcessBelief, m: int, mean: np.ndarray, var: np.nda
 
 def _linked(base: GaussianProcessBelief, sites: list, rows: np.ndarray, mean: np.ndarray,
            var: np.ndarray, trace: float) -> GaussianProcessBelief:
-    """The linked snapshot ``BeliefWorkspace.freeze`` makes: ``base`` with
-    the (query index, value, noise variance) ``sites`` appended, holding
-    their ``rows`` of the whitened cross-covariance, and taking the query
-    ``mean`` and ``var`` buffers and the ``trace``."""
+    """A linked belief: ``base`` with the (query index, value, noise
+    variance) ``sites`` appended, holding their ``rows`` of the whitened
+    cross-covariance, and taking the query ``mean`` and ``var`` buffers and
+    the ``trace``."""
     new = _snapshot(base, base._m + len(sites), mean, var, trace)
     new._parent, new._sites, new._w = base, sites, rows
     new._x = new._y = new._nu = None

@@ -1,18 +1,22 @@
 """The compiled step kernel, built on first use, and the fallback to Python.
 
-``_kernel.c`` runs ``BeliefWorkspace``'s rank-1 GP updates and whole
+``_kernel.c`` runs the rank-1 GP updates of ``gp._rank1_update`` and whole
 MCTS-DPW searches over an MDP's location tables by integer action id, every
 simulation of a plan in one call: the widening caps, UCB selection, tree
 steps and uniform-random rollouts, with static steps and the drills and rock
-visits of ``infopath.mdp``'s step kinds. The first call to ``lib()``
-compiles it with the machine's C compiler into a private temporary
-directory, against numpy's random library and headers, loads it with
-``ctypes.PyDLL`` and hands it the ``dgemv``/``ddot`` of the BLAS numpy
-itself loaded. ``FLAGS`` build it at -O3, which vectorises the rank-1
-update's loop over the query points and the pairwise trace sum, and with
--ffp-contract=off and no -ffast-math, so that every operation rounds as
-numpy's does. Before use it must match
-the Python kernel bit for bit on a few updates and draws, and its libm's
+visits of ``infopath.mdp``'s step kinds. The Python search
+(``mcts.simulate``, ``mcts.rollout`` and ``BeliefMdp.generative_sample``)
+is its reference; it also runs when the kernel cannot, and reruns a
+compiled plan in which a pivot collapsed.
+
+The first call to ``lib()`` compiles the kernel with the machine's C
+compiler into a private temporary directory, against numpy's random library
+and headers, loads it with ``ctypes.PyDLL`` and hands it the
+``dgemv``/``ddot`` of the BLAS numpy itself loaded. ``FLAGS`` build it at
+-O3, which vectorises the rank-1 update's loop over the query points and
+the pairwise trace sum, and with -ffp-contract=off and no -ffast-math, so
+that every operation rounds as numpy's does. Before use it must match the
+Python kernel bit for bit on a few updates and draws, and its libm's
 ``erf``, ``rint``, ``log`` and ``pow`` must match ``math.erf``, ``round``,
 ``math.log`` and Python's ``float ** float``. If anything fails (no
 compiler, a BLAS other than numpy's bundled scipy-openblas, a check that

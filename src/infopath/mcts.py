@@ -7,22 +7,17 @@ action node are capped at k*N^alpha, so the search stays deep even though
 every Gaussian-process successor belief is unique. New actions are drawn
 uniformly from the node's untried feasibility-pruned actions, so the tree
 never contains an action that could strand the agent. Leaf values come from
-uniform-random feasible rollouts through the generative model; a rollout
-never branches, so an MDP may offer a state that it steps in place (see
-``rollout``). An MDP may also offer to run a whole plan's simulations
-itself, in one call, with the same draws and tree (see ``search``).
+uniform-random feasible rollouts through the generative model. An MDP may
+offer to run a whole plan's simulations itself, in one call, with the same
+draws and tree (see ``search``); the Python ``simulate`` and ``rollout``
+are then the reference, and the path of every other MDP. They are also the
+path wherever the compiled kernel does not load (no C compiler, a numpy
+BLAS other than its bundled scipy-openblas, a load check that differs: see
+``infopath.kernel``), at tens of times its cost per plan (README,
+"Two step kernels"); no benchmark workload runs them.
 
 The planner owns nothing between calls: every plan builds a fresh tree from
 the root belief and a seeded generator, so results are reproducible.
-
-Planning draws its bounded integers (new actions, successor picks and one
-per rollout step) through ``_PlanGenerator``: the caller's bit generator,
-with ``integers(n)`` recomputed by numpy's own rule on the bit generator's
-``next_uint32``, reached through its stdlib ``ctypes`` interface.
-Values and the caller's generator state are those of
-``Generator.integers(n)``, bit for bit, at under half the cost; a property
-test in ``tests/test_mcts.py`` pins this to the installed numpy. Unlike
-``Generator.integers`` the draw takes no lock: a search runs on one thread.
 """
 
 from __future__ import annotations
@@ -31,9 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-_INT64 = np.int64
-_TWO_32 = 1 << 32
 
 
 @dataclass(frozen=True)
@@ -70,42 +62,6 @@ class SolverConfig:
             raise ValueError("widening alpha parameters must lie in [0, 1)")
         if not 0.0 < self.discount <= 1.0:
             raise ValueError("discount must lie in (0, 1]")
-
-
-class _PlanGenerator(np.random.Generator):
-    """A generator on the caller's bit generator, so every draw advances the
-    caller's state, whose ``integers(n)`` for one ``int`` with 1 <= n < 2**32
-    skips numpy's argument handling.
-
-    That form is numpy's Lemire rule on ``next_uint32``: ``m = x * n`` for a
-    fresh 32-bit ``x``; while the low 32 bits of ``m`` lie below
-    ``(2**32 - n) % n``, draw again; return ``m >> 32``. ``n == 1`` draws
-    nothing. The value comes back as a Python ``int`` rather than
-    ``np.int64``. Every other form of ``integers``, and every other method,
-    is numpy's own.
-    """
-
-    def __init__(self, bit_generator):
-        super().__init__(bit_generator)
-        interface = bit_generator.ctypes
-        next_uint32, state = interface.next_uint32, interface.state
-        # a second Generator on the same bits: super().integers would tie a cycle
-        numpy_integers = np.random.Generator(bit_generator).integers
-
-        def integers(low, high=None, size=None, dtype=_INT64, endpoint=False):
-            if (type(low) is int and 0 < low < _TWO_32 and high is None and size is None
-                    and dtype is _INT64 and not endpoint):
-                if low == 1:
-                    return 0
-                m = next_uint32(state) * low
-                if m & 0xFFFFFFFF < low:
-                    threshold = (_TWO_32 - low) % low
-                    while m & 0xFFFFFFFF < threshold:
-                        m = next_uint32(state) * low
-                return m >> 32
-            return numpy_integers(low, high, size, dtype, endpoint)
-
-        self.integers = integers  # shadows the method: no binding per call
 
 
 class BeliefNode:
@@ -172,47 +128,21 @@ def action_prog_widen(node: BeliefNode, mdp, config: SolverConfig, rng) -> Actio
     return best
 
 
-class _SnapshotRollout:
-    """Rollout state over the 3-method MDP protocol: a new belief per step."""
-
-    __slots__ = ("mdp", "belief")
-
-    def __init__(self, mdp, belief):
-        self.mdp = mdp
-        self.belief = belief
-
-    def feasible_actions(self):
-        if self.mdp.is_terminal(self.belief):
-            return []
-        return self.mdp.feasible_actions(self.belief)
-
-    def advance(self, action, rng) -> float:
-        self.belief, reward = self.mdp.generative_sample(self.belief, action, rng)
-        return reward
-
-
 def rollout(belief, depth, mdp, config: SolverConfig, rng) -> float:
-    """Discounted return of a uniform-random feasible rollout of ``depth`` steps.
-
-    An MDP with a ``rollout_state(belief)`` hook is stepped in place through
-    the state it returns, which offers ``feasible_actions()`` (a sequence of
-    actions, empty when terminal) and ``advance(action, rng) -> reward``, as
-    ``_SnapshotRollout`` does for any other MDP through ``is_terminal``/
-    ``feasible_actions``/``generative_sample``. Both ways draw from ``rng``
-    in the same order and return the same value.
-    """
-    hook = getattr(mdp, "rollout_state", None)
-    state = hook(belief) if hook is not None else _SnapshotRollout(mdp, belief)
-    feasible, advance, integers = state.feasible_actions, state.advance, rng.integers
-    gamma = config.discount
+    """Discounted return of a uniform-random feasible rollout of ``depth``
+    steps through ``is_terminal``, ``feasible_actions`` and
+    ``generative_sample``."""
     total = 0.0
     discount = 1.0
     for _ in range(depth):
-        actions = feasible()
+        if mdp.is_terminal(belief):
+            break
+        actions = mdp.feasible_actions(belief)
         if not actions:
             break
-        total += discount * advance(actions[integers(len(actions))], rng)
-        discount *= gamma
+        belief, reward = mdp.generative_sample(belief, actions[rng.integers(len(actions))], rng)
+        total += discount * reward
+        discount *= config.discount
     return total
 
 
@@ -239,7 +169,7 @@ def simulate(node: BeliefNode, depth, mdp, config: SolverConfig, rng) -> float:
 
 def search(belief, mdp, config: SolverConfig, rng=None) -> BeliefNode:
     """Run the configured number of simulations from a fresh root; returns it.
-    Draws advance ``rng`` (a ``Generator``) exactly as numpy's methods would.
+    Every draw comes from ``rng``, a ``Generator``.
 
     An MDP with a ``compiled_search(belief, config, rng)`` hook that returns
     a search (``infopath.mdp.CompiledSearch``) runs every simulation there,
@@ -250,7 +180,6 @@ def search(belief, mdp, config: SolverConfig, rng=None) -> BeliefNode:
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    rng = _PlanGenerator(rng.bit_generator)
     if mdp.is_terminal(belief):
         raise ValueError("cannot plan from a terminal belief")
     hook = getattr(mdp, "compiled_search", None)

@@ -15,15 +15,15 @@ supply what differs: where sensing is possible, what each action measures,
 the expected interaction reward, how the memory evolves, and the step kind
 that says all of this as data.
 
-The Python step kernel is ``RolloutState.advance``. A rollout is a chain
-that never branches, so ``rollout_state`` hands out a ``RolloutState`` that
-steps in place; a tree step (``generative_sample``) is one step of a fresh
-``RolloutState``, frozen into an immutable ``BeliefState`` snapshot. When
-the compiled kernel is built (``infopath.kernel``), ``compiled_search``
-hands ``mcts.search`` a ``CompiledSearch`` instead, which runs every
-simulation of a plan in C, in one call, over a flat copy of the location
-tables by integer action id, tree steps and rollouts alike, with the same
-bits; its tree's beliefs are built on first read.
+The Python step kernel is ``generative_sample``: it draws with
+``sample_observation``, steps as ``transition`` does and rewards with
+``belief_reward``, and its successor's GP is linked (it keeps only the rows
+its step added). It is the reference and the fallback: when the compiled
+kernel is built (``infopath.kernel``), ``compiled_search`` hands
+``mcts.search`` a ``CompiledSearch`` instead, which runs every simulation of
+a plan in C, in one call, over a flat copy of the location tables by integer
+action id, tree steps and rollouts alike, with the same bits; its tree's
+beliefs are built on first read.
 
 Each location has one ``LocationTable``, shared by every MDP on the same
 graph with the same senses: every action's cost and target, and which
@@ -51,14 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernel
-from .gp import (
-    JITTER_REL,
-    WORKSPACE_ROOM,
-    BeliefWorkspace,
-    GaussianProcessBelief,
-    SquaredExponential,
-    _linked,
-)
+from .gp import JITTER_REL, GaussianProcessBelief, SquaredExponential, _linked
 from .graph import GRID_CACHE_SIZE, LocationGraph
 from .mcts import ActionNode, BeliefNode
 
@@ -109,7 +102,8 @@ class Measurement(NamedTuple):
     """One scalar observation at a graph node, with its noise variance.
 
     Graph nodes are the GP's query points in order, so a measurement is also
-    the (query index, value, noise variance) site a ``BeliefWorkspace`` takes.
+    the (query index, value, noise variance) site ``add_measurements_at``
+    takes.
     """
 
     node: int
@@ -330,13 +324,19 @@ class BeliefMdp:
     def transition(self, belief: BeliefState, action: Action,
                    observation: Observation = ()) -> BeliefState:
         """Apply an action deterministically; never mutates the input belief."""
-        cost, target = self._affordable_step(belief, action)
+        step = self._affordable_step(belief, action)
+        return self._successor(belief, action, step, observation, linked=False)
+
+    def _successor(self, belief: BeliefState, action: Action, step: tuple[float, int],
+                   observation: Observation, linked: bool) -> BeliefState:
+        """The belief ``action`` reaches at ``step``, its (cost, target),
+        having observed ``observation``; its GP is linked when ``linked``."""
+        cost, target = step
         # the graph's nodes are the GP's query points, in order
-        gp = belief.gp.add_measurements_at(observation)
         return BeliefState(
             location=target,
             remaining_budget=belief.remaining_budget - cost,
-            gp=gp,
+            gp=belief.gp._updated(observation, linked),
             memory=self.updated_memory(belief, action, observation),
             step=belief.step + 1,
         )
@@ -348,16 +348,10 @@ class BeliefMdp:
         Returns the mission-failure sentinel when the successor is terminal
         away from the goal.
         """
-        return self._reward(self.expected_state_reward(belief, action),
-                            belief.gp.trace_of_variance(), next_belief)
-
-    def _reward(self, state_reward: float, trace_before: float, after) -> float:
-        """``belief_reward`` from the expected interaction reward, the total
-        variance before the step and the state after it."""
-        if after.location != self.graph.goal and self.is_terminal(after):
+        if next_belief.location != self.graph.goal and self.is_terminal(next_belief):
             return MISSION_FAILURE_REWARD
-        info = trace_before - after.gp.trace_of_variance()
-        return state_reward + self.information_weight * info
+        info = belief.gp.trace_of_variance() - next_belief.gp.trace_of_variance()
+        return self.expected_state_reward(belief, action) + self.information_weight * info
 
     def sample_observation(self, belief: BeliefState, action: Action, rng) -> Observation:
         """Draw what the action would observe from the *current* belief.
@@ -375,16 +369,14 @@ class BeliefMdp:
             for node, nu in sites)
 
     def generative_sample(self, belief: BeliefState, action: Action, rng):
-        """Sample (next belief, reward) for the tree search: one ``advance``
-        of a ``RolloutState``, frozen. It draws, updates and rewards as
-        ``sample_observation``, ``transition`` and ``belief_reward`` would."""
-        state = RolloutState(self, belief, 0)
-        reward = state.advance(action, rng)
-        return state.freeze(), reward
-
-    def rollout_state(self, belief: BeliefState) -> "RolloutState":
-        """A mutable copy of ``belief`` for an in-place Python rollout."""
-        return RolloutState(self, belief)
+        """Sample (next belief, reward) for the tree search and its rollouts:
+        the observation ``sample_observation`` draws, the step ``transition``
+        takes and the reward ``belief_reward`` gives. The next belief's GP is
+        linked: it keeps only the rows its step added."""
+        step = self._affordable_step(belief, action)
+        observation = self.sample_observation(belief, action, rng)
+        after = self._successor(belief, action, step, observation, linked=True)
+        return after, self.belief_reward(belief, action, after)
 
     def compiled_search(self, belief: BeliefState, config, rng) -> "CompiledSearch | None":
         """``mcts.search``'s hook: a search from ``belief`` in the compiled
@@ -444,59 +436,6 @@ def _least_budget(cost: float, back: float) -> float:
     return budget
 
 
-class RolloutState:
-    """A belief state that steps in place: the one step kernel.
-
-    It reads like a ``BeliefState`` (location, remaining budget, GP, memory,
-    step), so the environment hooks take it unchanged; its GP is a
-    ``BeliefWorkspace``. ``feasible_actions`` hands out the location table's
-    feasible actions, and ``advance`` takes one: its cost and target from
-    the table, and the draws, GP update, memory and reward of the step
-    through the environment hooks. ``freeze`` returns the ``BeliefState``
-    reached, whose GP is the workspace's snapshot. The source belief is never
-    touched. ``room`` is the workspace's spare rows: a rollout keeps the
-    default, a single tree step takes exactly the rows it needs, and its
-    snapshot keeps only the rows the step added.
-    """
-
-    __slots__ = ("mdp", "location", "remaining_budget", "gp", "memory", "step")
-
-    def __init__(self, mdp: BeliefMdp, belief: BeliefState, room: int = WORKSPACE_ROOM):
-        self.mdp = mdp
-        self.location = belief.location
-        self.remaining_budget = belief.remaining_budget
-        self.gp = BeliefWorkspace(belief.gp, room)
-        self.memory = belief.memory
-        self.step = belief.step
-
-    def feasible_actions(self) -> tuple[Action, ...]:
-        """The feasible actions here; empty when the state is terminal."""
-        thresholds, feasible, _ = self.mdp._tables[self.location]
-        return feasible[bisect_right(thresholds, self.remaining_budget)]
-
-    def advance(self, action: Action, rng) -> float:
-        """Take ``action`` in place and return its ``belief_reward``; raises
-        as ``transition`` does when it is inapplicable or unaffordable."""
-        mdp = self.mdp
-        cost, target = mdp._affordable_step(self, action)
-        gp = self.gp
-        trace = gp.trace_of_variance()
-        observation = mdp.sample_observation(self, action, rng)
-        # the reward and the memory read the state before the update
-        state_reward = mdp.expected_state_reward(self, action)
-        self.memory = mdp.updated_memory(self, action, observation)
-        gp.add_measurements_at(observation)
-        self.location = target
-        self.remaining_budget -= cost
-        self.step += 1
-        return mdp._reward(state_reward, trace, self)
-
-    def freeze(self) -> BeliefState:
-        """The state reached, as an immutable snapshot."""
-        return BeliefState(self.location, self.remaining_budget, self.gp.freeze(),
-                           self.memory, self.step)
-
-
 class _TreeNode(BeliefNode):
     """A belief node of a compiled search's tree, node ``_index`` of
     ``_search``, filled on first read: its visits, children and untried
@@ -534,8 +473,8 @@ class CompiledSearch:
     of the tree as ``BeliefNode``/``ActionNode`` objects with the MDP's
     actions, each node built from the search when first reached. The root
     holds ``belief``; every other node builds its belief on first read, the
-    snapshot a tree step's ``freeze`` would have made: same sites, rows,
-    query mean, variance and trace, and a link to its parent's GP.
+    one ``generative_sample`` would have made: same sites, rows, query mean,
+    variance and trace, and a link to its parent's GP.
     """
 
     __slots__ = ("_lib", "_actions", "_belief", "_bits", "_search", "_gps")

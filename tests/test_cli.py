@@ -114,6 +114,8 @@ def test_bad_numbers_are_config_errors(tmp_path, capsys, flag, value):
     ("solver_config", {"iterations": True}, "solver_config.iterations must be an integer, not bool"),
     ("solver_config", {"discount": "0.9"}, "solver_config.discount must be a number, not str"),
     ("solver_config", {"iterations": "5"}, "solver_config.iterations must be an integer, not str"),
+    ("solver_config", [1], "solver_config must be a JSON object, not list"),
+    ("solver_config", None, "solver_config must be a JSON object, not NoneType"),
 ])
 def test_config_value_types_are_config_errors(tmp_path, capsys, key, value, message):
     # a wrong type in a --config file must not get as far as a comparison (exit 3)
@@ -153,10 +155,15 @@ def test_bad_flag_exit_code(tmp_path):
     assert run_cli("run", "--env", "pluto", "--out", str(tmp_path)) == 2
 
 
-def test_bad_config_file_exit_code(tmp_path):
+def test_bad_config_file_exit_code(tmp_path, capsys):
     bad = tmp_path / "cfg.json"
-    bad.write_text("{not json")
-    assert run_cli("run", "--config", str(bad), "--out", str(tmp_path)) == 2
+    for text, message in (("{not json", "not valid JSON"),
+                          ("[1, 2]", "a config must be a JSON object, not list"),
+                          ('"isrs"', "a config must be a JSON object, not str"),
+                          ("3", "a config must be a JSON object, not int")):
+        bad.write_text(text)
+        assert run_cli("run", "--config", str(bad), "--out", str(tmp_path)) == 2, text
+        assert message in capsys.readouterr().err
 
 
 def test_runtime_failure_exit_code(tmp_path):

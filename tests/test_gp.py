@@ -1,13 +1,15 @@
 import math
+import shutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from infopath import gp as gp_module
+from infopath import kernel
 from infopath.gp import (
     JITTER_REL,
-    BeliefWorkspace,
     GaussianProcessBelief,
     PosteriorSummary,
     SingularCovarianceError,
@@ -406,33 +408,38 @@ def test_trace_strictly_decreases_on_query_measurement():
 
 
 # ----------------------------------------------------------------------
-# in-place workspace
+# the two layouts of an update, and the batch rebuild of a collapsed pivot
 
-def assert_same_caches(ws, gp):
-    assert np.array_equal(ws.query_mean, gp.query_mean)
-    assert np.array_equal(ws.query_variance, gp.query_variance)
-    assert ws.trace_of_variance() == gp.trace_of_variance()
+def assert_same_caches(a, b):
+    assert np.array_equal(a.query_mean, b.query_mean)
+    assert np.array_equal(a.query_variance, b.query_variance)
+    assert a.trace_of_variance() == b.trace_of_variance()
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), s2=st.floats(0.2, 5.0), ell=st.floats(0.5, 3.0),
-       batches=st.lists(st.integers(1, 4), min_size=1, max_size=30))
-def test_workspace_chain_equals_snapshot_chain(seed, s2, ell, batches):
-    # same rank-1 routine, same order: the in-place chain is bit-identical,
-    # across buffer growth and with repeated cells and near-exact readings
-    rng = np.random.default_rng(seed)
-    coords = grid_coords(4)
-    gp = GaussianProcessBelief(0.5, SquaredExponential(s2, ell), coords)
-    source, prior_variance = gp, gp.query_variance.copy()
-    ws = BeliefWorkspace(gp)
-    for k in batches:
-        sites = [(int(rng.integers(len(coords))), float(rng.normal(0.5, 1.0)),
-                  float(10 ** rng.uniform(-8, 0))) for _ in range(k)]
-        gp = gp.add_measurements([(coords[j], val, nu) for j, val, nu in sites])
-        ws.add_measurements_at(sites)
-        assert_same_caches(ws, gp)
-    assert len(source.measurements) == 0
-    assert np.array_equal(source.query_variance, prior_variance)
+def assert_same_belief(a, b):
+    """Bit for bit the same belief: all m rows, the conditioning set, the
+    jitter and the query caches."""
+    assert a._m == b._m and a._jitter == b._jitter
+    shape = (a._m, len(a.query_set))
+    assert a._fill_rows(np.empty(shape)).tobytes() == b._fill_rows(np.empty(shape)).tobytes()
+    for x, y in zip(a._conditioning(), b._conditioning()):
+        assert x.tobytes() == y.tobytes()
+    assert a.query_mean.tobytes() == b.query_mean.tobytes()
+    assert a.query_variance.tobytes() == b.query_variance.tobytes()
+    assert a.trace_of_variance() == b.trace_of_variance()
+
+
+def kernels(monkeypatch):
+    """Each step kernel in turn, the compiled one where the compiler is."""
+    for which in ("compiled", "python"):
+        with monkeypatch.context() as m:
+            if which == "python":
+                m.setattr(kernel, "_state", (None, "forced by a test"))
+            elif shutil.which(kernel.COMPILER) is None:
+                continue
+            else:
+                assert kernel.lib() is not None, kernel.KERNEL
+            yield which
 
 
 @settings(max_examples=40, deadline=None)
@@ -459,65 +466,75 @@ def test_index_snapshots_equal_coordinate_snapshots(seed, s2, batches):
         by_index.add_measurements_at([(0, 1.0, 0.0)])
 
 
-def test_workspace_pivot_collapse_rebuilds_like_add_measurements():
+def test_a_collapsed_pivot_rebuilds_like_a_batch_build(monkeypatch):
     coords = grid_coords(3)
-    kernel = SquaredExponential()
-    gp = GaussianProcessBelief(0.5, kernel, coords).add_measurement(coords[4], 0.7, 0.01)
-    ws = BeliefWorkspace(gp)
-    ws.add_measurements_at([(1, 0.3, 0.05)])
-    chain = gp.add_measurement(coords[1], 0.3, 0.05)
-    # a cached variance below -(noise + jitter) collapses the next pivot there
-    ws.query_variance[4] = -1.0
-    chain._var_q[4] = -1.0
-    ws.add_measurements_at([(4, 0.9, 0.02)])
-    chain = chain.add_measurement(coords[4], 0.9, 0.02)
-    batch = GaussianProcessBelief(0.5, kernel, coords, [coords[4], coords[1], coords[4]],
+    se = SquaredExponential()
+    gp = GaussianProcessBelief(0.5, se, coords).add_measurement(coords[4], 0.7, 0.01)
+    batch = GaussianProcessBelief(0.5, se, coords, [coords[4], coords[1], coords[4]],
                                   [0.7, 0.3, 0.9], [0.01, 0.05, 0.02])
-    assert_same_caches(ws, batch)
-    assert_same_caches(ws, chain)
-    # the chain goes on incrementally from the rebuilt factor
-    ws.add_measurements_at([(0, 0.1, 0.03)])
-    assert_same_caches(ws, chain.add_measurement(coords[0], 0.1, 0.03))
-    assert len(gp.measurements) == 1
+    rebuild, rebuilds, ran = gp_module._batch_rebuild, [], []
+    monkeypatch.setattr(gp_module, "_batch_rebuild",
+                        lambda belief, sites: rebuilds.append(sites) or rebuild(belief, sites))
+    for which in kernels(monkeypatch):
+        for linked in (False, True):
+            rebuilds.clear()
+            chain = gp._updated([(1, 0.3, 0.05)], linked)
+            # a cached variance below -(noise + jitter) collapses the next pivot there
+            chain._var_q[4] = -1.0
+            rebuilt = chain._updated([(4, 0.9, 0.02)], linked)
+            assert rebuilds == [[(4, 0.9, 0.02)]]
+            assert rebuilt._parent is None  # compact, whichever layout was asked for
+            assert_same_belief(rebuilt, batch)
+            # the chain goes on incrementally from the rebuilt factor
+            after = rebuilt._updated([(0, 0.1, 0.03)], linked)
+            assert len(rebuilds) == 1
+            assert_same_belief(after, batch.add_measurement(coords[0], 0.1, 0.03))
+            assert len(gp.measurements) == 1
+            ran.append(which)
+    assert "python" in ran
 
 
-def test_workspace_is_read_only_until_updated():
+def test_query_caches_are_read_only():
     gp = GaussianProcessBelief(0.5, SquaredExponential(), grid_coords(2))
-    ws = BeliefWorkspace(gp)
-    with pytest.raises(ValueError):
-        ws.query_variance[0] = 0.0
-    with pytest.raises(ValueError):
-        ws.add_measurements_at([(0, 1.0, 0.0)])
+    for belief in (gp, gp.add_measurements_at([(0, 1.0, 0.1)]),
+                   gp._updated([(0, 1.0, 0.1)], linked=True)):
+        with pytest.raises(ValueError):
+            belief.query_variance[0] = 0.0
+        with pytest.raises(ValueError):
+            belief.query_mean[0] = 0.0
+    for linked in (False, True):
+        with pytest.raises(ValueError):
+            gp._updated([(0, 1.0, 0.0)], linked)
     assert gp.trace_of_variance() == 4.0
 
 
-def test_workspace_freezes_to_a_snapshot_with_exactly_its_rows():
+def test_an_update_holds_exactly_its_rows():
     coords = grid_coords(3)
     gp = GaussianProcessBelief(0.5, SquaredExponential(), coords).add_measurement(
         coords[4], 0.7, 0.01)
     sites = [(1, 0.3, 0.05), (2, 0.6, 0.02)]
+    compact = gp.add_measurements([(coords[j], val, nu) for j, val, nu in sites])
     for linked in (False, True):
-        ws = BeliefWorkspace(gp)
-        freeze = ws.freeze if linked else ws.freeze_compact
-        assert freeze() is gp  # nothing added: the source belief itself
-        ws.add_measurements_at(())
-        assert freeze() is gp
-        ws.add_measurements_at(sites)
-        snap = freeze()
+        assert gp._updated([], linked) is gp  # nothing added: the belief itself
+        assert gp._updated((), linked) is gp
+        snap = gp._updated(sites, linked)
         if linked:  # the two rows its update added, and a link for the rest
-            assert snap._parent is gp and snap._sites == sites
-            assert len(snap._w) == 2 and snap._x is None
+            assert snap._parent is gp and list(snap._sites) == sites
+            assert snap._w.shape == (2, 9) and snap._x is None
         else:  # all m rows, no spare ones
-            assert snap._parent is None and len(snap._w) == 3
+            assert snap._parent is None and snap._sites is None
+            assert snap._w.shape == (3, 9)
+        assert snap._w.base is None  # its own rows, not a view of the update's buffer
         assert len(snap.measurements) == 3
-        assert_same_caches(snap, gp.add_measurements_at(sites))
-        # the snapshot owns the buffers: later updates copy them first
-        kept = snap.query_mean.copy(), snap.query_variance.copy(), snap.trace_of_variance()
-        ws.add_measurements_at([(0, 0.1, 0.03)])
-        assert_same_caches(ws, snap.add_measurements_at([(0, 0.1, 0.03)]))
+        assert_same_belief(snap, compact)
+        # a later update leaves the snapshot's buffers as they were
+        kept = snap.query_mean.copy(), snap.query_variance.copy(), snap._w.copy()
+        later = snap._updated([(0, 0.1, 0.03)], linked)
+        assert_same_belief(later, compact.add_measurement(coords[0], 0.1, 0.03))
+        assert later._w is not snap._w
         assert np.array_equal(snap.query_mean, kept[0])
         assert np.array_equal(snap.query_variance, kept[1])
-        assert snap.trace_of_variance() == kept[2]
+        assert np.array_equal(snap._w, kept[2])
         assert len(gp.measurements) == 1
 
 

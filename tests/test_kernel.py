@@ -8,6 +8,9 @@ pinned output stays as it is.
 
 import functools
 import gc
+import importlib
+import pkgutil
+import re
 import shutil
 import signal
 import subprocess
@@ -20,10 +23,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from test_outputs import RUNS, _digests
 
+import infopath
 from infopath import gp as gp_module
 from infopath import kernel, mcts
 from infopath.cli import main
-from infopath.gp import BeliefWorkspace, SquaredExponential, _rank1_update
+from infopath.gp import SquaredExponential, _rank1_update
 from infopath.isrs import IsrsMdp, generate_isrs
 from infopath.mcts import SolverConfig, iter_belief_nodes, rollout, search
 from infopath.mdp import (
@@ -32,7 +36,6 @@ from infopath.mdp import (
     CompiledSearch,
     LocationTable,
     Move,
-    RolloutState,
     Sense,
     Static,
     Visit,
@@ -49,6 +52,11 @@ def compiled():
     assert kernel.lib() is not None, kernel.KERNEL
     return kernel.lib()
 
+
+# Every bit generator numpy ships: the compiled search draws through any one's
+# C interface as numpy's Generator does.
+BIT_GENERATORS = (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64,
+                  np.random.MT19937)
 
 # A pivot floor, relative to the signal variance, at which some updates of a
 # small search collapse: rover cells measured twice, ISRS rocks read at a
@@ -122,59 +130,68 @@ def posterior_bits(root, count=3):
     return out
 
 
-def plan_under(which, env, seed, budget, discount, monkeypatch, pruned=True, deep=False):
-    """Search, then roll out from the first tree nodes, under one kernel.
-    Returns the results and what the steps did: Python rollout step kinds
-    (every step of the Python kernel's searches is an ``advance``), the
-    compiled search's runs that finished and reruns (a run that met a
-    collapsed pivot), ``advance`` calls during the search, and batch
-    rebuilds. ``deep``: more simulations and fewer successors, so the tree
-    grows measured chains several steps deep."""
-    seen = {"rebuilds": 0, "compiled": 0, "reruns": 0, "advances": 0}
+def plain_state(state):
+    """A bit generator's state with its arrays as lists, so that states
+    compare with ``==`` (Philox's and MT19937's hold arrays)."""
+    if isinstance(state, dict):
+        return {key: plain_state(value) for key, value in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+def plan_under(which, env, seed, budget, discount, monkeypatch, pruned=True, deep=False,
+               bit_generator=np.random.PCG64):
+    """Search, then roll out from the first tree nodes, under one kernel,
+    drawing from a ``bit_generator`` seeded ``seed``. Returns the results
+    and what the steps did: Python step kinds (every Python step is a
+    ``generative_sample``), the compiled search's runs that finished and
+    reruns (a run that met a collapsed pivot), ``generative_sample`` calls
+    during the search, and batch rebuilds. ``deep``: more simulations and
+    fewer successors, so the tree grows measured chains several steps
+    deep."""
+    seen = {"rebuilds": 0, "compiled": 0, "reruns": 0, "samples": 0}
     with monkeypatch.context() as m:
         if which == "python":
             m.setattr(kernel, "_state", (None, "forced by a test"))
-        rebuild, run = BeliefWorkspace._rebuild, CompiledSearch.run
-        advance = RolloutState.advance
+        rebuild, run = gp_module._batch_rebuild, CompiledSearch.run
+        generative_sample = BeliefMdp.generative_sample
 
-        def counting_rebuild(self):
+        def counting_rebuild(belief, sites):
             seen["rebuilds"] += 1
-            rebuild(self)
+            return rebuild(belief, sites)
 
         def counting_run(self, iterations):
             finished = run(self, iterations)
             seen["compiled" if finished else "reruns"] += 1
             return finished
 
-        def recording_advance(self, action, rng):
-            seen["advances"] += 1
-            if type(self) is RolloutState:
-                step = self.mdp.step_kind(self.location, action)
-                kind = ("drill" if action == Sense("drill") else "beacon"
-                        if isinstance(action, Sense) else "rock" if type(step) is Visit
-                        else "move")
-                seen[kind] = seen.get(kind, 0) + 1
-                if self.gp._m == 0 and type(step) is Static and step.sites:
-                    seen["empty_prior"] = seen.get("empty_prior", 0) + 1
-            reward = advance(self, action, rng)
+        def recording_sample(self, belief, action, rng):
+            seen["samples"] += 1
+            step = self.step_kind(belief.location, action)
+            kind = ("drill" if action == Sense("drill") else "beacon"
+                    if isinstance(action, Sense) else "rock" if type(step) is Visit
+                    else "move")
+            seen[kind] = seen.get(kind, 0) + 1
+            if belief.gp._m == 0 and type(step) is Static and step.sites:
+                seen["empty_prior"] = seen.get("empty_prior", 0) + 1
+            after, reward = generative_sample(self, belief, action, rng)
             if reward == MISSION_FAILURE_REWARD:
                 seen["failure"] = seen.get("failure", 0) + 1
-            return reward
+            return after, reward
 
-        m.setattr(BeliefWorkspace, "_rebuild", counting_rebuild)
+        m.setattr(gp_module, "_batch_rebuild", counting_rebuild)
         m.setattr(CompiledSearch, "run", counting_run)
-        m.setattr(RolloutState, "advance", recording_advance)
+        m.setattr(BeliefMdp, "generative_sample", recording_sample)
         mdp = build_mdp(env, seed, budget, pruned)
         cfg = SolverConfig(iterations=200 if deep else 40, max_depth=12, discount=discount,
                            k_state=0.5 if deep else 2.0)
-        rng = np.random.default_rng(seed)
+        rng = np.random.Generator(bit_generator(seed))
         root = search(mdp.initial_belief(), mdp, cfg, rng)
-        seen["search_advances"] = seen["advances"]
+        seen["search_samples"] = seen["samples"]
         nodes = [node for node in iter_belief_nodes(root)
                  if not mdp.is_terminal(node.belief)][:6]
         returns = [rollout(node.belief, 12, mdp, cfg, rng).hex() for node in nodes]
         posterior = posterior_bits(root)
-    return (tree_table(root), returns, posterior, rng.bit_generator.state), seen
+    return (tree_table(root), returns, posterior, plain_state(rng.bit_generator.state)), seen
 
 
 def ran_compiled(seen, ref_seen):
@@ -182,7 +199,7 @@ def ran_compiled(seen, ref_seen):
     step unless a collapsed pivot made the plan rerun in Python; the Python
     kernel's search never ran it."""
     assert seen["compiled"] + seen["reruns"] == 1
-    assert (seen["search_advances"] > 0) == (seen["reruns"] > 0)
+    assert (seen["search_samples"] > 0) == (seen["reruns"] > 0)
     assert ref_seen["compiled"] == ref_seen["reruns"] == 0
 
 
@@ -190,16 +207,25 @@ def ran_compiled(seen, ref_seen):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(env=st.sampled_from(["isrs", "rover"]), seed=st.integers(0, 2**32 - 1),
        budget=st.sampled_from([8.0, 15.0, 30.0]), discount=st.sampled_from([1.0, 0.9]),
-       collapse=st.booleans(), pruned=st.booleans(), deep=st.booleans())
+       collapse=st.booleans(), pruned=st.booleans(), deep=st.booleans(),
+       bit_generator=st.sampled_from(BIT_GENERATORS))
+@example(env="rover", seed=4, budget=30.0, discount=1.0, collapse=True, pruned=True, deep=False,
+         bit_generator=np.random.Philox)
+@example(env="isrs", seed=4, budget=30.0, discount=1.0, collapse=True, pruned=True, deep=False,
+         bit_generator=np.random.MT19937)
+@example(env="rover", seed=3, budget=15.0, discount=0.9, collapse=False, pruned=False, deep=True,
+         bit_generator=np.random.SFC64)
+@example(env="isrs", seed=3, budget=15.0, discount=0.9, collapse=False, pruned=True, deep=True,
+         bit_generator=np.random.PCG64DXSM)
 def test_compiled_search_equals_python_search(env, seed, budget, discount, collapse, pruned,
-                                              deep, compiled, monkeypatch):
+                                              deep, bit_generator, compiled, monkeypatch):
     with monkeypatch.context() as m:
         if collapse:
             m.setattr(gp_module, "PIVOT_MIN_REL", COLLAPSE_REL[env])
         ours, seen = plan_under("compiled", env, seed % 1000, budget, discount, monkeypatch,
-                                pruned, deep)
+                                pruned, deep, bit_generator)
         reference, ref_seen = plan_under("python", env, seed % 1000, budget, discount,
-                                         monkeypatch, pruned, deep)
+                                         monkeypatch, pruned, deep, bit_generator)
     assert ours == reference
     assert seen["rebuilds"] == ref_seen["rebuilds"]
     ran_compiled(seen, ref_seen)
@@ -357,6 +383,49 @@ def test_a_long_compiled_plan_stops_on_a_signal(compiled):
     assert elapsed < 2.0
 
 
+class SlowToFinalize:
+    """Cyclic garbage whose finalizer runs Python code for a while."""
+
+    def __init__(self):
+        self.me = self
+
+    def __del__(self):
+        time.sleep(0.002)
+
+
+def test_a_signal_is_not_lost_in_a_finalizer_during_a_compiled_plan(compiled):
+    """Cyclic garbage with slow finalizers, due for collection once the plan
+    has allocated a few hundred ISRS memory sets, does not swallow the
+    signal: the collector is off while ``run`` runs, so the handler's
+    exception ends the plan, and the collector is on again afterwards."""
+    mdp = build_mdp("isrs", 3, 30.0)
+    belief = mdp.initial_belief()
+    compiled_search = mdp.compiled_search(belief, SolverConfig(iterations=10**6),
+                                          np.random.default_rng(0))
+    collecting = []
+
+    def alarm(signum, frame):
+        collecting.append(gc.isenabled())
+        raise Interrupted
+
+    gc.collect()  # the collection due inside the plan is of this test's garbage only
+    garbage = [SlowToFinalize() for _ in range(200)]  # 0.4 s of finalizers
+    del garbage
+    previous = signal.signal(signal.SIGALRM, alarm)
+    try:
+        start = time.perf_counter()
+        signal.setitimer(signal.ITIMER_REAL, 0.05)
+        with pytest.raises(Interrupted):
+            compiled_search.run(10**6)
+        elapsed = time.perf_counter() - start
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+        gc.collect()
+    assert elapsed < 2.0
+    assert collecting == [False] and gc.isenabled()
+
+
 def test_a_void_search_cannot_run(compiled, monkeypatch):
     """A run of a negative count raises; a run that meets a collapsed pivot
     returns False and voids the search: a second run raises."""
@@ -428,15 +497,15 @@ def dynamic_case(env, seed, memory=(), measured=(), beacon=False, revisit=False,
 
 def one_step_both_ways(mdp, belief, action, seed):
     """The tree step of a search of one simulation of depth 1, and
-    ``generative_sample``'s ``RolloutState.advance``, frozen, each from
-    ``belief`` with a generator seeded ``seed``, as ``step_bits``."""
+    ``generative_sample``'s, each from ``belief`` with a generator seeded
+    ``seed``, as ``step_bits``."""
     rng = np.random.default_rng(seed)
     root = search(belief, mdp, SolverConfig(iterations=1, max_depth=1), rng)
     ((child, reward),) = root.children[0].children
     ours = step_bits(reward, belief, child.belief, rng)
-    state, rng = RolloutState(mdp, belief, 0), np.random.default_rng(seed)
-    reward = state.advance(action, rng)
-    reference = step_bits(reward, belief, state.freeze(), rng)
+    rng = np.random.default_rng(seed)
+    after, reward = mdp.generative_sample(belief, action, rng)
+    reference = step_bits(reward, belief, after, rng)
     return ours, reference
 
 
@@ -466,6 +535,8 @@ def dynamic_cases(draw):
 @example(case=dict(env="isrs", seed=2, memory=[14], revisit=True), collapse=False, draws=5)
 @example(case=dict(env="isrs", seed=2, beacon=True), collapse=False, draws=6)
 def test_a_compiled_dynamic_step_equals_advance(case, collapse, draws, compiled, monkeypatch):
+    """A compiled drill or rock visit equals the Python step,
+    ``generative_sample``, bit for bit."""
     with monkeypatch.context() as m:
         if collapse:
             m.setattr(gp_module, "PIVOT_MIN_REL", COLLAPSE_REL[case["env"]])
@@ -487,10 +558,10 @@ def test_dynamic_steps_meet_their_edge_cases(compiled, monkeypatch):
     # reruns in Python, whose batch rebuild runs once there and once in the
     # reference
     rebuilds = []
-    rebuild = BeliefWorkspace._rebuild
+    rebuild = gp_module._batch_rebuild
     monkeypatch.setattr(gp_module, "PIVOT_MIN_REL", COLLAPSE_REL["rover"])
-    monkeypatch.setattr(BeliefWorkspace, "_rebuild",
-                        lambda self: rebuilds.append(1) or rebuild(self))
+    monkeypatch.setattr(gp_module, "_batch_rebuild",
+                        lambda belief, sites: rebuilds.append(1) or rebuild(belief, sites))
     case = dynamic_case("rover", 7, memory=[3], measured=[(7, 0.2, 1e-8)])
     assert case[1].location == 7
     ours, reference = one_step_both_ways(*case, 4)
@@ -593,6 +664,38 @@ def test_kernel_source_compiles_without_warnings():
         [kernel.COMPILER, "-Wall", "-Wextra", "-Werror", "-fsyntax-only", *kernel._includes(),
          str(kernel.SOURCE)], capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+# Dotted names the kernel's comments cite that are not the package's: numpy's
+# and the standard library's, file names, and fields of the C struct gp_t.
+FOREIGN_NAMES = {"Generator.integers", "ctypes.PyDLL", "math.erf", "math.log", "np.add.reduce",
+                 "kernel.py", "_kernel.c", "g.mean", "g.var", "g.w"}
+
+
+def resolves(dotted):
+    """Whether ``dotted`` names something in the package: a module
+    (``infopath.mdp``, ``mdp``) or an attribute path from a module or from a
+    name one defines (``mcts.rollout``, ``RoverMdp.probability_unseen``)."""
+    modules = {name: importlib.import_module(f"infopath.{name}")
+               for _, name, _ in pkgutil.iter_modules(infopath.__path__)}
+    head, *rest = dotted.removeprefix("infopath.").split(".")
+    owners = [modules[head]] if head in modules else \
+        [getattr(module, head) for module in modules.values() if hasattr(module, head)]
+    return any(functools.reduce(lambda obj, attr: getattr(obj, attr, None), rest, owner)
+               is not None for owner in owners)
+
+
+def test_kernel_comments_cite_names_that_exist():
+    """Every dotted Python name cited in ``_kernel.c``'s comments and
+    ``kernel.py``'s docstring resolves in the package, so that a rename
+    cannot leave the kernel describing code that is gone."""
+    source = kernel.SOURCE.read_text()
+    texts = re.findall(r"/\*.*?\*/|//[^\n]*", source, re.S) + [kernel.__doc__]
+    cited = {name for text in texts
+             for name in re.findall(r"(?<![\w.>-])[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+", text)}
+    assert {"mcts.rollout", "RoverMdp.probability_unseen", "rover._phi"} <= cited
+    assert not resolves("mcts.no_such_name") and not resolves("NoSuchClass.rollout")
+    assert sorted(name for name in cited - FOREIGN_NAMES if not resolves(name)) == []
 
 
 def test_kernel_attribute_is_read_only():

@@ -3,10 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from infopath import mcts
 from infopath.isrs import IsrsMdp, generate_isrs
 from infopath.mcts import (
     ActionNode,
@@ -19,7 +16,7 @@ from infopath.mcts import (
     search,
     simulate,
 )
-from infopath.mdp import MISSION_FAILURE_REWARD, Move, RolloutState
+from infopath.mdp import MISSION_FAILURE_REWARD, BeliefMdp, Move
 from infopath.policies import random_policy
 from infopath.rover import RoverMdp, generate_rover
 
@@ -232,19 +229,19 @@ def test_every_tree_action_was_feasible():
 def test_pruned_search_never_meets_the_failure_sentinel(env, budget, monkeypatch, python_kernel):
     """Feasibility pruning keeps every tree step and every rollout step from
     stranding the agent, so no sampled reward is the mission-failure sentinel.
-    Rollout steps are counted through ``RolloutState.advance``, so the
-    Python kernel runs: the compiled loop takes static steps without it."""
-    rollout_rewards, pruned = [], 0
-    advance = RolloutState.advance
+    Steps are counted through ``generative_sample``, so the Python kernel
+    runs: the compiled search never calls it."""
+    sampled_rewards, pruned = [], 0
+    generative_sample = BeliefMdp.generative_sample
 
-    def recording_advance(self, action, rng):
+    def recording_sample(self, belief, action, rng):
         nonlocal pruned
-        pruned += len(self.feasible_actions()) < len(self.mdp.actions(self))
-        reward = advance(self, action, rng)
-        rollout_rewards.append(reward)
-        return reward
+        pruned += len(self.feasible_actions(belief)) < len(self.actions(belief))
+        after, reward = generative_sample(self, belief, action, rng)
+        sampled_rewards.append(reward)
+        return after, reward
 
-    monkeypatch.setattr(RolloutState, "advance", recording_advance)
+    monkeypatch.setattr(BeliefMdp, "generative_sample", recording_sample)
     tree_rewards = []
     for seed in range(3):
         if env == "isrs":
@@ -255,10 +252,10 @@ def test_pruned_search_never_meets_the_failure_sentinel(env, budget, monkeypatch
                       SolverConfig(iterations=60, max_depth=40, seed=seed))
         tree_rewards += [r for node in iter_belief_nodes(root)
                          for an in node.children for _, r in an.children]
-    assert tree_rewards and rollout_rewards
+    assert tree_rewards and len(sampled_rewards) > len(tree_rewards)  # and rollout steps
     assert MISSION_FAILURE_REWARD not in tree_rewards
-    assert MISSION_FAILURE_REWARD not in rollout_rewards
-    assert pruned  # the budget binds: some rollout step had actions pruned
+    assert MISSION_FAILURE_REWARD not in sampled_rewards
+    assert pruned  # the budget binds: some step had actions pruned
 
 
 # Bytes a search may hold per belief node of its tree. A node's GP keeps only
@@ -302,47 +299,3 @@ def test_solver_config_validation():
     for bad in ({"exploration": math.nan}, {"k_action": math.inf}, {"k_state": math.nan}):
         with pytest.raises(ValueError, match="finite"):
             SolverConfig(**bad)
-
-
-# ----------------------------------------------------------------------
-# the planner's bounded draw against numpy's Generator.integers
-
-BIT_GENERATORS = (np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937,
-                  np.random.Philox, np.random.SFC64)
-# 2**31 + 1 and 3 * 2**30 reject about half and a quarter of the 32-bit draws
-BOUNDS = (1, 2, 3, 7, 2**31 + 1, 3 * 2**30, 2**32 - 1)
-NUMPY_FORMS = (  # draws the plan generator leaves to numpy
-    lambda g, n: g.normal(),
-    lambda g, n: g.random(),
-    lambda g, n: g.standard_normal(),
-    lambda g, n: g.integers(0, n),
-    lambda g, n: g.integers(n, size=3),
-    lambda g, n: g.integers(n, endpoint=True),
-    lambda g, n: g.integers(n + 2**32),
-    lambda g, n: g.integers(np.int64(n)),
-)
-
-
-def same_state(a, b):
-    """Bit-generator states compare equal (Philox's holds arrays)."""
-    if isinstance(a, dict):
-        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
-    return np.array_equal(a, b)
-
-
-@settings(max_examples=200, deadline=None)
-@given(bit_generator=st.sampled_from(BIT_GENERATORS), seed=st.integers(0, 2**64 - 1),
-       draws=st.lists(st.tuples(st.sampled_from(BOUNDS), st.none() | st.sampled_from(NUMPY_FORMS)),
-                      max_size=60))
-def test_plan_generator_draws_equal_numpy(bit_generator, seed, draws):
-    plain = np.random.Generator(bit_generator(seed))
-    caller = np.random.Generator(bit_generator(seed))
-    planned = mcts._PlanGenerator(caller.bit_generator)
-    for n, form in draws:
-        if form is None:
-            value = planned.integers(n)
-            assert type(value) is int  # the bounded draw, not numpy's
-            assert value == plain.integers(n)
-        else:
-            assert np.array_equal(form(planned, n), form(plain, n))
-    assert same_state(caller.bit_generator.state, plain.bit_generator.state)

@@ -1,6 +1,6 @@
-"""The in-place rollout path against the 3-method snapshot path, tree steps
-against the environment hooks, and pinned planner episodes that guard the
-search's exact outputs."""
+"""Location tables and step kinds against the rule and the hooks, tree steps
+against the environment hooks, linked GP snapshots against compact chains,
+and pinned planner episodes that guard the search's exact outputs."""
 
 from bisect import bisect_right
 
@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infopath import kernel, mcts
+from infopath import kernel
 from infopath import mdp as mdp_module
 from infopath.episodes import STATUS_GOAL, run_episode
-from infopath.gp import BeliefWorkspace, SquaredExponential
+from infopath.gp import SquaredExponential
 from infopath.isrs import DEFAULT_MODALITIES, ROCK_REWARD, IsrsMdp, generate_isrs
-from infopath.mcts import SolverConfig, iter_belief_nodes, plan, rollout, search
+from infopath.mcts import SolverConfig, rollout
 from infopath.mdp import (
     BeliefState,
     Drill,
@@ -28,16 +28,6 @@ from infopath.policies import MctsPolicy
 from infopath.rover import DRILL_REWARD, RoverMdp, generate_rover
 
 
-class ProtocolOnly:
-    """An MDP seen through ``is_terminal``/``feasible_actions``/``generative_sample``
-    only, so ``rollout`` takes the snapshot path."""
-
-    def __init__(self, mdp):
-        self.is_terminal = mdp.is_terminal
-        self.feasible_actions = mdp.feasible_actions
-        self.generative_sample = mdp.generative_sample
-
-
 def build_mdp(env, seed, budget):
     if env == "isrs":
         return IsrsMdp(generate_isrs(6, 6, 4, 0.5, seed=seed, budget=budget))
@@ -49,36 +39,6 @@ def belief_fingerprint(belief):
     return (belief.location, belief.remaining_budget, belief.memory, belief.step,
             gp.query_mean.tobytes(), gp.query_variance.tobytes(), gp.trace_of_variance(),
             gp.measurements.tobytes())
-
-
-@settings(max_examples=80, deadline=None)
-@given(env=st.sampled_from(["isrs", "rover"]), seed=st.integers(0, 2**32 - 1),
-       budget=st.sampled_from([6.0, 15.0, 40.0]), tree_steps=st.integers(0, 10),
-       depth=st.integers(1, 40), discount=st.sampled_from([1.0, 0.9]), planned=st.booleans())
-def test_workspace_rollout_equals_snapshot_rollout(env, seed, budget, tree_steps, depth, discount,
-                                                   planned):
-    mdp = build_mdp(env, seed % 1000, budget)
-    rng = np.random.default_rng(seed)
-    belief = mdp.initial_belief()
-    for _ in range(tree_steps):  # a belief deeper in the tree, built from snapshots
-        if mdp.is_terminal(belief) or not mdp.feasible_actions(belief):
-            break
-        actions = mdp.feasible_actions(belief)
-        belief, _ = mdp.generative_sample(belief, actions[rng.integers(len(actions))], rng)
-    before = belief_fingerprint(belief)
-    cfg = SolverConfig(discount=discount)
-
-    def make_rng(s):  # planned: both sides draw as under search
-        plain = np.random.default_rng(s)
-        return mcts._PlanGenerator(plain.bit_generator) if planned else plain
-
-    fast_rng = make_rng(seed + 1)
-    slow_rng = make_rng(seed + 1)
-    fast = rollout(belief, depth, mdp, cfg, fast_rng)
-    slow = rollout(belief, depth, ProtocolOnly(mdp), cfg, slow_rng)
-    assert fast == slow
-    assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
-    assert belief_fingerprint(belief) == before
 
 
 # non-dyadic costs, so that budgets pick up rounding along a path
@@ -205,18 +165,15 @@ def test_table_actions_match_the_mdp(case):
     terminal = budget < min(cost for _, cost, _ in actions)
     feasible = [(a, cost, target) for a, cost, target in actions
                 if budget - cost >= goal_costs[target]]
-    offered = mdp.rollout_state(belief).feasible_actions()
-    assert offered is mdp._tables[belief.location].feasible[
-        bisect_right(mdp._tables[belief.location].thresholds, budget)]  # the shared tuple
     assert mdp.is_terminal(belief) == terminal
     assert mdp.actions(belief) == [a for a, _, _ in actions]
     compiled = kernel_actions(mdp, belief.location, budget)
     if terminal:
-        assert offered == () and compiled == []
+        assert compiled == []
         with pytest.raises(ValueError, match="terminal"):
             mdp.feasible_actions(belief)
         return
-    assert list(offered) == mdp.feasible_actions(belief) == [a for a, _, _ in feasible]
+    assert mdp.feasible_actions(belief) == [a for a, _, _ in feasible]
     assert [c[:3] for c in compiled] == feasible
     for (action, cost, target), (*_, kind, kernel_sites, params) in zip(feasible, compiled):
         assert cost == mdp.action_cost(belief, action)
@@ -240,33 +197,6 @@ def test_table_actions_match_the_mdp(case):
             assert mdp.updated_memory(belief, action, observation) == belief.memory
 
 
-@settings(max_examples=80, deadline=None)
-@given(env=st.sampled_from(["isrs", "rover"]), seed=st.integers(0, 2**32 - 1),
-       weight=st.sampled_from([None, 0.0, 2.5]), signal_variance=st.sampled_from([1.0, 4.0]),
-       variant=st.booleans(), odd_costs=st.booleans(), tree_steps=st.integers(0, 10),
-       depth=st.integers(1, 40), discount=st.sampled_from([1.0, 0.9]))
-def test_workspace_rollout_equals_snapshot_rollout_off_defaults(
-        env, seed, weight, signal_variance, variant, odd_costs, tree_steps, depth, discount):
-    mdp = build_odd_mdp(env, seed % 1000, odd_costs=odd_costs, weight=weight,
-                        signal_variance=signal_variance, variant=variant)
-    rng = np.random.default_rng(seed)
-    belief = mdp.initial_belief()
-    for _ in range(tree_steps):
-        if mdp.is_terminal(belief) or not mdp.feasible_actions(belief):
-            break
-        actions = mdp.feasible_actions(belief)
-        belief, _ = mdp.generative_sample(belief, actions[rng.integers(len(actions))], rng)
-    before = belief_fingerprint(belief)
-    cfg = SolverConfig(discount=discount)
-    fast_rng = np.random.default_rng(seed + 1)
-    slow_rng = np.random.default_rng(seed + 1)
-    fast = rollout(belief, depth, mdp, cfg, fast_rng)
-    slow = rollout(belief, depth, ProtocolOnly(mdp), cfg, slow_rng)
-    assert fast == slow
-    assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
-    assert belief_fingerprint(belief) == before
-
-
 def full_fingerprint(belief):
     gp = belief.gp
     return belief_fingerprint(belief) + (gp.measured_locations.tobytes(),
@@ -280,9 +210,8 @@ def full_fingerprint(belief):
        budget=st.one_of(st.none(), st.floats(0.0, 8.0)))
 def test_tree_step_equals_the_hook_composition(env, seed, weight, variant, odd_costs, walk,
                                                location, budget):
-    # a tree step is one RolloutState step, frozen; for every affordable
-    # action it must give the bits of sample_observation -> transition ->
-    # belief_reward
+    # for every affordable action a tree step must give the bits of
+    # sample_observation -> transition -> belief_reward
     mdp = build_odd_mdp(env, seed % 1000, odd_costs=odd_costs, weight=weight, variant=variant)
     rng = np.random.default_rng(seed)
     belief = mdp.initial_belief()
@@ -343,7 +272,7 @@ def step_sites(parent, child):
 def test_linked_snapshots_equal_compact_chains(env, seed, steps, collapse_at):
     # tree nodes keep only their step's rows and link to their parent's GP;
     # every node must give the bits of a compact chain of add_measurements_at
-    # with the same sites, and so must workspaces and rollouts started from it
+    # with the same sites, and so must updates and rollouts started from it
     mdp = build_mdp(env, seed % 1000, 40.0)
     rng = np.random.default_rng(seed)
     nodes = [(mdp.initial_belief(), mdp.initial_belief().gp)]  # (tree belief, compact twin)
@@ -372,12 +301,10 @@ def test_linked_snapshots_equal_compact_chains(env, seed, steps, collapse_at):
         child_twin = twin.add_measurements_at(sites)
         assert child_twin._parent is None
         assert_same_gp(child.gp, child_twin)
-        # a workspace from either continues alike, and so does a rollout
+        # an update of either continues alike in both layouts, and so does a rollout
         extra = [(int(rng.integers(mdp.graph.n_nodes)), float(rng.normal(0.5, 1.0)), 0.01)]
-        ws, ws_twin = BeliefWorkspace(child.gp), BeliefWorkspace(child_twin)
-        ws.add_measurements_at(extra)
-        ws_twin.add_measurements_at(extra)
-        assert_same_gp(ws.freeze(), ws_twin.freeze())
+        for linked in (False, True):
+            assert_same_gp(child.gp._updated(extra, linked), child_twin._updated(extra, linked))
         rollout_rng, twin_rng = (np.random.default_rng([seed, step]) for _ in range(2))
         cfg = SolverConfig()
         assert rollout(child, 12, mdp, cfg, rollout_rng) == \
@@ -415,24 +342,3 @@ def test_pinned_rover_episode():
     log = run_episode(mdp, MctsPolicy(PINNED_CONFIG), 2)
     assert log.status == STATUS_GOAL
     assert ([r.action for r in log.records], [r.true_reward for r in log.records]) == PINNED_ROVER
-
-
-@pytest.mark.parametrize("env", ["isrs", "rover"])
-def test_plan_generator_leaves_the_search_unchanged(env, monkeypatch):
-    # search draws through mcts._PlanGenerator; numpy's own Generator on the
-    # same bit generator must grow the same tree and leave the same state
-    mdp = build_mdp(env, 4, 15.0)
-    belief = mdp.initial_belief()
-    cfg = SolverConfig(iterations=300, max_depth=20)
-
-    def planned():
-        rng = np.random.default_rng(17)
-        root = search(belief, mdp, cfg, rng)
-        table = [(node.visits, [(an.action, an.visits, an.q.hex()) for an in node.children])
-                 for node in iter_belief_nodes(root)]
-        return table, plan(belief, mdp, cfg, rng), rng.bit_generator.state
-
-    exact = planned()
-    monkeypatch.setattr(mcts, "_PlanGenerator", np.random.Generator)
-    assert planned() == exact
-    assert len(exact[0]) > 100  # a deep tree, not a handful of draws
