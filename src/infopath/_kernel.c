@@ -20,7 +20,7 @@
 #include <stdint.h>
 #include <string.h>
 
-#include "numpy/ndarraytypes.h"
+#include "numpy/arrayobject.h"
 #include "numpy/random/distributions.h"
 
 /* cblas_dgemv and cblas_ddot of an ILP64 BLAS */
@@ -42,6 +42,22 @@ void set_blas(void *gemv, void *dot)
 
 #define DATA(a) ((double *)PyArray_DATA((PyArrayObject *)(a)))
 #define LENGTH(a) PyArray_DIM((PyArrayObject *)(a), 0)
+
+/* Whether a is a C-contiguous float64 array of ndim dimensions, the first
+ * len0 long (any length when len0 < 0) and a second len1 long; if not, a
+ * ValueError names it. The kernel reads and writes the arrays it is handed
+ * as raw memory. */
+static int fits(PyObject *a, const char *name, int ndim, int64_t len0, int64_t len1)
+{
+    PyArrayObject *arr = (PyArrayObject *)a;
+    if (PyArray_Check(a) && PyArray_TYPE(arr) == NPY_DOUBLE && PyArray_IS_C_CONTIGUOUS(arr) &&
+        PyArray_NDIM(arr) == ndim && (len0 < 0 || PyArray_DIM(arr, 0) == len0) &&
+        (ndim == 1 || PyArray_DIM(arr, 1) == len1))
+        return 1;
+    PyErr_Format(PyExc_ValueError, "%s is not a C-contiguous float64 array of the GP's shape",
+                 name);
+    return 0;
+}
 
 /* A GP's caches in an update: rows 0..m-1 of the whitened cross-covariance w
  * (q columns), the query mean and variance, and the factor's model. */
@@ -117,6 +133,9 @@ static double trace(const gp_t *g) { return 0. + pairwise(g->var, g->q); }
 static PyObject *rank1_update(PyObject *w, PyObject *mean, PyObject *var, PyObject *kqq,
                               double jitter, double floor, int64_t m, PyObject *sites)
 {
+    if (!fits(var, "var", 1, -1, 0) || !fits(mean, "mean", 1, LENGTH(var), 0) ||
+        !fits(w, "w", 2, -1, LENGTH(var)) || !fits(kqq, "kqq", 2, LENGTH(var), LENGTH(var)))
+        return NULL;
     gp_t g = {DATA(w), DATA(mean), DATA(var), DATA(kqq), LENGTH(var), m, jitter, floor};
     PyObject *seq = PySequence_Fast(sites, "sites must be a sequence");
     if (seq == NULL)
@@ -221,12 +240,13 @@ static int64_t feasible(const tables_t *t, int64_t v, double budget, int64_t *fi
  *
  * infopath.mcts.simulate's recursion, action_prog_widen and rollout, and
  * BeliefMdp.generative_sample's tree step, over the integer action ids of
- * the tables. A tree belief's GP record keeps what its linked GP keeps
- * (gp._linked): the k sites its step added and their rows (rows m - k ..
- * m - 1 of the whitened cross-covariance w), its query mean, variance and
- * trace, and a link to the record it extends. A step that adds no site shares its
- * parent's record. The root record holds the root belief's caches, and the
- * walk holds the root's m rows from the search's start on.
+ * the tables. A tree belief's GP record keeps the k sites its step added
+ * and their rows (rows m - k .. m - 1 of the whitened cross-covariance w),
+ * its query mean, variance and trace, and a link to the record it extends;
+ * CompiledSearch._gp builds a belief from it when one is read. A step
+ * that adds no site shares its parent's record. The root record holds the
+ * root belief's caches, and the walk holds the root's m rows from the
+ * search's start on.
  *
  * One walk steps every tree step and rollout of a simulation in place: it
  * sets out from a belief node and reads that node's record until its first
@@ -371,9 +391,9 @@ static void set_out(search_t *s, int64_t b)
     k->trace = r->trace;
 }
 
-/* The walk's first copy, as GaussianProcessBelief._fill_rows makes it for
- * an update: the rows of the records up to the root, whose rows the walk
- * already holds, and the query mean and variance */
+/* The walk's first copy for an update: the rows of the records up to the
+ * root, whose rows the walk already holds, and the query mean and
+ * variance */
 static void own(search_t *s)
 {
     walk_t *k = &s->walk;
@@ -745,12 +765,14 @@ static PyObject *py_search(PyObject *self, PyObject *const *a, Py_ssize_t n)
         PyMem_Free(s);
         return NULL;
     }
-    const int64_t q = LENGTH(var), m = LENGTH(rows);
-    if (PyArray_NDIM((PyArrayObject *)rows) != 2 || PyArray_DIM((PyArrayObject *)rows, 1) != q ||
-        LENGTH(mean) != q || LENGTH(kqq) != q || max_depth < 0) {
+    const int fit = fits(var, "var", 1, -1, 0) && fits(mean, "mean", 1, LENGTH(var), 0) &&
+                    fits(rows, "rows", 2, -1, LENGTH(var)) &&
+                    fits(kqq, "kqq", 2, LENGTH(var), LENGTH(var));
+    if (!fit || max_depth < 0) {
         PyMem_Free(s);
-        return PyErr_Format(PyExc_ValueError, "the root's caches do not fit its query set");
+        return fit ? PyErr_Format(PyExc_ValueError, "max_depth must not be negative") : NULL;
     }
+    const int64_t q = LENGTH(var), m = LENGTH(rows);
     s->q = q;
     s->max_depth = max_depth;
     s->rows = m + max_depth * (max_sites > 1 ? max_sites : 1);
@@ -896,14 +918,17 @@ static PyObject *py_action(PyObject *self, PyObject *const *a, Py_ssize_t n)
     return out;
 }
 
-/* The search of a[0] and its GP record a[1] */
-static const record_t *record_of(PyObject *const *a)
+/* The GP record a[1] of the search a[0], whose query set has q points */
+static const record_t *record_of(PyObject *const *a, int64_t *q)
 {
     int64_t r;
     search_t *s = search_and(a, &r);
     if (s != NULL && (r < 0 || r >= s->n_records))
         PyErr_Format(PyExc_IndexError, "no GP record %lld", (long long)r);
-    return PyErr_Occurred() ? NULL : s->records[r];
+    if (PyErr_Occurred())
+        return NULL;
+    *q = s->q;
+    return s->records[r];
 }
 
 /* record(search, r): GP record r's (parent record or -1, trace, sites as
@@ -911,7 +936,8 @@ static const record_t *record_of(PyObject *const *a)
 static PyObject *py_record(PyObject *self, PyObject *const *a, Py_ssize_t n)
 {
     ARGS("record", 2);
-    const record_t *r = record_of(a);
+    int64_t q;
+    const record_t *r = record_of(a, &q);
     if (r == NULL)
         return NULL;
     PyObject *sites = PyTuple_New(r->k);
@@ -930,15 +956,12 @@ static PyObject *py_record(PyObject *self, PyObject *const *a, Py_ssize_t n)
 static PyObject *py_arrays(PyObject *self, PyObject *const *a, Py_ssize_t n)
 {
     ARGS("arrays", 5);
-    const record_t *r = record_of(a);
-    if (r == NULL)
+    int64_t q;
+    const record_t *r = record_of(a, &q);
+    if (r == NULL || !fits(a[2], "rows", 2, r->k, q) || !fits(a[3], "mean", 1, q, 0) ||
+        !fits(a[4], "var", 1, q, 0))
         return NULL;
-    PyArrayObject *rows = (PyArrayObject *)a[2];
-    const int64_t q = LENGTH(a[3]);
-    if (PyArray_NDIM(rows) != 2 || PyArray_DIM(rows, 0) != r->k || PyArray_DIM(rows, 1) != q ||
-        LENGTH(a[4]) != q)
-        return PyErr_Format(PyExc_ValueError, "the arrays do not fit the GP record");
-    memcpy(PyArray_DATA(rows), r->rows, r->k * q * sizeof(double));
+    memcpy(DATA(a[2]), r->rows, r->k * q * sizeof(double));
     memcpy(DATA(a[3]), r->mean, q * sizeof(double));
     memcpy(DATA(a[4]), r->var, q * sizeof(double));
     Py_RETURN_NONE;
@@ -1012,6 +1035,8 @@ static PyMethodDef methods[] = {
 /* {name: builtin} of every entry point */
 PyObject *functions(void)
 {
+    if (PyArray_ImportNumPyAPI() < 0)
+        return NULL;
     PyObject *out = PyDict_New();
     for (PyMethodDef *d = methods; out != NULL && d->ml_name != NULL; d++) {
         PyObject *f = PyCFunction_New(d, NULL);

@@ -13,21 +13,22 @@ case: all environment locations are query points), extending the Cholesky
 factor of the measurement system reuses the cached whitened cross-covariance,
 so an update costs O(m q) instead of the O(m^3 + m^2 q) of a refactorization.
 
-There is one update path, ``add_measurements_at``: it copies the m rows
-of the whitened cross-covariance into a buffer with room for the k new
-sites, and each site gives a rank-1 update there. The rank-1 arithmetic runs
-in the compiled kernel when it is built (``infopath.kernel``) and in numpy
+There is one update path, ``add_measurements_at``: each of its k sites
+gives a rank-1 update, whose row of the whitened cross-covariance is
+appended after the m rows of the belief. The rank-1 arithmetic runs in the
+compiled kernel when it is built (``infopath.kernel``) and in numpy
 (``_rank1_update``, the reference) otherwise, with the same bits. A
 collapsed pivot falls back to a batch build of the whole conditioning set
 (``_batch_rebuild``).
 
-A belief comes in one of two layouts. A compact one (every
-``add_measurements_at`` result) holds its whole conditioning set and all m
-rows. A linked one (a tree-search step, ``_updated(sites, linked=True)``)
-holds only the k sites and a copy of the k rows its update added, plus a
-link to the belief it extends, and rebuilds the rest on demand by one walk
-up to the nearest compact ancestor. Both hold their own query mean, query
-variance and trace, and both give the same bits.
+Every belief holds read-only views of the first m entries of an
+append-only store (``_Store``): the conditioning set and the rows of the
+whitened cross-covariance. Entries a belief holds never change. An episode
+or a rollout is a chain that never branches, so each update of the
+newest belief of a store writes its k entries in place; an update of any
+other belief copies its m entries into a new store first (``_room``). Each
+belief holds its own query mean, query variance and trace. A store has no
+lock: beliefs that share one must be updated from one thread at a time.
 
 Beliefs share what depends only on the kernel and the query set: the prior
 covariance of the query set and its index by location are built once per
@@ -201,22 +202,24 @@ def _query_model(kernel, coords: bytes):
     return kqq, MappingProxyType({(float(cx), float(cy)): i for i, (cx, cy) in enumerate(q)})
 
 
-def _appended(x, y, nu, query_set, sites):
-    """The conditioning set (x, y, nu) with (query index, value, noise
-    variance) sites appended. Sites are written one scalar at a time: for the
-    few sites of a step that is less than half the cost of building arrays
-    from Python lists."""
-    m0 = len(y)
-    m = m0 + len(sites)
-    out_x, out_y, out_nu = np.empty((m, 2)), np.empty(m), np.empty(m)
-    out_x[:m0], out_y[:m0], out_nu[:m0] = x, y, nu
-    for i, (j, val, noise) in enumerate(sites, m0):
-        out_x[i], out_y[i], out_nu[i] = query_set[j], val, noise
-    return out_x, out_y, out_nu
+class _Store:
+    """Room for ``cap`` measurements of a chain of beliefs: their locations
+    ``x`` (cap, 2), values ``y``, noise variances ``nu`` and rows ``w``
+    (cap, q) of the whitened cross-covariance, all C-contiguous, the first
+    of them copied from the given arrays. The first ``used`` entries are
+    written and never change; each belief holds views of a prefix of them."""
+
+    __slots__ = ("x", "y", "nu", "w", "used")
+
+    def __init__(self, cap: int, x, y, nu, w):
+        m = self.used = len(y)
+        self.x, self.y, self.nu = np.empty((cap, 2)), np.empty(cap), np.empty(cap)
+        self.w = np.empty((cap, w.shape[1]))
+        self.x[:m], self.y[:m], self.nu[:m], self.w[:m] = x, y, nu, w
 
 
 def _rank1_update(w, mean_q, var_q, kqq, jitter, floor, m, sites):
-    """The Python kernel of ``GaussianProcessBelief._updated``: each
+    """The Python kernel of ``GaussianProcessBelief.add_measurements_at``: each
     (query index, value, noise variance) site becomes row m + i of ``w``, which
     has room for it, and updates the query mean and variance in place. Returns
     the new trace, or None when a pivot collapsed (at or below ``floor``)."""
@@ -276,17 +279,15 @@ class GaussianProcessBelief:
     ``query_mean`` and ``query_variance`` are read-only views of the cached
     posterior mean and variance at every query point.
 
-    ``_m`` is the conditioning size. A compact belief (``_parent`` None) holds
-    the conditioning set in ``_x``, ``_y``, ``_nu`` and all m rows of the
-    whitened cross-covariance in ``_w``. A linked one holds only the sites its
-    update appended to ``_parent``'s, in ``_sites``, and their rows in ``_w``;
-    ``_conditioning()`` and ``_fill_rows()`` rebuild the rest.
+    ``_m`` is the conditioning size. ``_x``, ``_y``, ``_nu`` (the
+    conditioning set) and ``_w`` (the m rows of the whitened
+    cross-covariance) are views of the first m entries of ``_store``.
     """
 
     __slots__ = (
-        "prior_mean", "kernel", "query_set",
-        "_x", "_y", "_nu", "_jitter", "_m", "_parent", "_sites",
-        "_kqq", "_qindex", "_w", "_mean_q", "_var_q", "_trace",
+        "prior_mean", "kernel", "query_set", "_store",
+        "_x", "_y", "_nu", "_w", "_jitter", "_m",
+        "_kqq", "_qindex", "_mean_q", "_var_q", "_trace",
         "_chol", "_alpha", "query_mean", "query_variance",
     )
 
@@ -308,37 +309,38 @@ class GaussianProcessBelief:
             raise ValueError("measured_locations, measurements and noise_variances must align")
         if np.any(nu <= 0):
             raise ValueError("noise variances must be positive")
-        self._x, self._y, self._nu = x, y, nu
-        self._m = len(y)
-        self._parent = self._sites = None
 
+        # batch-build the factor and the query-set caches
         self._kqq, self._qindex = _query_model(kernel, q.tobytes())
-        self._rebuild(start_rel=JITTER_REL)
+        s2 = kernel.signal_variance
+        if len(y) == 0:
+            self._jitter = JITTER_REL * s2
+            self._chol = np.zeros((0, 0))
+            self._alpha = np.zeros(0)
+            w = np.zeros((0, len(q)))
+        else:
+            a = kernel.matrix(x, x)
+            a[np.diag_indices_from(a)] += nu
+            self._chol, self._jitter = _cholesky_escalating(a, s2, JITTER_REL)
+            self._alpha = _solve_lower(self._chol, y - self.prior_mean)
+            w = _solve_lower(self._chol, kernel.matrix(x, q))
+        self._mean_q = self.prior_mean + w.T @ self._alpha
+        self._var_q = s2 - np.einsum("ij,ij->j", w, w)
+        self._trace = float(self._var_q.sum())
+        self.query_mean = _read_only(self._mean_q)
+        self.query_variance = _read_only(self._var_q)
+        # the solve may give w in Fortran order; the store, which the
+        # compiled kernel reads as raw memory, is C-contiguous
+        self._hold(_Store(len(y), x, y, nu, w))
 
     # ------------------------------------------------------------------
     # construction internals
 
-    def _rebuild(self, start_rel: float):
-        """Batch-build the factor and the query-set caches from the raw lists."""
-        s2 = self.kernel.signal_variance
-        m = len(self._y)
-        qn = len(self.query_set)
-        if m == 0:
-            self._jitter = start_rel * s2
-            self._chol = np.zeros((0, 0))
-            self._alpha = np.zeros(0)
-            self._w = np.zeros((0, qn))
-        else:
-            a = self.kernel.matrix(self._x, self._x)
-            a[np.diag_indices_from(a)] += self._nu
-            self._chol, self._jitter = _cholesky_escalating(a, s2, start_rel)
-            self._alpha = _solve_lower(self._chol, self._y - self.prior_mean)
-            self._w = _solve_lower(self._chol, self.kernel.matrix(self._x, self.query_set))
-        self._mean_q = self.prior_mean + self._w.T @ self._alpha
-        self._var_q = s2 - np.einsum("ij,ij->j", self._w, self._w)
-        self._trace = float(self._var_q.sum())
-        self.query_mean = _read_only(self._mean_q)
-        self.query_variance = _read_only(self._var_q)
+    def _hold(self, store: _Store):
+        """Hold views of the first ``store.used`` entries of ``store``."""
+        m = self._m = store.used
+        self._store = store
+        self._x, self._y, self._nu, self._w = store.x[:m], store.y[:m], store.nu[:m], store.w[:m]
 
     def _ensure_factor(self):
         """Lazily restore the Cholesky factor dropped by fast incremental updates.
@@ -347,55 +349,29 @@ class GaussianProcessBelief:
         _chol never observe a half-built pair.
         """
         if self._chol is None:
-            x, y, nu = self._conditioning()
-            a = self.kernel.matrix(x, x)
-            a[np.diag_indices_from(a)] += nu + self._jitter
+            a = self.kernel.matrix(self._x, self._x)
+            a[np.diag_indices_from(a)] += self._nu + self._jitter
             try:
                 chol = np.linalg.cholesky(a)
             except np.linalg.LinAlgError as exc:  # incremental chain already pivoted
                 raise SingularCovarianceError("measurement system lost positive definiteness") from exc
-            self._alpha = _solve_lower(chol, y - self.prior_mean)
+            self._alpha = _solve_lower(chol, self._y - self.prior_mean)
             self._chol = chol
-
-    def _conditioning(self):
-        """The whole conditioning set as (x, y, nu), rebuilt along the links
-        up to the nearest compact ancestor."""
-        if self._parent is None:
-            return self._x, self._y, self._nu
-        added = []
-        root = self
-        while root._parent is not None:
-            added.append(root._sites)
-            root = root._parent
-        return _appended(root._x, root._y, root._nu, self.query_set,
-                         [site for sites in reversed(added) for site in sites])
-
-    def _fill_rows(self, out: np.ndarray) -> np.ndarray:
-        """Copy all m rows of the whitened cross-covariance into ``out[:m]``
-        and return ``out``: each link's own rows on the walk up, then the
-        compact ancestor's in one copy."""
-        belief = self
-        while belief._parent is not None:
-            m = belief._m
-            out[m - len(belief._w):m] = belief._w
-            belief = belief._parent
-        out[:belief._m] = belief._w
-        return out
 
     # ------------------------------------------------------------------
     # read-only views of the conditioning set
 
     @property
     def measured_locations(self) -> np.ndarray:
-        return _read_only(self._conditioning()[0])
+        return _read_only(self._x)
 
     @property
     def measurements(self) -> np.ndarray:
-        return _read_only(self._conditioning()[1])
+        return _read_only(self._y)
 
     @property
     def noise_variances(self) -> np.ndarray:
-        return _read_only(self._conditioning()[2])
+        return _read_only(self._nu)
 
     def query_index(self, location) -> int | None:
         """Index of ``location`` in the query set, or None if off the set."""
@@ -429,44 +405,68 @@ class GaussianProcessBelief:
         if all(j is not None for j, _, _ in sites):
             return self.add_measurements_at(sites)
         locations, values, noise = zip(*triples)
-        x, y, nu = self._conditioning()
         return GaussianProcessBelief(self.prior_mean, self.kernel, self.query_set,
-                                     [*x, *locations], [*y, *values], [*nu, *noise])
+                                     [*self._x, *locations], [*self._y, *values],
+                                     [*self._nu, *noise])
 
     def add_measurements_at(self, sites) -> "GaussianProcessBelief":
         """Return a new belief with measurements at query points appended, as
-        (query index, value, noise variance); self is unchanged. The result
-        is compact, or self when ``sites`` is empty."""
-        return self._updated(sites, linked=False)
+        (query index, value, noise variance); self is unchanged, and is the
+        result when ``sites`` is empty.
 
-    def _updated(self, sites, linked: bool) -> "GaussianProcessBelief":
-        """``add_measurements_at``, whose result is linked when ``linked``.
-
-        Site i becomes row m + i of the whitened cross-covariance, and the
-        query mean and variance take its rank-1 update. A linked result keeps
-        ``sites`` and a copy of their k rows, never a view of the m + k rows
-        of the update. When a pivot collapses, the result is
-        ``_batch_rebuild``'s, compact either way.
+        Site i becomes entry m + i of the store, and the query mean and
+        variance take its rank-1 update. When a pivot collapses, the result
+        is ``_batch_rebuild``'s.
         """
         if not sites:
             return self
         for _, _, nu in sites:
             if nu <= 0:
                 raise ValueError("noise variances must be positive")
-        m = self._m
-        w = self._fill_rows(np.empty((m + len(sites), len(self.query_set))))
+        store = self._room(len(sites))
         mean, var = self._mean_q.copy(), self._var_q.copy()
         compiled = kernel.lib()
         update = _rank1_update if compiled is None else compiled.rank1_update
-        trace = update(w, mean, var, *self._model(), m, sites)
+        trace = update(store.w, mean, var, *self._model(), self._m, sites)
         if trace is None:
             return _batch_rebuild(self, sites)
-        if linked:
-            return _linked(self, sites, w[m:].copy(), mean, var, trace)
-        new = _snapshot(self, len(w), mean, var, trace)
-        new._parent = new._sites = None
-        new._x, new._y, new._nu = _appended(*self._conditioning(), self.query_set, sites)
-        new._w = w
+        return self._extended(store, sites, mean, var, trace)
+
+    def _room(self, k: int) -> _Store:
+        """A store whose first m entries are this belief's, with room for k
+        more: its own store when it holds the store's last entry and the
+        store has room, else a new one with its m entries copied in and
+        room for a quarter more than m + k entries, and eight."""
+        store, m = self._store, self._m
+        if store.used == m and len(store.y) >= m + k:
+            return store
+        return _Store((m + k) * 5 // 4 + 8, self._x, self._y, self._nu, self._w)
+
+    def _extended(self, store: _Store, sites, mean: np.ndarray, var: np.ndarray,
+                  trace: float) -> "GaussianProcessBelief":
+        """This belief with the (query index, value, noise variance)
+        ``sites`` appended as entries m.. of ``store``, a store of
+        ``_room``'s whose rows there the caller wrote; it takes the query
+        ``mean`` and ``var`` buffers and the ``trace``."""
+        m = self._m
+        for i, (j, val, nu) in enumerate(sites, m):
+            store.x[i], store.y[i], store.nu[i] = self.query_set[j], val, nu
+        store.used = m + len(sites)
+        new = object.__new__(GaussianProcessBelief)
+        new.prior_mean = self.prior_mean
+        new.kernel = self.kernel
+        new.query_set = self.query_set
+        new._kqq = self._kqq
+        new._qindex = self._qindex
+        new._jitter = self._jitter
+        new._hold(store)
+        new._mean_q = mean
+        new._var_q = var
+        new.query_mean = _read_only(mean)
+        new.query_variance = _read_only(var)
+        new._trace = trace
+        new._chol = None  # rebuilt on demand by posterior()
+        new._alpha = None
         return new
 
     # ------------------------------------------------------------------
@@ -487,8 +487,8 @@ class GaussianProcessBelief:
             cov = ktt
         else:
             self._ensure_factor()
-            v = self._fill_rows(np.empty((self._m, len(t)))) if targets is None else \
-                _solve_lower(self._chol, self.kernel.matrix(self._conditioning()[0], t))
+            v = self._w if targets is None else \
+                _solve_lower(self._chol, self.kernel.matrix(self._x, t))
             mean = self.prior_mean + v.T @ self._alpha
             cov = ktt - v.T @ v
         cov = 0.5 * (cov + cov.T)
@@ -499,40 +499,7 @@ def _batch_rebuild(belief: GaussianProcessBelief, sites) -> GaussianProcessBelie
     """``belief`` with the (query index, value, noise variance) ``sites``
     appended, built in batch from the whole conditioning set: the fallback
     of an update whose pivot collapsed, which escalates the jitter anew."""
-    x, y, nu = _appended(*belief._conditioning(), belief.query_set, sites)
-    return GaussianProcessBelief(belief.prior_mean, belief.kernel, belief.query_set, x, y, nu)
-
-
-def _snapshot(base: GaussianProcessBelief, m: int, mean: np.ndarray, var: np.ndarray,
-              trace: float) -> GaussianProcessBelief:
-    """A belief of conditioning size ``m`` on ``base``'s model, taking the
-    query mean and variance buffers; the caller sets its conditioning set
-    and rows."""
-    new = object.__new__(GaussianProcessBelief)
-    new.prior_mean = base.prior_mean
-    new.kernel = base.kernel
-    new.query_set = base.query_set
-    new._kqq = base._kqq
-    new._qindex = base._qindex
-    new._jitter = base._jitter
-    new._m = m
-    new._mean_q = mean
-    new._var_q = var
-    new.query_mean = _read_only(mean)
-    new.query_variance = _read_only(var)
-    new._trace = trace
-    new._chol = None  # rebuilt on demand by posterior()
-    new._alpha = None
-    return new
-
-
-def _linked(base: GaussianProcessBelief, sites: list, rows: np.ndarray, mean: np.ndarray,
-           var: np.ndarray, trace: float) -> GaussianProcessBelief:
-    """A linked belief: ``base`` with the (query index, value, noise
-    variance) ``sites`` appended, holding their ``rows`` of the whitened
-    cross-covariance, and taking the query ``mean`` and ``var`` buffers and
-    the ``trace``."""
-    new = _snapshot(base, base._m + len(sites), mean, var, trace)
-    new._parent, new._sites, new._w = base, sites, rows
-    new._x = new._y = new._nu = None
-    return new
+    nodes, values, noise = zip(*sites)
+    return GaussianProcessBelief(belief.prior_mean, belief.kernel, belief.query_set,
+                                 [*belief._x, *belief.query_set[list(nodes)]],
+                                 [*belief._y, *values], [*belief._nu, *noise])

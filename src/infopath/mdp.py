@@ -17,13 +17,13 @@ that says all of this as data.
 
 The Python step kernel is ``generative_sample``: it draws with
 ``sample_observation``, steps as ``transition`` does and rewards with
-``belief_reward``, and its successor's GP is linked (it keeps only the rows
-its step added). It is the reference and the fallback: when the compiled
+``belief_reward``. It is the reference and the fallback: when the compiled
 kernel is built (``infopath.kernel``), ``compiled_search`` hands
 ``mcts.search`` a ``CompiledSearch`` instead, which runs every simulation of
 a plan in C, in one call, over a flat copy of the location tables by integer
 action id, tree steps and rollouts alike, with the same bits; its tree's
-beliefs are built on first read.
+beliefs are built on first read, each by extending its parent's GP as an
+update would.
 
 Each location has one ``LocationTable``, shared by every MDP on the same
 graph with the same senses: every action's cost and target, and which
@@ -51,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernel
-from .gp import JITTER_REL, GaussianProcessBelief, SquaredExponential, _linked
+from .gp import JITTER_REL, GaussianProcessBelief, SquaredExponential
 from .graph import GRID_CACHE_SIZE, LocationGraph
 from .mcts import ActionNode, BeliefNode
 
@@ -325,18 +325,18 @@ class BeliefMdp:
                    observation: Observation = ()) -> BeliefState:
         """Apply an action deterministically; never mutates the input belief."""
         step = self._affordable_step(belief, action)
-        return self._successor(belief, action, step, observation, linked=False)
+        return self._successor(belief, action, step, observation)
 
     def _successor(self, belief: BeliefState, action: Action, step: tuple[float, int],
-                   observation: Observation, linked: bool) -> BeliefState:
+                   observation: Observation) -> BeliefState:
         """The belief ``action`` reaches at ``step``, its (cost, target),
-        having observed ``observation``; its GP is linked when ``linked``."""
+        having observed ``observation``."""
         cost, target = step
         # the graph's nodes are the GP's query points, in order
         return BeliefState(
             location=target,
             remaining_budget=belief.remaining_budget - cost,
-            gp=belief.gp._updated(observation, linked),
+            gp=belief.gp.add_measurements_at(observation),
             memory=self.updated_memory(belief, action, observation),
             step=belief.step + 1,
         )
@@ -371,11 +371,10 @@ class BeliefMdp:
     def generative_sample(self, belief: BeliefState, action: Action, rng):
         """Sample (next belief, reward) for the tree search and its rollouts:
         the observation ``sample_observation`` draws, the step ``transition``
-        takes and the reward ``belief_reward`` gives. The next belief's GP is
-        linked: it keeps only the rows its step added."""
+        takes and the reward ``belief_reward`` gives."""
         step = self._affordable_step(belief, action)
         observation = self.sample_observation(belief, action, rng)
-        after = self._successor(belief, action, step, observation, linked=True)
+        after = self._successor(belief, action, step, observation)
         return after, self.belief_reward(belief, action, after)
 
     def compiled_search(self, belief: BeliefState, config, rng) -> "CompiledSearch | None":
@@ -473,8 +472,8 @@ class CompiledSearch:
     of the tree as ``BeliefNode``/``ActionNode`` objects with the MDP's
     actions, each node built from the search when first reached. The root
     holds ``belief``; every other node builds its belief on first read, the
-    one ``generative_sample`` would have made: same sites, rows, query mean,
-    variance and trace, and a link to its parent's GP.
+    one ``generative_sample`` would have made: same conditioning set, rows,
+    query mean, variance and trace.
     """
 
     __slots__ = ("_lib", "_actions", "_belief", "_bits", "_search", "_gps")
@@ -485,12 +484,11 @@ class CompiledSearch:
         gp = belief.gp
         # the bit generator, whose state the search's C pointer reaches
         self._belief, self._bits = belief, rng.bit_generator
-        self._gps = {0: gp}  # GP record -> its snapshot
+        self._gps = {0: gp}  # GP record -> its belief
         self._search = lib.search(
             ctypes.addressof(tables), rng.bit_generator.ctypes.bit_generator.value,
             (belief.location, belief.remaining_budget, belief.step, belief.memory),
-            (gp._fill_rows(np.empty((gp._m, len(gp.query_set)))), gp._mean_q, gp._var_q,
-             gp._trace, *gp._model()),
+            (gp._w, gp._mean_q, gp._var_q, gp._trace, *gp._model()),
             (config.max_depth, config.exploration, config.k_action, config.alpha_action,
              config.k_state, config.alpha_state, config.discount), max_sites)
 
@@ -535,16 +533,17 @@ class CompiledSearch:
         return BeliefState(location, budget, self._gp(record), memory, step)
 
     def _gp(self, record: int) -> GaussianProcessBelief:
-        """GP record ``record``'s linked snapshot, built once."""
+        """GP record ``record``'s belief, built once: its parent record's
+        belief extended by the record's sites, rows, query mean, variance
+        and trace."""
         gp = self._gps.get(record)
         if gp is None:
             parent, trace, sites = self._lib.record(self._search, record)
             base = self._gp(parent)
-            q = len(base.query_set)
-            rows, mean, var = np.empty((len(sites), q)), np.empty(q), np.empty(q)
-            self._lib.arrays(self._search, record, rows, mean, var)
-            gp = _linked(base, [Measurement(*site) for site in sites], rows, mean, var, trace)
-            self._gps[record] = gp
+            store, m, q = base._room(len(sites)), base._m, len(base.query_set)
+            mean, var = np.empty(q), np.empty(q)
+            self._lib.arrays(self._search, record, store.w[m:m + len(sites)], mean, var)
+            gp = self._gps[record] = base._extended(store, sites, mean, var, trace)
         return gp
 
 

@@ -1,9 +1,10 @@
+import copy
 import math
 import shutil
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from infopath import gp as gp_module
@@ -408,7 +409,7 @@ def test_trace_strictly_decreases_on_query_measurement():
 
 
 # ----------------------------------------------------------------------
-# the two layouts of an update, and the batch rebuild of a collapsed pivot
+# the store an update appends to, and the batch rebuild of a collapsed pivot
 
 def assert_same_caches(a, b):
     assert np.array_equal(a.query_mean, b.query_mean)
@@ -416,17 +417,17 @@ def assert_same_caches(a, b):
     assert a.trace_of_variance() == b.trace_of_variance()
 
 
+def belief_bits(gp):
+    """A belief's m rows, conditioning set, jitter and query caches, as
+    exact bits."""
+    return (gp._m, gp._jitter.hex(), gp._w.tobytes(), gp._x.tobytes(), gp._y.tobytes(),
+            gp._nu.tobytes(), gp.query_mean.tobytes(), gp.query_variance.tobytes(),
+            gp.trace_of_variance().hex())
+
+
 def assert_same_belief(a, b):
-    """Bit for bit the same belief: all m rows, the conditioning set, the
-    jitter and the query caches."""
-    assert a._m == b._m and a._jitter == b._jitter
-    shape = (a._m, len(a.query_set))
-    assert a._fill_rows(np.empty(shape)).tobytes() == b._fill_rows(np.empty(shape)).tobytes()
-    for x, y in zip(a._conditioning(), b._conditioning()):
-        assert x.tobytes() == y.tobytes()
-    assert a.query_mean.tobytes() == b.query_mean.tobytes()
-    assert a.query_variance.tobytes() == b.query_variance.tobytes()
-    assert a.trace_of_variance() == b.trace_of_variance()
+    """Bit for bit the same belief."""
+    assert belief_bits(a) == belief_bits(b)
 
 
 def kernels(monkeypatch):
@@ -476,66 +477,102 @@ def test_a_collapsed_pivot_rebuilds_like_a_batch_build(monkeypatch):
     monkeypatch.setattr(gp_module, "_batch_rebuild",
                         lambda belief, sites: rebuilds.append(sites) or rebuild(belief, sites))
     for which in kernels(monkeypatch):
-        for linked in (False, True):
-            rebuilds.clear()
-            chain = gp._updated([(1, 0.3, 0.05)], linked)
-            # a cached variance below -(noise + jitter) collapses the next pivot there
-            chain._var_q[4] = -1.0
-            rebuilt = chain._updated([(4, 0.9, 0.02)], linked)
-            assert rebuilds == [[(4, 0.9, 0.02)]]
-            assert rebuilt._parent is None  # compact, whichever layout was asked for
-            assert_same_belief(rebuilt, batch)
-            # the chain goes on incrementally from the rebuilt factor
-            after = rebuilt._updated([(0, 0.1, 0.03)], linked)
-            assert len(rebuilds) == 1
-            assert_same_belief(after, batch.add_measurement(coords[0], 0.1, 0.03))
-            assert len(gp.measurements) == 1
-            ran.append(which)
+        rebuilds.clear()
+        chain = gp.add_measurements_at([(1, 0.3, 0.05)])
+        # a cached variance below -(noise + jitter) collapses the next pivot there
+        chain._var_q[4] = -1.0
+        used = chain._store.used
+        rebuilt = chain.add_measurements_at([(4, 0.9, 0.02)])
+        assert rebuilds == [[(4, 0.9, 0.02)]]
+        assert chain._store.used == used  # the collapsed update appended nothing
+        assert_same_belief(rebuilt, batch)
+        # the chain goes on incrementally from the rebuilt factor
+        after = rebuilt.add_measurements_at([(0, 0.1, 0.03)])
+        assert len(rebuilds) == 1
+        assert_same_belief(after, batch.add_measurement(coords[0], 0.1, 0.03))
+        assert len(gp.measurements) == 1
+        ran.append(which)
     assert "python" in ran
 
 
 def test_query_caches_are_read_only():
     gp = GaussianProcessBelief(0.5, SquaredExponential(), grid_coords(2))
-    for belief in (gp, gp.add_measurements_at([(0, 1.0, 0.1)]),
-                   gp._updated([(0, 1.0, 0.1)], linked=True)):
-        with pytest.raises(ValueError):
-            belief.query_variance[0] = 0.0
-        with pytest.raises(ValueError):
-            belief.query_mean[0] = 0.0
-    for linked in (False, True):
-        with pytest.raises(ValueError):
-            gp._updated([(0, 1.0, 0.0)], linked)
+    tip = gp.add_measurements_at([(0, 1.0, 0.1)])
+    for belief in (gp, tip, tip.add_measurements_at([(1, 1.0, 0.1)])):
+        for view in (belief.query_variance, belief.query_mean, belief.measured_locations,
+                     belief.measurements, belief.noise_variances):
+            with pytest.raises(ValueError):
+                view[0] = 0.0
+    with pytest.raises(ValueError):
+        tip.add_measurements_at([(0, 1.0, 0.0)])
     assert gp.trace_of_variance() == 4.0
 
 
-def test_an_update_holds_exactly_its_rows():
-    coords = grid_coords(3)
-    gp = GaussianProcessBelief(0.5, SquaredExponential(), coords).add_measurement(
-        coords[4], 0.7, 0.01)
-    sites = [(1, 0.3, 0.05), (2, 0.6, 0.02)]
-    compact = gp.add_measurements([(coords[j], val, nu) for j, val, nu in sites])
-    for linked in (False, True):
-        assert gp._updated([], linked) is gp  # nothing added: the belief itself
-        assert gp._updated((), linked) is gp
-        snap = gp._updated(sites, linked)
-        if linked:  # the two rows its update added, and a link for the rest
-            assert snap._parent is gp and list(snap._sites) == sites
-            assert snap._w.shape == (2, 9) and snap._x is None
-        else:  # all m rows, no spare ones
-            assert snap._parent is None and snap._sites is None
-            assert snap._w.shape == (3, 9)
-        assert snap._w.base is None  # its own rows, not a view of the update's buffer
-        assert len(snap.measurements) == 3
-        assert_same_belief(snap, compact)
-        # a later update leaves the snapshot's buffers as they were
-        kept = snap.query_mean.copy(), snap.query_variance.copy(), snap._w.copy()
-        later = snap._updated([(0, 0.1, 0.03)], linked)
-        assert_same_belief(later, compact.add_measurement(coords[0], 0.1, 0.03))
-        assert later._w is not snap._w
-        assert np.array_equal(snap.query_mean, kept[0])
-        assert np.array_equal(snap.query_variance, kept[1])
-        assert np.array_equal(snap._w, kept[2])
-        assert len(gp.measurements) == 1
+def fresh_copy(gp):
+    """``gp`` holding its m entries in a store of its own, with no room."""
+    twin = copy.copy(gp)
+    twin._hold(gp_module._Store(gp._m, gp._x, gp._y, gp._nu, gp._w))
+    return twin
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**32 - 1),
+       steps=st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 3), st.booleans()),
+                      min_size=1, max_size=30))
+def test_beliefs_sharing_a_store_never_change(seed, steps, monkeypatch):
+    # updates branch off any earlier belief: the newest of its store, one
+    # already extended, or with no sites at all, and some collapse a pivot;
+    # every belief keeps its bits, equals the same update of a fresh copy of
+    # its parent, and shares its parent's store exactly when it could append
+    rebuild = gp_module._batch_rebuild
+    rebuilds = []
+    monkeypatch.setattr(gp_module, "_batch_rebuild",
+                        lambda belief, sites: rebuilds.append(1) or rebuild(belief, sites))
+    for which in kernels(monkeypatch):
+        rng = np.random.default_rng(seed)
+        beliefs = [GaussianProcessBelief(0.5, SquaredExponential(), grid_coords(4))]
+        made = [belief_bits(beliefs[0])]
+        for pick, k, collapse in steps:
+            parent = beliefs[pick % len(beliefs)]
+            sites = [(int(rng.integers(16)), float(rng.normal(0.5, 1.0)),
+                      float(10 ** rng.uniform(-8, 0))) for _ in range(k)]
+            store, used = parent._store, parent._store.used
+            appends = used == parent._m and len(store.y) >= parent._m + k
+            with monkeypatch.context() as m:
+                if collapse:  # as the kernel tests' COLLAPSE_REL does
+                    m.setattr(gp_module, "PIVOT_MIN_REL", 0.5)
+                twin = fresh_copy(parent).add_measurements_at(sites)
+                rebuilds.clear()
+                child = parent.add_measurements_at(sites)
+            assert_same_belief(child, twin)
+            if not sites:
+                assert child is parent
+            elif rebuilds:  # a collapsed pivot appends nothing to the store
+                assert store.used == used and child._store is not store
+            else:
+                assert np.shares_memory(child._store.w, store.w) == appends
+                assert (child._store is store) == appends
+            beliefs.append(child)
+            made.append(belief_bits(child))
+        assert [belief_bits(belief) for belief in beliefs] == made
+
+
+def test_an_episode_chain_holds_one_growing_store():
+    # a chain that never branches appends in place, growing its store by a
+    # quarter and eight entries when it is full: a 100-step chain makes a few
+    # stores, and the last holds no more room than that rule gives
+    rng = np.random.default_rng(3)
+    chain = [GaussianProcessBelief(0.5, SquaredExponential(), grid_coords(10))]
+    for _ in range(100):
+        chain.append(chain[-1].add_measurements_at(
+            [(int(rng.integers(100)), float(rng.normal(0.5, 1.0)), 0.01)]))
+    last = chain[-1]
+    assert last._m == 100 and last._store.used == 100
+    assert len(last._store.y) <= last._m * 5 // 4 + 8
+    assert len({id(belief._store) for belief in chain}) <= 8
+    assert all(np.shares_memory(a._store.w, b._store.w) or a._m == len(a._store.y)
+               for a, b in zip(chain[1:], chain[2:]))
 
 
 def test_rms_error_has_the_bits_of_the_numpy_mean_form():

@@ -6,9 +6,11 @@ kernel cannot be built, loaded or verified, the Python kernel runs and every
 pinned output stays as it is.
 """
 
+import ctypes
 import functools
 import gc
 import importlib
+import inspect
 import pkgutil
 import re
 import shutil
@@ -16,6 +18,7 @@ import signal
 import subprocess
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,28 +95,26 @@ def build_mdp(env, seed, budget, pruned=True):
     return (cls if pruned else unpruned(cls))(inst)
 
 
-def gp_link(parent, gp):
-    """How a tree step's GP stands to its parent's: the same belief, a
-    linked snapshot of it, or a compact batch rebuild."""
-    return "same" if gp is parent else "linked" if gp._parent is parent else \
-        "compact" if gp._parent is None else "other"
+def gp_bits(gp):
+    """A GP's conditioning size, caches, rows and conditioning set, as exact
+    bits."""
+    return (gp._m, gp.trace_of_variance().hex(), gp._jitter.hex(), gp.query_mean.tobytes(),
+            gp.query_variance.tobytes(), gp._w.tobytes(), gp._x.tobytes(), gp._y.tobytes(),
+            gp._nu.tobytes())
 
 
 def tree_table(root):
-    """Every belief node's visits and state, its GP's caches and rows, and
-    its actions' (visits, q) and sampled rewards with how each successor's
-    GP stands to the node's, as exact bits."""
+    """Every belief node's visits and state, its GP's bits, and its actions'
+    (visits, q) and sampled rewards with whether each successor holds the
+    node's GP itself, as exact bits."""
     table = []
     for node in iter_belief_nodes(root):
         belief, gp = node.belief, node.belief.gp
         table.append((
             node.visits, belief.location, belief.remaining_budget.hex(), belief.memory,
-            list(belief.memory), belief.step, gp._m, gp.trace_of_variance().hex(),
-            gp._jitter.hex(), gp.query_mean.tobytes(), gp.query_variance.tobytes(),
-            gp._w.tobytes(), None if gp._sites is None else
-            [(j, float(v).hex(), float(nu).hex()) for j, v, nu in gp._sites],
+            list(belief.memory), belief.step, gp_bits(gp),
             [(action_label(an.action), an.visits, an.q.hex(),
-              [(r.hex(), gp_link(gp, child.belief.gp)) for child, r in an.children])
+              [(r.hex(), child.belief.gp is gp) for child, r in an.children])
              for an in node.children],
             None if node.untried is None else [action_label(a) for a in node.untried]))
     return table
@@ -302,12 +303,15 @@ def test_an_mdp_must_name_its_step_kinds(which, monkeypatch, request):
     assert runs == [(pairs, pairs)] * 2
 
 
-def test_a_compiled_search_frees_its_memory_with_its_tree(compiled):
-    """The tree's nodes and GP records live in memory the compiled search
-    owns (traced by tracemalloc), and it all goes when the tree does, lazily
-    built beliefs included: searches one after another hold no more than
-    the first. (Free lists keep a few small objects of the first, and
-    numpy's generators leave cycles for the collector.)"""
+@pytest.mark.parametrize("which", ["compiled", "python"])
+def test_a_search_frees_its_memory_with_its_tree(which, request):
+    """A compiled tree's nodes and GP records live in memory the compiled
+    search owns, and a Python tree's beliefs hold their stores; both are
+    traced by tracemalloc, and it all goes when the tree does, lazily built
+    beliefs included: searches one after another hold no more than the
+    first. (Free lists keep a few small objects of the first, and numpy's
+    generators leave cycles for the collector.)"""
+    request.getfixturevalue(which if which == "compiled" else "python_kernel")
     mdp = RoverMdp(generate_rover(5, 6, 0.1, seed=3, budget=30.0))
     cfg = SolverConfig(iterations=100, max_depth=12)
     search(mdp.initial_belief(), mdp, cfg, np.random.default_rng(0))  # builds the tables
@@ -452,18 +456,13 @@ def only_action(mdp, location, action):
 
 
 def step_bits(reward, before, after, rng):
-    """A tree step's reward, the belief it reached from ``before`` (with how
-    its GP stands to the one before) and the generator state, as exact bits;
-    the memory also in its iteration order."""
+    """A tree step's reward, the belief it reached from ``before`` (with
+    whether its GP is the one before) and the generator state, as exact
+    bits; the memory also in its iteration order."""
     gp = after.gp
     return (reward.hex(), after.location, after.remaining_budget.hex(), after.step,
-            after.memory, type(after.memory), list(after.memory), gp._m, gp._trace.hex(),
-            gp._jitter.hex(), gp.query_mean.tobytes(), gp.query_variance.tobytes(),
-            gp._w.tobytes(), gp_link(before.gp, gp),
-            gp._fill_rows(np.empty((gp._m, len(gp.query_set)))).tobytes(),
-            None if gp._sites is None else
-            [(int(j), float(v).hex(), float(nu).hex()) for j, v, nu in gp._sites],
-            rng.bit_generator.state)
+            after.memory, type(after.memory), list(after.memory), gp._m, gp_bits(gp),
+            gp is before.gp, rng.bit_generator.state)
 
 
 def dynamic_case(env, seed, memory=(), measured=(), beacon=False, revisit=False, budget=20.0,
@@ -533,6 +532,8 @@ def dynamic_cases(draw):
 @example(case=dict(env="rover", seed=7, memory=[3], measured=[(7, 0.2, 1e-8)]), collapse=True,
          draws=4)
 @example(case=dict(env="isrs", seed=2, memory=[14], revisit=True), collapse=False, draws=5)
+@example(case=dict(env="rover", seed=1, beta=2, measured=[(0, 0.0, 1e-8)] * 2, budget=3.0),
+         collapse=True, draws=7)
 @example(case=dict(env="isrs", seed=2, beacon=True), collapse=False, draws=6)
 def test_a_compiled_dynamic_step_equals_advance(case, collapse, draws, compiled, monkeypatch):
     """A compiled drill or rock visit equals the Python step,
@@ -597,6 +598,56 @@ def test_empty_product_is_zeros(compiled):
         results.append((trace, w.tobytes(), mean.tobytes(), var.tobytes()))
     assert results[0] == results[1]
     assert results[0][0] is not None  # no pivot collapsed
+
+
+def misfits(a):
+    """Forms of the array ``a`` the kernel must refuse rather than read as
+    raw memory: float32, not C-contiguous (in Fortran order when it has
+    rows and columns), one column or item too many, and a list."""
+    wide = np.zeros((*a.shape[:-1], a.shape[-1] + 1))
+    strided = np.asfortranarray(a) if a.ndim == 2 and len(a) > 1 else \
+        np.repeat(a, 2, axis=-1)[..., ::2]
+    assert strided.tobytes() == a.tobytes() and not strided.flags.c_contiguous
+    return a.astype(np.float32), strided, wide, a.tolist()
+
+
+def test_the_kernel_refuses_arrays_of_another_layout(compiled):
+    """Each entry point that reads or writes arrays as raw memory raises a
+    ValueError for one that is not a C-contiguous float64 array of the
+    expected shape, and writes nothing."""
+    mdp = build_mdp("rover", 3, 30.0)
+    gp = mdp.initial_belief().gp.add_measurements_at([(0, 0.5, 0.01), (7, 0.2, 0.01)])
+    q = len(gp.query_set)
+    rows = np.zeros((4, q))
+    rows[:2] = gp._w
+    update = [rows, gp._mean_q.copy(), gp._var_q.copy(), gp._kqq]
+    for i in range(4):
+        for bad in misfits(update[i]):
+            args = [*update[:i], bad, *update[i + 1:]]
+            kept = [np.array(a, copy=True) for a in args]
+            with pytest.raises(ValueError, match="C-contiguous float64"):
+                compiled.rank1_update(*args, *gp._model()[1:], 2, [(3, 0.1, 0.01)])
+            assert all(np.array_equal(a, b) for a, b in zip(args, kept))
+    tables, _, max_sites = mdp._kernel_tables()
+    state, config = (0, 30.0, 0, frozenset()), (4, 1.0, 2.0, 0.5, 2.0, 0.5, 1.0)
+    root = [gp._w, gp._mean_q, gp._var_q, gp._trace, *gp._model()]
+    bits = np.random.PCG64(0)
+    for i in (0, 1, 2, 4):
+        for bad in misfits(root[i]):
+            with pytest.raises(ValueError, match="C-contiguous float64"):
+                compiled.search(ctypes.addressof(tables), bits.ctypes.bit_generator.value, state,
+                                (*root[:i], bad, *root[i + 1:]), config, max_sites)
+    planned = CompiledSearch(mdp, mdp.initial_belief()._replace(gp=gp),
+                             SolverConfig(iterations=20, max_depth=4), np.random.default_rng(0))
+    assert planned.run(20)
+    record = next(r for r in range(1, 100) if compiled.record(planned._search, r)[2])
+    k = len(compiled.record(planned._search, record)[2])
+    out = [np.zeros((k, q)), np.zeros(q), np.zeros(q)]
+    compiled.arrays(planned._search, record, *out)
+    for i in range(3):
+        for bad in misfits(out[i]):
+            with pytest.raises(ValueError, match="C-contiguous float64"):
+                compiled.arrays(planned._search, record, *out[:i], bad, *out[i + 1:])
 
 
 def perturbed_source(tmp_path, old, new):
@@ -666,35 +717,67 @@ def test_kernel_source_compiles_without_warnings():
     assert done.returncode == 0, done.stderr
 
 
-# Dotted names the kernel's comments cite that are not the package's: numpy's
-# and the standard library's, file names, and fields of the C struct gp_t.
+# Dotted names the kernel's comments and the docs cite that are not the
+# package's: numpy's and the standard library's, file names, and fields of the
+# C struct gp_t.
 FOREIGN_NAMES = {"Generator.integers", "ctypes.PyDLL", "math.erf", "math.log", "np.add.reduce",
-                 "kernel.py", "_kernel.c", "g.mean", "g.var", "g.w"}
+                 "kernel.py", "_kernel.c", "episodes.csv", "episodes.json", "g.mean", "g.var",
+                 "g.w"}
+MODULES = {name: importlib.import_module(f"infopath.{name}")
+           for _, name, _ in pkgutil.iter_modules(infopath.__path__)}
+CLASSES = [obj for module in MODULES.values() for obj in vars(module).values()
+           if inspect.isclass(obj) and obj.__module__ == module.__name__]
 
 
 def resolves(dotted):
     """Whether ``dotted`` names something in the package: a module
-    (``infopath.mdp``, ``mdp``) or an attribute path from a module or from a
-    name one defines (``mcts.rollout``, ``RoverMdp.probability_unseen``)."""
-    modules = {name: importlib.import_module(f"infopath.{name}")
-               for _, name, _ in pkgutil.iter_modules(infopath.__path__)}
+    (``infopath.mdp``, ``mdp``) or an attribute path from a module, from a
+    name one defines or from a class one defines (``mcts.rollout``,
+    ``RoverMdp.probability_unseen``, ``_w``)."""
     head, *rest = dotted.removeprefix("infopath.").split(".")
-    owners = [modules[head]] if head in modules else \
-        [getattr(module, head) for module in modules.values() if hasattr(module, head)]
-    return any(functools.reduce(lambda obj, attr: getattr(obj, attr, None), rest, owner)
-               is not None for owner in owners)
+    owners = [MODULES[head]] if head in MODULES else \
+        [getattr(owner, head) for owner in [*MODULES.values(), *CLASSES] if hasattr(owner, head)]
+    missing = object()
+    return any(functools.reduce(lambda obj, attr: getattr(obj, attr, missing), rest, owner)
+               is not missing for owner in owners)
+
+
+def docstrings():
+    """The docstring of every module of the package, and of every class and
+    function it defines, methods and properties included."""
+    for module in MODULES.values():
+        yield module.__doc__
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            yield obj.__doc__
+            for member in vars(obj).values() if inspect.isclass(obj) else ():
+                function = getattr(member, "__func__", getattr(member, "fget", member))
+                if inspect.isfunction(function):
+                    yield function.__doc__
 
 
 def test_kernel_comments_cite_names_that_exist():
     """Every dotted Python name cited in ``_kernel.c``'s comments and
-    ``kernel.py``'s docstring resolves in the package, so that a rename
-    cannot leave the kernel describing code that is gone."""
+    ``kernel.py``'s docstring resolves in the package, and so does every
+    backticked name in README.md and the package's docstrings that is
+    private or dotted from a name the package defines, so that a rename
+    cannot leave the code described as it no longer is."""
     source = kernel.SOURCE.read_text()
     texts = re.findall(r"/\*.*?\*/|//[^\n]*", source, re.S) + [kernel.__doc__]
     cited = {name for text in texts
              for name in re.findall(r"(?<![\w.>-])[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+", text)}
     assert {"mcts.rollout", "RoverMdp.probability_unseen", "rover._phi"} <= cited
     assert not resolves("mcts.no_such_name") and not resolves("NoSuchClass.rollout")
+    assert not resolves("_no_such_name") and resolves("kernel._state")
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    quoted = {name for text in [readme, *filter(None, docstrings())]
+              for name in re.findall(r"`+([^`\n]+?)`+", text)}
+    documented = {name for name in quoted if re.fullmatch(r"_\w+(?:\.\w+)*", name) or
+                  re.fullmatch(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+", name) and
+                  resolves(name.removeprefix("infopath.").split(".")[0])}
+    assert {"gp._rank1_update", "_batch_rebuild", "BeliefMdp.generative_sample"} <= documented
+    cited |= documented
     assert sorted(name for name in cited - FOREIGN_NAMES if not resolves(name)) == []
 
 

@@ -157,29 +157,6 @@ def test_transition_rejects_infeasible_actions(step):
         step(mdp, away, Sense("cheap"))  # sensing off-beacon
 
 
-def test_tree_snapshots_hold_exactly_their_rows():
-    # a tree node keeps only the k sites and k rows of the whitened
-    # cross-covariance its step added, and links to its parent's GP for the
-    # rest; a step that measures nothing keeps the parent's GP itself
-    rng = np.random.default_rng(5)
-    for mdp in (IsrsMdp(generate_isrs(6, 6, 4, 0.5, seed=1, budget=30.0)),
-                RoverMdp(generate_rover(5, 6, 0.1, seed=1, budget=30.0))):
-        b = mdp.initial_belief()
-        while not mdp.is_terminal(b) and mdp.feasible_actions(b):
-            acts = mdp.feasible_actions(b)
-            senses = [a for a in acts if isinstance(a, Sense)]  # beacon reads, drills
-            pick = senses if senses and rng.random() < 0.5 else acts
-            parent = b.gp
-            b, _ = mdp.generative_sample(b, pick[rng.integers(len(pick))], rng)
-            k = len(b.gp.measurements) - len(parent.measurements)
-            if k == 0:
-                assert b.gp is parent
-            else:
-                assert b.gp._parent is parent and b.gp._x is None
-                assert len(b.gp._w) == len(b.gp._sites) == k
-        assert len(b.gp.measurements) > 1
-
-
 def test_truth_reveal_pins_belief():
     # visiting the rock reveals its goodness; the posterior interpolates it
     mdp = IsrsMdp(small_instance(budget=20.0))

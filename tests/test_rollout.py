@@ -1,6 +1,6 @@
 """Location tables and step kinds against the rule and the hooks, tree steps
-against the environment hooks, linked GP snapshots against compact chains,
-and pinned planner episodes that guard the search's exact outputs."""
+against the environment hooks, and pinned planner episodes that guard the
+search's exact outputs."""
 
 from bisect import bisect_right
 
@@ -14,7 +14,7 @@ from infopath import mdp as mdp_module
 from infopath.episodes import STATUS_GOAL, run_episode
 from infopath.gp import SquaredExponential
 from infopath.isrs import DEFAULT_MODALITIES, ROCK_REWARD, IsrsMdp, generate_isrs
-from infopath.mcts import SolverConfig, rollout
+from infopath.mcts import SolverConfig
 from infopath.mdp import (
     BeliefState,
     Drill,
@@ -237,82 +237,6 @@ def test_tree_step_equals_the_hook_composition(env, seed, weight, variant, odd_c
         assert tree_reward == mdp.belief_reward(belief, action, hooks)
         assert tree_rng.bit_generator.state == hook_rng.bit_generator.state
     assert full_fingerprint(belief) == before
-
-
-def assert_same_gp(linked, compact):
-    """Bit for bit the same belief: rebuilt rows and conditioning set, the
-    cached query mean, variance and trace, and the posterior."""
-    assert linked._m == compact._m
-    shape = (linked._m, len(linked.query_set))
-    assert linked._fill_rows(np.empty(shape)).tobytes() == \
-        compact._fill_rows(np.empty(shape)).tobytes()
-    for a, b in zip(linked._conditioning(), compact._conditioning()):
-        assert a.tobytes() == b.tobytes()
-    assert linked.query_mean.tobytes() == compact.query_mean.tobytes()
-    assert linked.query_variance.tobytes() == compact.query_variance.tobytes()
-    assert linked.trace_of_variance() == compact.trace_of_variance()
-    post, twin = linked.posterior(), compact.posterior()
-    assert post.mean.tobytes() == twin.mean.tobytes()
-    assert post.covariance.tobytes() == twin.covariance.tobytes()
-
-
-def step_sites(parent, child):
-    """The (query index, value, noise variance) sites a tree step appended."""
-    if child is parent:
-        return []
-    if child._parent is not None:
-        return list(child._sites)
-    x, y, nu = child._conditioning()  # a pivot collapse rebuilt it compact
-    return [(parent.query_index(x[i]), y[i], nu[i]) for i in range(parent._m, child._m)]
-
-
-@settings(max_examples=40, deadline=None)
-@given(env=st.sampled_from(["isrs", "rover"]), seed=st.integers(0, 2**32 - 1),
-       steps=st.integers(1, 30), collapse_at=st.integers(0, 40))
-def test_linked_snapshots_equal_compact_chains(env, seed, steps, collapse_at):
-    # tree nodes keep only their step's rows and link to their parent's GP;
-    # every node must give the bits of a compact chain of add_measurements_at
-    # with the same sites, and so must updates and rollouts started from it
-    mdp = build_mdp(env, seed % 1000, 40.0)
-    rng = np.random.default_rng(seed)
-    nodes = [(mdp.initial_belief(), mdp.initial_belief().gp)]  # (tree belief, compact twin)
-    forced = collapsed = False
-    for step in range(steps):
-        # extend the newest node, or branch off an earlier one
-        i = len(nodes) - 1 if rng.random() < 0.7 else int(rng.integers(len(nodes)))
-        belief, twin = nodes[i]
-        if mdp.is_terminal(belief) or not mdp.feasible_actions(belief):
-            continue
-        if step == collapse_at:  # below any noise: every next pivot collapses into a rebuild
-            for gp in {id(belief.gp): belief.gp, id(twin): twin}.values():
-                gp._var_q[:] = -np.inf
-            forced = True
-        acts = mdp.feasible_actions(belief)
-        senses = [a for a in acts if isinstance(a, Sense)]  # beacon reads, drills
-        rocks = [a for a in acts if isinstance(a, Move) and env == "isrs"
-                 and a.target in mdp.instance.rock_nodes and a.target not in belief.memory]
-        pick = senses if senses and rng.random() < 0.4 else \
-            rocks if rocks and rng.random() < 0.5 else acts
-        child, _ = mdp.generative_sample(belief, pick[rng.integers(len(pick))], rng)
-        sites = step_sites(belief.gp, child.gp)
-        if step == collapse_at and sites:
-            assert child.gp._parent is None  # the rebuild ran
-            collapsed = True
-        child_twin = twin.add_measurements_at(sites)
-        assert child_twin._parent is None
-        assert_same_gp(child.gp, child_twin)
-        # an update of either continues alike in both layouts, and so does a rollout
-        extra = [(int(rng.integers(mdp.graph.n_nodes)), float(rng.normal(0.5, 1.0)), 0.01)]
-        for linked in (False, True):
-            assert_same_gp(child.gp._updated(extra, linked), child_twin._updated(extra, linked))
-        rollout_rng, twin_rng = (np.random.default_rng([seed, step]) for _ in range(2))
-        cfg = SolverConfig()
-        assert rollout(child, 12, mdp, cfg, rollout_rng) == \
-            rollout(child._replace(gp=child_twin), 12, mdp, cfg, twin_rng)
-        assert rollout_rng.bit_generator.state == twin_rng.bit_generator.state
-        nodes.append((child, child_twin))
-    if env == "rover":
-        assert collapsed == forced  # every rover step measures
 
 
 # Captured before the in-place rollout existed; any change to the planner's
