@@ -191,49 +191,37 @@ static int64_t bounded(bitgen_t *b, uint64_t n)
 }
 
 /* An MDP's location tables, flat (mirrored by infopath.kernel.StepTables).
- * Location v's budget thresholds are thresholds[thr_start[v] ..
- * thr_start[v + 1]]; the actions feasible in its interval i are
- * run_steps[run_start[x] .. run_start[x + 1]] with x = thr_start[v] + v + i.
- * Action id s costs cost[s] and leads to target[s]. Its kind[s] is STATIC,
- * DRILL or VISIT (the step kinds of infopath.mdp). It measures site_count[s]
- * sites from site_start[s] on: a static step all of them, a drill or a
- * visit its one site. The parameters of a drill or a visit are
- * params[param_start[s] .. param_start[s + 1]]: the interaction reward, then
- * a drill's match tolerance and its type values. */
+ * Location v's actions are the ids act_start[v] .. act_start[v + 1] - 1, in
+ * table order; below cheapest[v], the least of their costs, it is terminal.
+ * Action id s costs cost[s] and leads to target[s], from which the goal
+ * costs back[s]: it is feasible at a budget when budget - cost[s] >= back[s].
+ * Its kind[s] is STATIC, DRILL or VISIT (the step kinds of infopath.mdp). It
+ * measures the sites site_start[s] .. site_start[s + 1] - 1: a static step
+ * all of them, a drill or a visit its one site. The parameters of a drill or
+ * a visit are params[param_start[s] .. param_start[s + 1]]: the interaction
+ * reward, then a drill's match tolerance and its type values. */
 enum { STATIC, DRILL, VISIT };
 typedef struct {
-    const double *thresholds;
-    const int64_t *thr_start, *run_start, *run_steps;
-    const double *cost;
+    const double *cheapest;
+    const int64_t *act_start;
+    const double *cost, *back;
     const int64_t *target, *kind, *param_start;
     const double *params;
-    const int64_t *site_start, *site_count, *site_node;
+    const int64_t *site_start, *site_node;
     const double *site_nu;
     int64_t goal;
     double weight, failure;
 } tables_t;
 
-static int64_t bisect_right(const double *a, int64_t n, double x)
+/* The action ids of location v feasible at a budget, written to ids in id
+ * order; returns how many. */
+static int64_t feasible(const tables_t *t, int64_t v, double budget, int64_t *ids)
 {
-    int64_t lo = 0, hi = n;
-    while (lo < hi) {
-        const int64_t mid = (lo + hi) / 2;
-        if (x < a[mid])
-            hi = mid;
-        else
-            lo = mid + 1;
-    }
-    return lo;
-}
-
-/* The feasible action ids of location v at a budget: n ids from
- * run_steps[*first] on; none when the location is terminal. */
-static int64_t feasible(const tables_t *t, int64_t v, double budget, int64_t *first)
-{
-    const int64_t lo = t->thr_start[v];
-    const int64_t x = lo + v + bisect_right(t->thresholds + lo, t->thr_start[v + 1] - lo, budget);
-    *first = t->run_start[x];
-    return t->run_start[x + 1] - *first;
+    int64_t n = 0;
+    for (int64_t s = t->act_start[v]; s < t->act_start[v + 1]; s++)
+        if (budget - t->cost[s] >= t->back[s])
+            ids[n++] = s;
+    return n;
 }
 
 /* The search.
@@ -442,7 +430,7 @@ static int measure(search_t *s, const int64_t *node, const double *nu, const dou
 static int static_step(search_t *s, int64_t a)
 {
     const tables_t *t = s->t;
-    const int64_t n = t->site_count[a], first = t->site_start[a];
+    const int64_t first = t->site_start[a], n = t->site_start[a + 1] - first;
     if (n == 0)
         return 0;
     double val[n];
@@ -555,7 +543,7 @@ static int step(search_t *s, int64_t a, double *reward)
     const int64_t to = k->location = t->target[a];
     k->budget -= t->cost[a];
     k->steps += 1;
-    *reward = to != t->goal && k->budget < t->thresholds[t->thr_start[to]]
+    *reward = to != t->goal && k->budget < t->cheapest[to]
                   ? t->failure
                   : state_reward + t->weight * (before - k->trace);
     return 0;
@@ -568,13 +556,16 @@ static int rollout(search_t *s, int64_t depth, double *value)
     const tables_t *t = s->t;
     double total = 0., discount = 1.;
     for (; depth > 0; depth--) {
-        int64_t first;
-        int rc;
-        const int64_t n = feasible(t, s->walk.location, s->walk.budget, &first);
+        const int64_t v = s->walk.location;
+        if (s->walk.budget < t->cheapest[v]) /* terminal; v has actions otherwise */
+            break;
+        int64_t ids[t->act_start[v + 1] - t->act_start[v]];
+        const int64_t n = feasible(t, v, s->walk.budget, ids);
         if (n == 0)
             break;
         double reward;
-        if ((rc = step(s, t->run_steps[first + bounded(s->bitgen, n)], &reward)))
+        int rc;
+        if ((rc = step(s, ids[bounded(s->bitgen, n)], &reward)))
             return rc;
         total += discount * reward;
         discount *= s->gamma;
@@ -670,18 +661,16 @@ static int simulate(search_t *s, int64_t b, int64_t depth, double *q)
     const tables_t *t = s->t;
     belief_t *node = &s->beliefs[b];
     *q = 0.;
-    if (depth == 0 || node->budget < t->thresholds[t->thr_start[node->location]])
+    const int64_t v = node->location;
+    if (depth == 0 || node->budget < t->cheapest[v])
         return 0;
     if (node->n_children == 0) {
         if (node->untried < 0) { /* the feasible actions, on first use */
-            int64_t first;
-            const int64_t n = feasible(t, node->location, node->budget, &first);
-            if (GROW(s, pool, s->n_pool + n))
+            if (GROW(s, pool, s->n_pool + t->act_start[v + 1] - t->act_start[v]))
                 return -1;
-            memcpy(s->pool + s->n_pool, t->run_steps + first, n * sizeof(int64_t));
             node->untried = s->n_pool;
-            node->n_untried = n;
-            s->n_pool += n;
+            node->n_untried = feasible(t, v, node->budget, s->pool + s->n_pool);
+            s->n_pool += node->n_untried;
         }
         if (node->n_untried == 0)
             return 0;

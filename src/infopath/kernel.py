@@ -60,8 +60,8 @@ class StepTables(ctypes.Structure):
 
     _fields_ = (
         [(name, ctypes.c_void_p) for name in (
-            "thresholds", "thr_start", "run_start", "run_steps", "cost", "target", "kind",
-            "param_start", "params", "site_start", "site_count", "site_node", "site_nu")]
+            "cheapest", "act_start", "cost", "back", "target", "kind", "param_start", "params",
+            "site_start", "site_node", "site_nu")]
         + [("goal", ctypes.c_int64), ("weight", ctypes.c_double), ("failure", ctypes.c_double)]
     )
 

@@ -26,9 +26,11 @@ beliefs are built on first read, each by extending its parent's GP as an
 update would.
 
 Each location has one ``LocationTable``, shared by every MDP on the same
-graph with the same senses: every action's cost and target, and which
-actions are feasible between the budget thresholds where that changes.
-Terminal checks, feasible actions, costs, targets and steps all read it.
+graph with the same senses: its cheapest cost, below which it is terminal,
+and every action's cost, target and goal cost from the target. An action is
+feasible when ``budget - cost >= goal cost from its target``, the rule
+itself, evaluated where it is asked. Terminal checks, feasible actions,
+costs, targets and steps all read the table.
 Each kernel states what a step does once. A Python step, and an episode's
 ``transition``, take it from the environment hooks. The compiled kernel's
 table takes it from ``step_kind``, which every environment implements for
@@ -43,7 +45,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import NamedTuple
@@ -172,20 +173,16 @@ class Visit(NamedTuple):
 
 
 class LocationTable(NamedTuple):
-    """The actions at one location and which of them are feasible by budget.
+    """The actions at one location and the budgets they need.
 
     ``costs`` maps each action, moves by target then senses, to its (cost,
-    target). An action is feasible from its least budget on, the least with
-    ``budget - cost >= goal cost from its target``; below the cheapest cost
-    the location is terminal. ``thresholds`` holds, sorted, the cheapest cost
-    (so always first) and every least budget; ``feasible[i]`` the actions
-    feasible from ``thresholds[i - 1]`` up to ``thresholds[i]``, so
-    ``feasible[0]`` is empty and a lookup is one bisection.
+    target, back), where back is the goal cost from the target: the action
+    is feasible when ``budget - cost >= back``. Below ``cheapest``, the least
+    cost, the location is terminal.
     """
 
-    thresholds: tuple[float, ...]
-    feasible: tuple[tuple[Action, ...], ...]
-    costs: MappingProxyType  # Action -> (cost, target)
+    cheapest: float
+    costs: MappingProxyType  # Action -> (cost, target, back)
 
 
 class BeliefMdp:
@@ -224,7 +221,6 @@ class BeliefMdp:
             if better.noise_stddev < worse.noise_stddev and better.cost < worse.cost:
                 raise ValueError("modality costs must not decrease as accuracy increases")
 
-        self.goal_costs = graph.goal_costs
         senses = tuple((Sense(name), mod.cost) for name, mod in self.modalities.items())
         self._tables = _action_tables(graph, senses, sensing_nodes)
         self._empty_gp = GaussianProcessBelief(prior_mean, self.kernel, graph.coords)
@@ -294,7 +290,7 @@ class BeliefMdp:
 
     def is_terminal(self, belief: BeliefState) -> bool:
         """True iff the remaining budget cannot pay for any action."""
-        return belief.remaining_budget < self._tables[belief.location].thresholds[0]
+        return belief.remaining_budget < self._tables[belief.location].cheapest
 
     def feasible_actions(self, belief: BeliefState) -> list[Action]:
         """Actions after which the goal stays reachable within the budget.
@@ -303,14 +299,14 @@ class BeliefMdp:
         boundary states (at the goal with just enough budget to act but not to
         leave and return); callers treat that as the end of the episode.
         """
-        thresholds, feasible, _ = self._tables[belief.location]
-        i = bisect_right(thresholds, belief.remaining_budget)
-        if not i:
+        cheapest, costs = self._tables[belief.location]
+        budget = belief.remaining_budget
+        if budget < cheapest:
             raise ValueError("feasible_actions called on a terminal belief")
-        return list(feasible[i])
+        return [a for a, (cost, _, back) in costs.items() if budget - cost >= back]
 
-    def _affordable_step(self, belief: BeliefState, action: Action) -> tuple[float, int]:
-        """The location table's (cost, target) of ``action``; raises as
+    def _affordable_step(self, belief: BeliefState, action: Action) -> tuple[float, int, float]:
+        """The location table's (cost, target, back) of ``action``; raises as
         ``action_cost`` does, and also when the budget cannot pay the cost."""
         entry = self._tables[belief.location].costs.get(action)
         if entry is None:
@@ -327,11 +323,11 @@ class BeliefMdp:
         step = self._affordable_step(belief, action)
         return self._successor(belief, action, step, observation)
 
-    def _successor(self, belief: BeliefState, action: Action, step: tuple[float, int],
+    def _successor(self, belief: BeliefState, action: Action, step: tuple[float, int, float],
                    observation: Observation) -> BeliefState:
-        """The belief ``action`` reaches at ``step``, its (cost, target),
-        having observed ``observation``."""
-        cost, target = step
+        """The belief ``action`` reaches at ``step``, its (cost, target,
+        back), having observed ``observation``."""
+        cost, target, _ = step
         # the graph's nodes are the GP's query points, in order
         return BeliefState(
             location=target,
@@ -392,7 +388,7 @@ class BeliefMdp:
             tables = _kernel_tables(self)
             actions = tuple(action for table in self._tables for action in table.costs)
             self._flat_tables = (tables, actions,
-                                 int(tables._arrays["site_count"].max(initial=1)))
+                                 int(np.diff(tables._arrays["site_start"]).max(initial=1)))
         return self._flat_tables
 
 
@@ -414,25 +410,11 @@ def _shared_tables(graph: LocationGraph, senses) -> tuple[LocationTable, ...]:
     gc = graph.goal_costs.tolist()
     tables = []
     for v in range(graph.n_nodes):
-        costs = {Move(w): (cost, w) for w, cost in graph.neighbors(v)}
-        costs.update((sense, (cost, v)) for sense, cost in senses)
-        least = {a: _least_budget(cost, gc[target]) for a, (cost, target) in costs.items()}
-        cheapest = min((cost for cost, _ in costs.values()), default=math.inf)
-        thresholds = tuple(sorted({cheapest, *least.values()}))
-        feasible = [()] + [tuple(a for a, lb in least.items() if lb <= t) for t in thresholds]
-        tables.append(LocationTable(thresholds, tuple(feasible), MappingProxyType(costs)))
+        costs = {Move(w): (cost, w, gc[w]) for w, cost in graph.neighbors(v)}
+        costs.update((sense, (cost, v, gc[v])) for sense, cost in senses)
+        cheapest = min((cost for cost, _, _ in costs.values()), default=math.inf)
+        tables.append(LocationTable(cheapest, MappingProxyType(costs)))
     return tuple(tables)
-
-
-def _least_budget(cost: float, back: float) -> float:
-    """The least float budget with ``budget - cost >= back``, as computed in
-    floating point (the difference never falls as the budget grows)."""
-    budget = back + cost
-    while budget - cost >= back:
-        budget = math.nextafter(budget, -math.inf)
-    while budget - cost < back:
-        budget = math.nextafter(budget, math.inf)
-    return budget
 
 
 class _TreeNode(BeliefNode):
@@ -476,14 +458,14 @@ class CompiledSearch:
     query mean, variance and trace.
     """
 
-    __slots__ = ("_lib", "_actions", "_belief", "_bits", "_search", "_gps")
+    __slots__ = ("_lib", "_tables", "_actions", "_belief", "_bits", "_search", "_gps")
 
     def __init__(self, mdp: BeliefMdp, belief: BeliefState, config, rng):
         self._lib = lib = kernel.lib()
         tables, self._actions, max_sites = mdp._kernel_tables()
         gp = belief.gp
-        # the bit generator, whose state the search's C pointer reaches
-        self._belief, self._bits = belief, rng.bit_generator
+        # the tables and the bit generator, which the search's C pointers reach
+        self._tables, self._belief, self._bits = tables, belief, rng.bit_generator
         self._gps = {0: gp}  # GP record -> its belief
         self._search = lib.search(
             ctypes.addressof(tables), rng.bit_generator.ctypes.bit_generator.value,
@@ -554,15 +536,14 @@ def _kernel_tables(mdp: BeliefMdp) -> kernel.StepTables:
     """``mdp``'s location tables as the flat arrays of ``tables_t`` in
     ``_kernel.c``: action ids in the order of every location's costs, each
     with its ``step_kind``'s id, sites and parameters."""
-    thresholds, thr_start, run_start, run_steps = [], [0], [0], []
-    cost, target, kind, param_start, params = [], [], [], [0], []
-    site_start, site_count, site_node, site_nu = [], [], [], []
-    for v, (thr, feasible, costs) in enumerate(mdp._tables):
-        ids = {}
-        for action, (c, to) in costs.items():
-            ids[action] = len(cost)
+    cheapest, cost, back, target, kind, params, site_node, site_nu = [], [], [], [], [], [], [], []
+    act_start, param_start, site_start = [0], [0], [0]  # each ends at its array's length
+    for v, table in enumerate(mdp._tables):
+        cheapest.append(table.cheapest)
+        for action, (c, to, b) in table.costs.items():
             cost.append(c)
             target.append(to)
+            back.append(b)
             step = mdp.step_kind(v, action)
             kind.append(_KINDS[type(step)])
             if type(step) is Static:
@@ -574,20 +555,15 @@ def _kernel_tables(mdp: BeliefMdp) -> kernel.StepTables:
                     params.extend(step.types)
                 sites = ((step.node, step.nu),)
             param_start.append(len(params))
-            site_start.append(len(site_node))
-            site_count.append(len(sites))
             for node, nu in sites:
                 site_node.append(node)
                 site_nu.append(nu)
-        thresholds.extend(thr)
-        thr_start.append(len(thresholds))
-        for run in feasible:
-            run_steps.extend(ids[action] for action in run)
-            run_start.append(len(run_steps))
-    ints = {"thr_start": thr_start, "run_start": run_start, "run_steps": run_steps,
-            "target": target, "kind": kind, "param_start": param_start,
-            "site_start": site_start, "site_count": site_count, "site_node": site_node}
-    floats = {"thresholds": thresholds, "cost": cost, "params": params, "site_nu": site_nu}
+            site_start.append(len(site_node))
+        act_start.append(len(cost))
+    ints = {"act_start": act_start, "target": target, "kind": kind, "param_start": param_start,
+            "site_start": site_start, "site_node": site_node}
+    floats = {"cheapest": cheapest, "cost": cost, "back": back, "params": params,
+              "site_nu": site_nu}
     arrays = {**{name: np.array(v, dtype=np.int64) for name, v in ints.items()},
               **{name: np.array(v, dtype=float) for name, v in floats.items()}}
     tables = kernel.StepTables(

@@ -11,11 +11,14 @@ import functools
 import gc
 import importlib
 import inspect
+import math
+import os
 import pkgutil
 import re
 import shutil
 import signal
 import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -68,11 +71,10 @@ COLLAPSE_REL = {"isrs": 0.5, "rover": 0.05}
 
 
 def affordable_table(table):
-    """``table`` with every affordable action feasible, whatever its target."""
-    thresholds = tuple(sorted({cost for cost, _ in table.costs.values()}))
-    feasible = [()] + [tuple(a for a, (cost, _) in table.costs.items() if cost <= t)
-                       for t in thresholds]
-    return LocationTable(thresholds, tuple(feasible), table.costs)
+    """``table`` with every affordable action feasible, whatever its target:
+    each needs only ``budget - cost >= 0``."""
+    return table._replace(costs={a: (cost, target, 0.0)
+                                 for a, (cost, target, _) in table.costs.items()})
 
 
 def unpruned(cls):
@@ -146,7 +148,8 @@ def plan_under(which, env, seed, budget, discount, monkeypatch, pruned=True, dee
     and what the steps did: Python step kinds (every Python step is a
     ``generative_sample``), the compiled search's runs that finished and
     reruns (a run that met a collapsed pivot), ``generative_sample`` calls
-    during the search, and batch rebuilds. ``deep``: more simulations and
+    during the search, batch rebuilds, and Python simulations that reached a
+    terminal tree node with depth left. ``deep``: more simulations and
     fewer successors, so the tree grows measured chains several steps
     deep."""
     seen = {"rebuilds": 0, "compiled": 0, "reruns": 0, "samples": 0}
@@ -154,7 +157,7 @@ def plan_under(which, env, seed, budget, discount, monkeypatch, pruned=True, dee
         if which == "python":
             m.setattr(kernel, "_state", (None, "forced by a test"))
         rebuild, run = gp_module._batch_rebuild, CompiledSearch.run
-        generative_sample = BeliefMdp.generative_sample
+        generative_sample, simulate = BeliefMdp.generative_sample, mcts.simulate
 
         def counting_rebuild(belief, sites):
             seen["rebuilds"] += 1
@@ -179,7 +182,13 @@ def plan_under(which, env, seed, budget, discount, monkeypatch, pruned=True, dee
                 seen["failure"] = seen.get("failure", 0) + 1
             return after, reward
 
+        def recording_simulate(node, depth, mdp, config, rng):
+            if depth and mdp.is_terminal(node.belief):
+                seen["terminal"] = seen.get("terminal", 0) + 1
+            return simulate(node, depth, mdp, config, rng)
+
         m.setattr(gp_module, "_batch_rebuild", counting_rebuild)
+        m.setattr(mcts, "simulate", recording_simulate)
         m.setattr(CompiledSearch, "run", counting_run)
         m.setattr(BeliefMdp, "generative_sample", recording_sample)
         mdp = build_mdp(env, seed, budget, pruned)
@@ -236,18 +245,21 @@ def test_compiled_search_equals_python_search(env, seed, budget, discount, colla
 def test_both_kernels_meet_every_kind_of_step(env, compiled, monkeypatch):
     """Fixed searches in which rollouts read beacons, visit rocks, drill,
     measure from the empty prior, collapse pivots and, unpruned, strand the
-    agent, with equal results."""
-    kinds = {"isrs": ("beacon", "rock", "move", "empty_prior", "failure"),
-             "rover": ("drill", "move", "failure")}[env]
+    agent and come back to a terminal tree node, with equal results."""
+    kinds = {"isrs": ("beacon", "rock", "move", "empty_prior", "failure", "terminal"),
+             "rover": ("drill", "move", "failure", "terminal")}[env]
     met = {}
-    for seed, collapse, budget, pruned in ((3, False, 30.0, True), (4, True, 30.0, True),
-                                           (5, False, 10.0, False)):
+    for seed, collapse, budget, pruned, deep in ((3, False, 30.0, True, False),
+                                                 (4, True, 30.0, True, False),
+                                                 (5, False, 10.0, False, False),
+                                                 (5, False, 4.0, False, True)):
         with monkeypatch.context() as m:
             if collapse:
                 m.setattr(gp_module, "PIVOT_MIN_REL", COLLAPSE_REL[env])
-            ours, seen = plan_under("compiled", env, seed, budget, 1.0, monkeypatch, pruned)
+            ours, seen = plan_under("compiled", env, seed, budget, 1.0, monkeypatch, pruned,
+                                    deep)
             reference, ref_seen = plan_under("python", env, seed, budget, 1.0, monkeypatch,
-                                             pruned)
+                                             pruned, deep)
         assert ours == reference
         assert seen["rebuilds"] == ref_seen["rebuilds"]
         assert (ref_seen["rebuilds"] > 0) == collapse
@@ -329,6 +341,46 @@ def test_a_search_frees_its_memory_with_its_tree(which, request):
     finally:
         tracemalloc.stop()
     assert min(held) > 100_000 and max(left) - left[0] < 1_000, (held, left)
+
+
+# A compiled search whose MDP is gone: the tables it reads must live as long
+# as it does, whatever reuses the MDP's memory meanwhile. Run in a subprocess,
+# as a search reading freed memory may crash the interpreter.
+ORPHANED_SEARCH = """
+import gc
+import numpy as np
+from infopath.mcts import SolverConfig
+from infopath.rover import RoverMdp, generate_rover
+
+def plan(keep):
+    mdp = RoverMdp(generate_rover(6, 6, 0.1, seed=3))
+    belief = mdp.initial_belief()
+    search = mdp.compiled_search(belief, SolverConfig(), np.random.default_rng(3))
+    if not keep:
+        del mdp
+        gc.collect()
+        filler = [np.full(8, -1.0) for _ in range(20_000)]
+    assert search.run(300)
+    nodes, stack = [], [search.tree()]
+    while stack:
+        node = stack.pop()
+        nodes.append((node.visits, node.belief.location, node.belief.remaining_budget,
+                      node.untried, [(an.action, an.visits, an.q) for an in node.children]))
+        stack.extend(child for an in node.children for child, _ in an.children)
+    return nodes
+
+assert plan(keep=False) == plan(keep=True)
+"""
+
+
+def test_a_compiled_search_outlives_its_mdp(compiled):
+    """A compiled search holds the flat tables it reads: it runs after its
+    MDP is collected and its memory reused, and its tree equals the one a
+    search with a live MDP builds."""
+    src = str(Path(infopath.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", ORPHANED_SEARCH], capture_output=True,
+                          text=True, timeout=300, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, (done.returncode, done.stderr[-2000:])
 
 
 @pytest.mark.parametrize("which", ["compiled", "python"])
@@ -450,7 +502,9 @@ def only_action(mdp, location, action):
     step, drawing nothing to pick it."""
     tables = list(mdp._tables)
     costs = tables[location].costs
-    tables[location] = LocationTable((costs[action][0],), ((), (action,)), costs)
+    tables[location] = LocationTable(costs[action][0], {
+        a: (cost, target, 0.0 if a == action else math.inf)
+        for a, (cost, target, _) in costs.items()})
     mdp._tables = tuple(tables)
     return mdp
 
@@ -704,6 +758,26 @@ def test_python_kernel_runs_when_the_compiled_one_cannot(cause, monkeypatch, tmp
         out = tmp_path / name
         assert main([*argv, "--out", str(out)]) == 0
         assert _digests(out) == expected, name
+
+
+# the ctypes field type of each C type in a struct of the kernel
+C_TYPES = {"int64_t": ctypes.c_int64, "double": ctypes.c_double}
+
+
+def test_step_tables_mirror_tables_t():
+    """``kernel.StepTables`` lays out ``tables_t`` of ``_kernel.c``: the same
+    fields in the same order, pointers as pointers, int64_t as c_int64 and
+    double as c_double. ctypes takes the layout from the Python list alone,
+    so a mismatch would hand the kernel misplaced memory."""
+    body = re.search(r"typedef struct \{([^}]*)\} tables_t;", kernel.SOURCE.read_text()).group(1)
+    fields = []
+    for declaration in body.split(";")[:-1]:
+        kind, names = re.fullmatch(r"\s*(?:const\s+)?(\w+)\s+(.*)", declaration, re.S).groups()
+        for name in (name.strip() for name in names.split(",")):
+            pointer = name.startswith("*")
+            fields.append((name.lstrip("*"), ctypes.c_void_p if pointer else C_TYPES[kind]))
+    assert ("cheapest", ctypes.c_void_p) in fields and ("goal", ctypes.c_int64) in fields
+    assert fields == list(kernel.StepTables._fields_)
 
 
 def test_kernel_source_compiles_without_warnings():

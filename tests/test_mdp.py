@@ -56,7 +56,8 @@ def test_non_finite_or_negative_weight_and_budget_are_rejected(value):
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0, -0.5])
 def test_initial_belief_rejects_non_finite_or_negative_budget(value):
-    # NaN would bisect past every threshold, and inf would never end
+    # NaN would pass the terminal check yet make no action feasible, and inf
+    # would never end
     mdp = RoverMdp(generate_rover(4, 3, 0.1, seed=0))
     with pytest.raises(ValueError, match="budget must be finite"):
         mdp.initial_belief(value)

@@ -2,8 +2,6 @@
 against the environment hooks, and pinned planner episodes that guard the
 search's exact outputs."""
 
-from bisect import bisect_right
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -107,19 +105,20 @@ def location_cases(draw):
 
 
 def kernel_actions(mdp, location, budget):
-    """The compiled kernel's flat table at (location, budget): each feasible
-    action with its id's cost, target, step kind, sites and parameters. Ids
-    follow every location's actions in table order."""
+    """The compiled kernel's flat table at (location, budget): each action
+    whose id passes ``budget - cost >= back`` with the id's cost, target,
+    step kind, sites and parameters; none below the location's cheapest
+    cost. Ids follow every location's actions in table order."""
     a = mdp_module._kernel_tables(mdp)._arrays
     by_id = [action for table in mdp._tables for action in table.costs]
-    thr = a["thr_start"]
-    x = thr[location] + location + bisect_right(a["thresholds"][thr[location]:thr[location + 1]],
-                                                budget)
+    if budget < a["cheapest"][location]:
+        return []
     out = []
-    for s in a["run_steps"][a["run_start"][x]:a["run_start"][x + 1]]:
-        start, count = a["site_start"][s], a["site_count"][s]
-        sites = tuple(zip(a["site_node"][start:start + count].tolist(),
-                          a["site_nu"][start:start + count].tolist()))
+    for s in range(a["act_start"][location], a["act_start"][location + 1]):
+        if not budget - a["cost"][s] >= a["back"][s]:
+            continue
+        start, end = a["site_start"][s], a["site_start"][s + 1]
+        sites = tuple(zip(a["site_node"][start:end].tolist(), a["site_nu"][start:end].tolist()))
         params = tuple(a["params"][a["param_start"][s]:a["param_start"][s + 1]].tolist())
         out.append((by_id[s], float(a["cost"][s]), int(a["target"][s]), int(a["kind"][s]),
                     sites, params))

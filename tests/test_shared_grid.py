@@ -19,7 +19,8 @@ from infopath.mdp import Move, Sense, SensingModality, Static
 from infopath.rover import RoverMdp, generate_rover
 
 KERNELS = (SquaredExponential(), SquaredExponential(signal_variance=2.0, lengthscale=0.8))
-# non-dyadic costs, so that goal costs and budget thresholds pick up rounding
+# non-dyadic costs, so that goal costs and the budgets left after a step pick
+# up rounding
 ODD_MODALITIES = (SensingModality("cheap", cost=0.7, noise_stddev=0.4),
                   SensingModality("accurate", cost=1.3, noise_stddev=0.1))
 
@@ -88,7 +89,7 @@ def test_shared_mdp_equals_mdp_from_scratch(case, probes):
     scratch = scratch_mdp(make, inst, cost)
     assert shared.graph is inst.graph() and scratch.graph is not shared.graph
     assert shared._tables == scratch._tables
-    assert shared.goal_costs.tobytes() == scratch.goal_costs.tobytes()
+    assert shared.graph.goal_costs.tobytes() == scratch.graph.goal_costs.tobytes()
     coords = scratch.graph.coords
     kqq = shared.kernel.matrix(coords, coords)
     for mdp in (shared, scratch):
@@ -119,7 +120,6 @@ def test_grid_model_is_shared_between_missions():
     isrs = [IsrsMdp(generate_isrs(6, 4, 3, 0.5, seed)) for seed in (1, 2)]
     for one, two in (rovers, isrs):
         assert one.graph is two.graph
-        assert one.goal_costs is two.goal_costs
         assert one._empty_gp._kqq is two._empty_gp._kqq
         assert one._empty_gp._qindex is two._empty_gp._qindex
         assert one._empty_gp is not two._empty_gp
@@ -187,7 +187,7 @@ def test_tables_follow_their_own_graph():
     for cost in (1.0, 2.0, 0.5, 3.0):
         mdp = scratch_mdp(RoverMdp, generate_rover(3, 4, 0.1, 0), cost)
         costs = mdp._tables[0].costs
-        assert [c for a, (c, _) in costs.items() if isinstance(a, Move)] == [cost, cost]
+        assert [c for a, (c, _, _) in costs.items() if isinstance(a, Move)] == [cost, cost]
         del mdp
 
 
