@@ -841,9 +841,24 @@ static PyObject *py_run(PyObject *self, PyObject *const *a, Py_ssize_t n)
     return NULL;
 }
 
+/* Action node an's successors as ((belief node index, reward), ...) */
+static PyObject *successors(const search_t *s, const action_t *an)
+{
+    PyObject *out = PyTuple_New(an->n_children);
+    int64_t j = 0;
+    for (int64_t c = an->first; out != NULL && c >= 0; c = s->beliefs[c].sibling, j++) {
+        PyObject *edge = Py_BuildValue("(Ld)", (long long)c, s->beliefs[c].reward);
+        if (edge == NULL)
+            Py_CLEAR(out);
+        else
+            PyTuple_SET_ITEM(out, j, edge);
+    }
+    return out;
+}
+
 /* node(search, i): belief node i's (visits, untried action ids or None,
- * action nodes as (index, action id, visits, q), location, budget, memory,
- * step, GP record) */
+ * action nodes as (action id, visits, q, successors), location, budget,
+ * memory, step, GP record) */
 static PyObject *py_node(PyObject *self, PyObject *const *a, Py_ssize_t n)
 {
     ARGS("node", 2);
@@ -866,8 +881,8 @@ static PyObject *py_node(PyObject *self, PyObject *const *a, Py_ssize_t n)
     int64_t j = 0;
     for (int64_t x = node->first; children != NULL && x >= 0; x = s->actions[x].next, j++) {
         const action_t *an = &s->actions[x];
-        PyObject *child = Py_BuildValue("(LLLd)", (long long)x, (long long)an->action,
-                                        (long long)an->visits, an->q);
+        PyObject *child = Py_BuildValue("(LLdN)", (long long)an->action, (long long)an->visits,
+                                        an->q, successors(s, an));
         if (child == NULL)
             Py_CLEAR(children);
         else
@@ -883,77 +898,41 @@ static PyObject *py_node(PyObject *self, PyObject *const *a, Py_ssize_t n)
                          (long long)node->steps, (long long)node->record);
 }
 
-/* action(search, x): action node x's successors as (belief node index,
- * reward) */
-static PyObject *py_action(PyObject *self, PyObject *const *a, Py_ssize_t n)
+/* A new float64 array of shape dims (ndim long) holding a copy of data */
+static PyObject *copy(const double *data, int ndim, npy_intp *dims)
 {
-    ARGS("action", 2);
-    int64_t x;
-    search_t *s = search_and(a, &x);
-    if (s == NULL)
-        return NULL;
-    if (x < 0 || x >= s->n_actions)
-        return PyErr_Format(PyExc_IndexError, "no action node %lld", (long long)x);
-    const action_t *an = &s->actions[x];
-    PyObject *out = PyTuple_New(an->n_children);
-    int64_t j = 0;
-    for (int64_t c = an->first; out != NULL && c >= 0; c = s->beliefs[c].sibling, j++) {
-        PyObject *edge = Py_BuildValue("(Ld)", (long long)c, s->beliefs[c].reward);
-        if (edge == NULL)
-            Py_CLEAR(out);
-        else
-            PyTuple_SET_ITEM(out, j, edge);
-    }
+    PyObject *out = PyArray_SimpleNew(ndim, dims, NPY_DOUBLE);
+    if (out != NULL)
+        memcpy(DATA(out), data, PyArray_NBYTES((PyArrayObject *)out));
     return out;
 }
 
-/* The GP record a[1] of the search a[0], whose query set has q points */
-static const record_t *record_of(PyObject *const *a, int64_t *q)
-{
-    int64_t r;
-    search_t *s = search_and(a, &r);
-    if (s != NULL && (r < 0 || r >= s->n_records))
-        PyErr_Format(PyExc_IndexError, "no GP record %lld", (long long)r);
-    if (PyErr_Occurred())
-        return NULL;
-    *q = s->q;
-    return s->records[r];
-}
-
 /* record(search, r): GP record r's (parent record or -1, trace, sites as
- * (node, value, noise variance) tuples) */
+ * (node, value, noise variance) tuples, rows, query mean, query variance),
+ * the last three new float64 arrays of (k, q), q and q */
 static PyObject *py_record(PyObject *self, PyObject *const *a, Py_ssize_t n)
 {
     ARGS("record", 2);
-    int64_t q;
-    const record_t *r = record_of(a, &q);
-    if (r == NULL)
+    int64_t i;
+    search_t *s = search_and(a, &i);
+    if (s == NULL)
         return NULL;
+    if (i < 0 || i >= s->n_records)
+        return PyErr_Format(PyExc_IndexError, "no GP record %lld", (long long)i);
+    const record_t *r = s->records[i];
     PyObject *sites = PyTuple_New(r->k);
-    for (int64_t i = 0; sites != NULL && i < r->k; i++) {
-        PyObject *site = Py_BuildValue("(Ldd)", (long long)r->node[i], r->val[i], r->nu[i]);
+    for (int64_t j = 0; sites != NULL && j < r->k; j++) {
+        PyObject *site = Py_BuildValue("(Ldd)", (long long)r->node[j], r->val[j], r->nu[j]);
         if (site == NULL)
             Py_CLEAR(sites);
         else
-            PyTuple_SET_ITEM(sites, i, site);
+            PyTuple_SET_ITEM(sites, j, site);
     }
-    return sites == NULL ? NULL : Py_BuildValue("(LdN)", (long long)r->parent, r->trace, sites);
-}
-
-/* arrays(search, r, rows, mean, var): copy GP record r's k rows, query mean
- * and variance into C-contiguous float64 arrays of (k, q), q and q */
-static PyObject *py_arrays(PyObject *self, PyObject *const *a, Py_ssize_t n)
-{
-    ARGS("arrays", 5);
-    int64_t q;
-    const record_t *r = record_of(a, &q);
-    if (r == NULL || !fits(a[2], "rows", 2, r->k, q) || !fits(a[3], "mean", 1, q, 0) ||
-        !fits(a[4], "var", 1, q, 0))
-        return NULL;
-    memcpy(DATA(a[2]), r->rows, r->k * q * sizeof(double));
-    memcpy(DATA(a[3]), r->mean, q * sizeof(double));
-    memcpy(DATA(a[4]), r->var, q * sizeof(double));
-    Py_RETURN_NONE;
+    npy_intp dims[] = {r->k, s->q};
+    return sites == NULL ? NULL
+                         : Py_BuildValue("(LdNNNN)", (long long)r->parent, r->trace, sites,
+                                         copy(r->rows, 2, dims), copy(r->mean, 1, dims + 1),
+                                         copy(r->var, 1, dims + 1));
 }
 
 static PyObject *py_bounded(PyObject *self, PyObject *const *a, Py_ssize_t n)
@@ -1006,13 +985,10 @@ static PyMethodDef methods[] = {
      "collapsed"},
     {"node", FASTCALL(py_node),
      "node(search, i) -> (visits, untried, actions, location, budget, memory, step, record) "
-     "of belief node i"},
-    {"action", FASTCALL(py_action),
-     "action(search, x) -> ((belief node, reward), ...) of action node x"},
+     "of belief node i; each action is (action id, visits, q, ((belief node, reward), ...))"},
     {"record", FASTCALL(py_record),
-     "record(search, r) -> (parent record or -1, trace, sites) of GP record r"},
-    {"arrays", FASTCALL(py_arrays),
-     "arrays(search, r, rows, mean, var): copy GP record r's rows, query mean and variance"},
+     "record(search, r) -> (parent record or -1, trace, sites, rows, mean, var) of GP record "
+     "r, its arrays new copies"},
     {"bounded", FASTCALL(py_bounded), "bounded(bitgen, n): Generator.integers(n)"},
     {"normal", FASTCALL(py_normal), "normal(bitgen, loc, scale): Generator.normal(loc, scale)"},
     {"erf", FASTCALL(py_erf), "erf(x): the erf of the kernel's libm"},

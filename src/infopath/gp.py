@@ -84,9 +84,9 @@ class SquaredExponential:
     kind = "squared-exponential"
 
     def __post_init__(self):
-        if self.signal_variance <= 0:
+        if not self.signal_variance > 0:
             raise ValueError("signal_variance must be positive")
-        if self.lengthscale <= 0:
+        if not self.lengthscale > 0:
             raise ValueError("lengthscale must be positive")
 
     def matrix(self, a, b) -> np.ndarray:
@@ -307,7 +307,7 @@ class GaussianProcessBelief:
         nu = np.zeros(0) if noise_variances is None else np.array(noise_variances, dtype=float).ravel()
         if not (len(x) == len(y) == len(nu)):
             raise ValueError("measured_locations, measurements and noise_variances must align")
-        if np.any(nu <= 0):
+        if not np.all(nu > 0):
             raise ValueError("noise variances must be positive")
 
         # batch-build the factor and the query-set caches
@@ -421,7 +421,7 @@ class GaussianProcessBelief:
         if not sites:
             return self
         for _, _, nu in sites:
-            if nu <= 0:
+            if not nu > 0:
                 raise ValueError("noise variances must be positive")
         store = self._room(len(sites))
         mean, var = self._mean_q.copy(), self._var_q.copy()

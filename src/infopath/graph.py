@@ -38,7 +38,7 @@ class LocationGraph:
         for u, v, cost in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) references an unknown node")
-            if cost <= 0:
+            if not cost > 0:
                 raise ValueError("edge costs must be positive")
             adj[u].append((v, float(cost)))
             adj[v].append((u, float(cost)))

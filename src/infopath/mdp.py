@@ -21,9 +21,10 @@ The Python step kernel is ``generative_sample``: it draws with
 kernel is built (``infopath.kernel``), ``compiled_search`` hands
 ``mcts.search`` a ``CompiledSearch`` instead, which runs every simulation of
 a plan in C, in one call, over a flat copy of the location tables by integer
-action id, tree steps and rollouts alike, with the same bits; its tree's
-beliefs are built on first read, each by extending its parent's GP as an
-update would.
+action id, tree steps and rollouts alike, with the same bits; its tree is
+read back one belief node at a time, with its actions and their successors,
+and its beliefs are built on first read, each by extending its parent's GP
+as an update would.
 
 Each location has one ``LocationTable``, shared by every MDP on the same
 graph with the same senses: its cheapest cost, below which it is terminal,
@@ -70,9 +71,9 @@ class SensingModality:
     noise_stddev: float
 
     def __post_init__(self):
-        if self.cost <= 0:
+        if not self.cost > 0:
             raise ValueError("sensing cost must be positive")
-        if self.noise_stddev < 0:
+        if not self.noise_stddev >= 0:
             raise ValueError("noise_stddev must be non-negative")
 
 
@@ -433,14 +434,16 @@ class _TreeNode(BeliefNode):
 
 
 class _TreeAction(ActionNode):
-    """An action node of a compiled search's tree, node ``_index`` of
-    ``_search``; its successors are filled on first read."""
+    """An action node of a compiled search's tree, with its successors as
+    ``_successors``, (belief node index, reward) pairs of ``_search``: its
+    children, built from them on first read."""
 
-    __slots__ = ("_search", "_index")
+    __slots__ = ("_search", "_successors")
 
     def __getattr__(self, name):  # a slot not filled yet
         if name == "children":
-            self._search.successors(self)
+            node = self._search._node
+            self.children = [(node(i), reward) for i, reward in self._successors]
         return object.__getattribute__(self, name)
 
 
@@ -452,10 +455,11 @@ class CompiledSearch:
     generator exactly as ``mcts.simulate`` would; it returns False when a
     pivot collapses, and the search is then void. ``tree`` returns the root
     of the tree as ``BeliefNode``/``ActionNode`` objects with the MDP's
-    actions, each node built from the search when first reached. The root
+    actions, each belief node built when first reached, with one read of the
+    kernel that brings its action nodes and their successors too. The root
     holds ``belief``; every other node builds its belief on first read, the
     one ``generative_sample`` would have made: same conditioning set, rows,
-    query mean, variance and trace.
+    query mean, variance and trace, which one read of its GP record brings.
     """
 
     __slots__ = ("_lib", "_tables", "_actions", "_belief", "_bits", "_search", "_gps")
@@ -498,16 +502,11 @@ class CompiledSearch:
         node.visits, untried, children = self._lib.node(self._search, node._index)[:3]
         node.untried = None if untried is None else [actions[a] for a in untried]
         node.children = []
-        for x, action, visits, q in children:
+        for action, visits, q, successors in children:
             an = _TreeAction.__new__(_TreeAction)
-            an._search, an._index = self, x
+            an._search, an._successors = self, successors
             an.action, an.visits, an.q = actions[action], visits, q
             node.children.append(an)
-
-    def successors(self, an: _TreeAction):
-        """Set ``an``'s children, (belief node, reward) pairs."""
-        an.children = [(self._node(i), reward)
-                       for i, reward in self._lib.action(self._search, an._index)]
 
     def belief(self, i: int) -> BeliefState:
         """Belief node ``i``'s state."""
@@ -520,11 +519,10 @@ class CompiledSearch:
         and trace."""
         gp = self._gps.get(record)
         if gp is None:
-            parent, trace, sites = self._lib.record(self._search, record)
+            parent, trace, sites, rows, mean, var = self._lib.record(self._search, record)
             base = self._gp(parent)
-            store, m, q = base._room(len(sites)), base._m, len(base.query_set)
-            mean, var = np.empty(q), np.empty(q)
-            self._lib.arrays(self._search, record, store.w[m:m + len(sites)], mean, var)
+            store, m = base._room(len(sites)), base._m
+            store.w[m:m + len(sites)] = rows
             gp = self._gps[record] = base._extended(store, sites, mean, var, trace)
         return gp
 

@@ -69,11 +69,11 @@ class RoverInstance:
         tm = np.asarray(self.true_map, dtype=float)
         if tm.shape != (n, n):
             raise ValueError(f"true_map must be ({n}, {n})")
-        if tm.min() < 0.0 or tm.max() > 1.0:
+        if not (tm.min() >= 0.0 and tm.max() <= 1.0):
             raise ValueError("true_map values must lie in [0, 1]")
         if self.beta < 2:
             raise ValueError("beta must be >= 2")
-        if self.spectrometer_sigma < 0:
+        if not self.spectrometer_sigma >= 0:
             raise ValueError("spectrometer_sigma must be non-negative")
         tm = tm.copy()
         tm.setflags(write=False)

@@ -235,6 +235,20 @@ def test_instance_serialization_roundtrip():
         assert log1.records == log2.records
 
 
+def test_loaded_instances_meet_the_constructor_checks():
+    """``json.loads`` accepts the literal NaN; a NaN map cell or modality
+    cost fails the instance's checks."""
+    rover = instance_to_dict(build_instance(small_cfg(environment="rover", budget=20.0), seed=5))
+    rover["true_map"][1][2] = float("nan")
+    isrs = instance_to_dict(build_instance(small_cfg(), seed=5))
+    isrs["modalities"][0]["cost"] = float("nan")
+    for data in (rover, isrs):
+        text = json.dumps(data)
+        assert "NaN" in text
+        with pytest.raises(ValueError):
+            instance_from_dict(json.loads(text))
+
+
 def test_episode_json_contains_belief_and_config(tmp_path):
     cfg = small_cfg(runs=1)
     result = run_batch(cfg)

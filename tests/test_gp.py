@@ -99,6 +99,9 @@ def test_kernel_rejects_bad_parameters():
         SquaredExponential(signal_variance=0.0)
     with pytest.raises(ValueError):
         SquaredExponential(lengthscale=-1.0)
+    for nan in ({"signal_variance": math.nan}, {"lengthscale": math.nan}):
+        with pytest.raises(ValueError):
+            SquaredExponential(**nan)
 
 
 # grid cells, off-grid points across magnitudes, and exact zeros of both signs
@@ -216,6 +219,14 @@ def test_rejects_nonpositive_noise():
     gp = GaussianProcessBelief(0.5, SquaredExponential(), grid_coords(2))
     with pytest.raises(ValueError):
         gp.add_measurement((0.0, 0.0), 1.0, 0.0)
+    # NaN is not positive either, in a batch build and in an update
+    with pytest.raises(ValueError):
+        gp.add_measurement((0.0, 0.0), 1.0, math.nan)
+    with pytest.raises(ValueError):
+        gp.add_measurements_at([(0, 1.0, math.nan)])
+    with pytest.raises(ValueError):
+        GaussianProcessBelief(0.5, SquaredExponential(), grid_coords(2), [(0.0, 0.0)], [1.0],
+                              [math.nan])
 
 
 def test_batch_and_incremental_construction_agree():

@@ -63,6 +63,10 @@ def test_disconnected_graph_rejected():
 def test_nonpositive_edge_cost_rejected():
     with pytest.raises(ValueError):
         LocationGraph([(0.0, 0.0), (1.0, 0.0)], [(0, 1, 0.0)], start=0, goal=1)
+    # a NaN edge would leave a NaN cheapest cost, below which no budget falls
+    with pytest.raises(ValueError):
+        LocationGraph([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)],
+                      [(0, 1, 1.0), (1, 2, math.nan), (0, 2, 1.0)], start=0, goal=2)
 
 
 def test_grid_layout_and_neighbors():

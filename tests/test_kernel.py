@@ -412,6 +412,46 @@ def test_a_compiled_plan_is_one_call(which, monkeypatch, request):
         assert calls["simulate"] >= cfg.iterations and calls["run"] == 0
 
 
+@pytest.mark.parametrize("env", ["isrs", "rover"])
+def test_a_compiled_tree_reads_each_node_and_record_once(env, compiled, monkeypatch):
+    """A walk over every belief node, action node and successor of a
+    compiled tree reads each belief node it reaches from the kernel once,
+    its action nodes and their successors with it, and no action node on
+    its own. Reading every belief then reads each non-root GP record once,
+    its rows, query mean and variance with it."""
+    reads = {"node": [], "record": []}
+    for name in reads:
+        def counting(search, i, read=getattr(compiled, name), name=name):
+            out = read(search, i)
+            reads[name].append((i, out))
+            return out
+
+        monkeypatch.setattr(compiled, name, counting)
+    mdp = build_mdp(env, 3, 30.0)
+    cfg = SolverConfig(iterations=200, max_depth=12, k_state=0.5)
+    planned = mdp.compiled_search(mdp.initial_belief(), cfg, np.random.default_rng(3))
+    assert planned.run(cfg.iterations) and reads == {"node": [], "record": []}
+    root = planned.tree()
+    nodes, actions, successors = [], [], []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        nodes.append((node, node.visits, node.untried))
+        for an in node.children:
+            actions.append((an.action, an.visits, an.q))
+            for child, reward in an.children:
+                successors.append(reward)
+                stack.append(child)
+    assert len(successors) == len(nodes) - 1 >= len(actions) > 1
+    assert sorted(i for i, _ in reads["node"]) == list(range(len(nodes)))
+    assert reads["record"] == []
+    beliefs = [node.belief for node, _, _ in nodes]
+    records = {out[-1] for _, out in reads["node"]} - {0}
+    assert len(records) > 1
+    assert sorted(r for r, _ in reads["record"]) == sorted(records)
+    assert len({id(belief.gp) for belief in beliefs}) == len(records) + 1
+
+
 class Interrupted(Exception):
     """What the test's alarm handler raises."""
 
@@ -691,17 +731,6 @@ def test_the_kernel_refuses_arrays_of_another_layout(compiled):
             with pytest.raises(ValueError, match="C-contiguous float64"):
                 compiled.search(ctypes.addressof(tables), bits.ctypes.bit_generator.value, state,
                                 (*root[:i], bad, *root[i + 1:]), config, max_sites)
-    planned = CompiledSearch(mdp, mdp.initial_belief()._replace(gp=gp),
-                             SolverConfig(iterations=20, max_depth=4), np.random.default_rng(0))
-    assert planned.run(20)
-    record = next(r for r in range(1, 100) if compiled.record(planned._search, r)[2])
-    k = len(compiled.record(planned._search, record)[2])
-    out = [np.zeros((k, q)), np.zeros(q), np.zeros(q)]
-    compiled.arrays(planned._search, record, *out)
-    for i in range(3):
-        for bad in misfits(out[i]):
-            with pytest.raises(ValueError, match="C-contiguous float64"):
-                compiled.arrays(planned._search, record, *out[:i], bad, *out[i + 1:])
 
 
 def perturbed_source(tmp_path, old, new):
@@ -768,8 +797,13 @@ def test_step_tables_mirror_tables_t():
     """``kernel.StepTables`` lays out ``tables_t`` of ``_kernel.c``: the same
     fields in the same order, pointers as pointers, int64_t as c_int64 and
     double as c_double. ctypes takes the layout from the Python list alone,
-    so a mismatch would hand the kernel misplaced memory."""
-    body = re.search(r"typedef struct \{([^}]*)\} tables_t;", kernel.SOURCE.read_text()).group(1)
+    so a mismatch would hand the kernel misplaced memory. The step kinds of
+    ``kernel`` number the enum declared just before the struct the same
+    way, or every drill would step as a visit."""
+    kinds, body = re.search(r"enum \{([^}]*)\};\s*typedef struct \{([^}]*)\} tables_t;",
+                            kernel.SOURCE.read_text()).groups()
+    assert {name.strip(): i for i, name in enumerate(kinds.split(","))} == \
+        {"STATIC": kernel.STATIC, "DRILL": kernel.DRILL, "VISIT": kernel.VISIT}
     fields = []
     for declaration in body.split(";")[:-1]:
         kind, names = re.fullmatch(r"\s*(?:const\s+)?(\w+)\s+(.*)", declaration, re.S).groups()

@@ -39,6 +39,13 @@ def test_modality_cost_accuracy_ordering_enforced():
     IsrsMdp(inst)  # default modalities satisfy the ordering
 
 
+@pytest.mark.parametrize("cost, noise", [(0.0, 0.1), (-1.0, 0.1), (math.nan, 0.1), (1.0, -0.1),
+                                         (1.0, math.nan)])
+def test_modality_rejects_a_bad_cost_or_noise(cost, noise):
+    with pytest.raises(ValueError):
+        SensingModality("bad", cost=cost, noise_stddev=noise)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
 def test_non_finite_or_negative_weight_and_budget_are_rejected(value):
     # NaN passes a plain "< 0" check and would reach every reward and terminal test

@@ -15,6 +15,7 @@ from infopath.isrs import DEFAULT_MODALITIES, ROCK_REWARD, IsrsMdp, generate_isr
 from infopath.mcts import SolverConfig
 from infopath.mdp import (
     BeliefState,
+    CompiledSearch,
     Drill,
     Move,
     Sense,
@@ -152,6 +153,17 @@ def check_step_kind(mdp, belief, action, step, rng):
     assert mdp.updated_memory(belief, action, observation) == belief.memory | {gained}
 
 
+def one_simulation(mdp, belief):
+    """The root of a compiled search of one simulation of depth 1 from
+    ``belief``, or None when the Python kernel runs."""
+    if kernel.lib() is None:
+        return None
+    searched = CompiledSearch(mdp, belief, SolverConfig(iterations=1, max_depth=1),
+                              np.random.default_rng(0))
+    searched.run(1)
+    return searched.tree()
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=location_cases())
 def test_table_actions_match_the_mdp(case):
@@ -167,12 +179,19 @@ def test_table_actions_match_the_mdp(case):
     assert mdp.is_terminal(belief) == terminal
     assert mdp.actions(belief) == [a for a, _, _ in actions]
     compiled = kernel_actions(mdp, belief.location, budget)
+    root = one_simulation(mdp, belief)
     if terminal:
         assert compiled == []
         with pytest.raises(ValueError, match="terminal"):
             mdp.feasible_actions(belief)
+        assert root is None or (root.untried is None and root.children == [])
         return
     assert mdp.feasible_actions(belief) == [a for a, _, _ in feasible]
+    if root is not None:  # C feasible() filled the root's pool: one drawn, the rest in order
+        tried = [an.action for an in root.children]
+        assert len(tried) == min(1, len(feasible))
+        assert root.untried == [a for a, _, _ in feasible if a not in tried]
+        assert set(tried) <= {a for a, _, _ in feasible}
     assert [c[:3] for c in compiled] == feasible
     for (action, cost, target), (*_, kind, kernel_sites, params) in zip(feasible, compiled):
         assert cost == mdp.action_cost(belief, action)

@@ -240,6 +240,13 @@ def test_instance_validation():
     with pytest.raises(ValueError):
         RoverInstance(grid_size=3, true_map=np.full((3, 3), 1.5), beta=5,
                       spectrometer_sigma=0.1)
+    nan_cell = np.zeros((3, 3))
+    nan_cell[1, 2] = np.nan
+    with pytest.raises(ValueError):
+        RoverInstance(grid_size=3, true_map=nan_cell, beta=5, spectrometer_sigma=0.1)
+    with pytest.raises(ValueError):
+        RoverInstance(grid_size=3, true_map=np.zeros((3, 3)), beta=5,
+                      spectrometer_sigma=float("nan"))
     with pytest.raises(ValueError):
         RoverInstance(grid_size=3, true_map=np.zeros((3, 3)), beta=1,
                       spectrometer_sigma=0.1)
