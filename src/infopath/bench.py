@@ -9,6 +9,7 @@ directory.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -18,6 +19,7 @@ import os
 import time
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -344,6 +346,16 @@ _int_repr = int.__repr__
 _CHUNK_PARTS = 4096  # pieces of text buffered before a write
 
 
+class _Rendered:
+    """A value that ``_encode_json`` writes as the text ``render(value, nl)``,
+    made for a place indented by ``nl`` when the walk reaches it."""
+
+    __slots__ = ("render", "value")
+
+    def __init__(self, render, value):
+        self.render, self.value = render, value
+
+
 def _encode_json(obj, write) -> None:
     """Pass the text of ``json.dumps(_json_safe(obj), sort_keys=True, indent=2)``
     and a newline to ``write``, walking ``obj`` once.
@@ -351,9 +363,11 @@ def _encode_json(obj, write) -> None:
     Leaves are formatted by the functions the stdlib encoder calls
     (``encode_basestring_ascii``, ``float.__repr__``, ``int.__repr__``), so the
     bytes match; values of any other type go through ``_json_safe`` first. Dict
-    keys must be strings. Text is handed on whenever a container closes with
-    more than ``_CHUNK_PARTS`` pieces pending, so neither the document nor the
-    list of its pieces is ever held whole.
+    keys must be strings. A ``_Rendered`` value brings its own text, which is
+    handed on at once with what is pending; otherwise text is handed on
+    whenever a container closes with more than ``_CHUNK_PARTS`` pieces
+    pending, so neither the document nor the list of its pieces is ever held
+    whole.
     """
     parts = []
     append = parts.append
@@ -370,6 +384,10 @@ def _encode_json(obj, write) -> None:
             mapping(o, nl)
         elif t is list or t is tuple:
             sequence(o, nl)
+        elif t is _Rendered:
+            append(o.render(o.value, nl))
+            write("".join(parts))
+            parts.clear()
         elif o is None:
             append("null")
         elif o is True:
@@ -427,6 +445,74 @@ def _encode_json(obj, write) -> None:
         del value, mapping, sequence, close
 
 
+def _json_text(obj, nl: str) -> str:
+    """The text ``_encode_json`` writes for ``obj`` at a place indented by
+    ``nl``: its text at the top, re-indented, as no JSON string holds a raw
+    newline."""
+    parts = []
+    _encode_json(obj, parts.append)
+    return "".join(parts)[:-1].replace("\n", nl)
+
+
+# a step record's JSON keys in sorted order, with the StepRecord fields they hold
+_JSON_COLUMNS = sorted(STEP_COLUMNS)
+_json_values = operator.attrgetter(*(name for _, name in _JSON_COLUMNS))
+
+
+def _records_json(records, nl: str) -> str:
+    """JSON text of the step records ``records`` as a list of dicts keyed by
+    ``_STEP_KEYS``, at a place indented by ``nl``: one format per record of
+    an int step, a str action and finite floats; any other record takes the
+    general walk."""
+    if not records:
+        return "[]"
+    inner, field = nl + "  ", nl + "    "
+    spec = {"action": "%s", "step": "%d"}
+    record = ("{" + ",".join(f'{field}"{key}": {spec.get(key, "%r")}' for key, _ in _JSON_COLUMNS)
+              + inner + "}")
+    texts = []
+    for r in records:
+        action, budget, x, y, reward, rmse, step, trace = _json_values(r)  # _JSON_COLUMNS order
+        if (type(action) is str and type(step) is int
+                and float is type(budget) is type(x) is type(y) is type(reward) is type(rmse)
+                is type(trace)
+                # a sum of floats is finite only if each is
+                and (total := budget + x + y + reward + rmse + trace) - total == 0.0):
+            texts.append(record % (_encode_str(action), budget, x, y, reward, rmse, step, trace))
+        else:  # a non-finite float, which the JSON writes as null, or another type
+            texts.append(_json_text(dict(zip(_STEP_KEYS, _step_values(r))), inner))
+    return "[" + inner + ("," + inner).join(texts) + nl + "]"
+
+
+def _array_json(a: np.ndarray, nl: str) -> str:
+    """JSON text of array ``a`` as nested lists at a place indented by ``nl``:
+    one format for the whole array when it is a non-empty 1-D or 2-D float64
+    array of finite entries; any other array takes the general walk."""
+    if not (a.dtype == np.float64 and a.ndim in (1, 2) and a.size and np.isfinite(a).all()):
+        return _json_text(a, nl)
+    inner = nl + "  "
+    item = "%r"
+    if a.ndim == 2:
+        row_inner = inner + "  "
+        item = "[" + row_inner + ("," + row_inner).join([item] * a.shape[1]) + inner + "]"
+    return "[" + inner + ("," + inner).join([item] * len(a)) % tuple(a.ravel().tolist()) + nl + "]"
+
+
+@contextlib.contextmanager
+def _replacing(path: Path, newline=None):
+    """A text file open for writing that replaces ``path`` once the block
+    completes. An exception in the block, a KeyboardInterrupt included,
+    leaves ``path`` as it was and no temporary file."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("w", newline=newline) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_json(obj, path: Path) -> Path:
     """Write ``obj`` as ``json.dumps(_json_safe(obj), sort_keys=True, indent=2)``
     plus a newline, byte for byte, without building the whole text.
@@ -435,40 +521,62 @@ def write_json(obj, path: Path) -> Path:
     once complete, so an unencodable value leaves no partial file.
     """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with tmp.open("w") as f:
-            _encode_json(obj, f.write)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with _replacing(path) as f:
+        _encode_json(obj, f.write)
     return path
 
 
-def _write_csv(path: Path, snapshot: dict, header, rows) -> Path:
-    """A ``# config`` comment line, the header, then the rows.
+def _write_csv(path: Path, snapshot: dict, header, rows=(), text=()) -> Path:
+    """A ``# config`` comment line, the header, the ``rows``, then the
+    ``text`` chunks: rows already written as csv.writer writes them.
 
     The csv module writes Python floats as their repr, so values round-trip
-    exactly; None becomes an empty field and text with commas is quoted.
+    exactly; None becomes an empty field and text with commas is quoted. Like
+    ``write_json``, the file replaces ``path`` only once complete.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as f:
+    with _replacing(path, newline="") as f:
         f.write("# config " + json.dumps(_json_safe(snapshot), sort_keys=True) + "\n")
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+        for chunk in text:
+            f.write(chunk)
     return path
 
 
+_CSV_QUOTED = frozenset(',"\r\n')  # csv.writer quotes a field holding any of them
+
+
+def _step_rows(logs):
+    """steps.csv's rows, one string per episode: one format per row of an
+    int step, floats and an action csv.writer leaves unquoted; csv.writer
+    writes any other row."""
+    row = "%d,%d,%r,%r,%s,%r,%r,%r,%r\n"  # ("episode", *_STEP_KEYS)
+    pieces = []
+    writer = csv.writer(SimpleNamespace(write=pieces.append), lineterminator="\n")
+    for i, log in enumerate(logs):
+        for r in log.records:
+            values = step, x, y, action, budget, reward, trace, rmse = _step_values(r)
+            if (type(step) is int and type(action) is str and _CSV_QUOTED.isdisjoint(action)
+                    and float is type(x) is type(y) is type(budget) is type(reward)
+                    is type(trace) is type(rmse)):
+                pieces.append(row % (i, step, x, y, action, budget, reward, trace, rmse))
+            else:
+                writer.writerow((i, *values))
+        yield "".join(pieces)
+        pieces.clear()
+
+
 def belief_to_dict(gp) -> dict:
-    """JSON form of a GP belief: prior, kernel, and the raw measurement lists."""
+    """JSON form of a GP belief for ``write_json``: prior, kernel, and the raw
+    measurement arrays as lists."""
     return {
         "prior_mean": gp.prior_mean,
         "kernel": {"kind": gp.kernel.kind, **asdict(gp.kernel)},
-        "measured_locations": gp.measured_locations.tolist(),
-        "measurements": gp.measurements.tolist(),
-        "noise_variances": gp.noise_variances.tolist(),
+        "measured_locations": _Rendered(_array_json, gp.measured_locations),
+        "measurements": _Rendered(_array_json, gp.measurements),
+        "noise_variances": _Rendered(_array_json, gp.noise_variances),
     }
 
 
@@ -501,12 +609,14 @@ def instance_from_dict(data: dict):
 # ----------------------------------------------------------------------
 # file emission
 
-def write_curves_csv(logs, out_dir, snapshot: dict) -> Path:
-    """Write the per-step mean/stddev curves of a batch of logs to curves.csv."""
-    steps, *curves = curve_stats(logs)
-    rows = zip(steps.tolist(), *(c.tolist() for c in curves))
-    return _write_csv(Path(out_dir) / "curves.csv", snapshot,
-                      ("step", "trace_mean", "trace_std", "rmse_mean", "rmse_std"), rows)
+def write_curves_csv(result: AggregateResult, out_dir) -> Path:
+    """Write a batch's per-step mean/stddev curves, as ``run_batch`` computed
+    them, to curves.csv."""
+    curves = (result.steps, result.trace_mean, result.trace_std, result.rmse_mean,
+              result.rmse_std)
+    return _write_csv(Path(out_dir) / "curves.csv", result.config,
+                      ("step", "trace_mean", "trace_std", "rmse_mean", "rmse_std"),
+                      zip(*(c.tolist() for c in curves)))
 
 
 def write_run_outputs(result: AggregateResult, out_dir) -> list[Path]:
@@ -522,10 +632,9 @@ def write_run_outputs(result: AggregateResult, out_dir) -> list[Path]:
          "final_trace", "final_rmse"),
         ((i, log.seed, log.status, len(log.records), log.reward, log.true_reward_sum,
           log.final_trace, log.final_rmse) for i, log in enumerate(logs)))
-    steps_csv = _write_csv(
-        out_dir / "steps.csv", snapshot, ("episode", *_STEP_KEYS),
-        ((i, *_step_values(r)) for i, log in enumerate(logs) for r in log.records))
-    curves_csv = write_curves_csv(logs, out_dir, snapshot)
+    steps_csv = _write_csv(out_dir / "steps.csv", snapshot, ("episode", *_STEP_KEYS),
+                           text=_step_rows(logs))
+    curves_csv = write_curves_csv(result, out_dir)
     episodes_json = write_json({
         "config": snapshot,
         "episodes": [
@@ -534,7 +643,7 @@ def write_run_outputs(result: AggregateResult, out_dir) -> list[Path]:
                 "status": log.status,
                 "reward": log.reward,
                 "true_reward_sum": log.true_reward_sum,
-                "records": [dict(zip(_STEP_KEYS, _step_values(r))) for r in log.records],
+                "records": _Rendered(_records_json, log.records),
                 "final_belief": belief_to_dict(log.final_belief),
             }
             for log in logs

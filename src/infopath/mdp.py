@@ -421,13 +421,16 @@ def _shared_tables(graph: LocationGraph, senses) -> tuple[LocationTable, ...]:
 class _TreeNode(BeliefNode):
     """A belief node of a compiled search's tree, node ``_index`` of
     ``_search``, filled on first read: its visits, children and untried
-    actions together, its belief on its own."""
+    actions together, its belief on its own, both from one read of the
+    kernel, ``_read``, kept for the other."""
 
-    __slots__ = ("_search", "_index")
+    __slots__ = ("_search", "_index", "_read")
 
     def __getattr__(self, name):  # a slot not filled yet
-        if name == "belief":
-            self.belief = self._search.belief(self._index)
+        if name == "_read":
+            self._read = self._search._lib.node(self._search._search, self._index)
+        elif name == "belief":
+            self.belief = self._search.belief(self)
         elif name in ("visits", "children", "untried"):
             self._search.fill(self)
         return object.__getattribute__(self, name)
@@ -456,7 +459,7 @@ class CompiledSearch:
     pivot collapses, and the search is then void. ``tree`` returns the root
     of the tree as ``BeliefNode``/``ActionNode`` objects with the MDP's
     actions, each belief node built when first reached, with one read of the
-    kernel that brings its action nodes and their successors too. The root
+    kernel that brings its state, its action nodes and their successors. The root
     holds ``belief``; every other node builds its belief on first read, the
     one ``generative_sample`` would have made: same conditioning set, rows,
     query mean, variance and trace, which one read of its GP record brings.
@@ -499,7 +502,7 @@ class CompiledSearch:
     def fill(self, node: _TreeNode):
         """Set ``node``'s visits, untried actions and children."""
         actions = self._actions
-        node.visits, untried, children = self._lib.node(self._search, node._index)[:3]
+        node.visits, untried, children = node._read[:3]
         node.untried = None if untried is None else [actions[a] for a in untried]
         node.children = []
         for action, visits, q, successors in children:
@@ -508,9 +511,9 @@ class CompiledSearch:
             an.action, an.visits, an.q = actions[action], visits, q
             node.children.append(an)
 
-    def belief(self, i: int) -> BeliefState:
-        """Belief node ``i``'s state."""
-        location, budget, memory, step, record = self._lib.node(self._search, i)[3:]
+    def belief(self, node: _TreeNode) -> BeliefState:
+        """``node``'s belief state."""
+        location, budget, memory, step, record = node._read[3:]
         return BeliefState(location, budget, self._gp(record), memory, step)
 
     def _gp(self, record: int) -> GaussianProcessBelief:

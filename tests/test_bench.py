@@ -132,7 +132,7 @@ def test_curve_padding_and_stats():
 def test_emit_curves_single_log_equals_columns(tmp_path):
     cfg = small_cfg(runs=1)
     result = run_batch(cfg)
-    write_curves_csv(result.logs, tmp_path, result.config)
+    write_curves_csv(result, tmp_path)
     lines = (tmp_path / "curves.csv").read_text().splitlines()
     rows = [line.split(",") for line in lines[2:]]
     log = result.logs[0]

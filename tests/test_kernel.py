@@ -417,8 +417,8 @@ def test_a_compiled_tree_reads_each_node_and_record_once(env, compiled, monkeypa
     """A walk over every belief node, action node and successor of a
     compiled tree reads each belief node it reaches from the kernel once,
     its action nodes and their successors with it, and no action node on
-    its own. Reading every belief then reads each non-root GP record once,
-    its rows, query mean and variance with it."""
+    its own. Reading every belief then reads no belief node again, and each
+    non-root GP record once, its rows, query mean and variance with it."""
     reads = {"node": [], "record": []}
     for name in reads:
         def counting(search, i, read=getattr(compiled, name), name=name):
@@ -450,6 +450,14 @@ def test_a_compiled_tree_reads_each_node_and_record_once(env, compiled, monkeypa
     assert len(records) > 1
     assert sorted(r for r, _ in reads["record"]) == sorted(records)
     assert len({id(belief.gp) for belief in beliefs}) == len(records) + 1
+    assert sorted(i for i, _ in reads["node"]) == list(range(len(nodes)))
+    reads["node"].clear()  # a new tree, each belief read before its node's children
+    stack = [planned.tree()]
+    while stack:
+        node = stack.pop()
+        assert node.belief is not None
+        stack.extend(child for an in node.children for child, _ in an.children)
+    assert sorted(i for i, _ in reads["node"]) == list(range(len(nodes)))
 
 
 class Interrupted(Exception):
